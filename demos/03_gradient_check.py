@@ -1,13 +1,14 @@
 """The autodiff tape, and proof its gradients match finite differences.
 
-First differentiates a tiny expression by hand on the tape, then runs the
-full-model gradient check used by the acceptance suite.
+First differentiates a tiny expression by hand on the tape, then shows the
+few entries a whole-model forward pass records (one per layer), then runs
+the full-model gradient check used by the acceptance suite.
 """
 
 import numpy as np
 
 from icurisk.autodiff import Tape, Tensor
-from icurisk.model import ModelConfig, grad_check
+from icurisk.model import ModelConfig, ModelParams, forward_episode, grad_check
 
 # loss = sigmoid(w . x): d(loss)/dw should equal sigmoid' * x.
 w = Tensor(np.array([[0.2, -0.4, 0.1]]))
@@ -28,6 +29,13 @@ print(f"\ntape recorded {len(tape.entries)} operations:",
 # central finite differences with step 1e-5.
 config = ModelConfig(input_dim=5, hidden=3, heads=2, bidirectional=True,
                      dropout_in=0.0, dropout_out=0.0)
+
+# Each LSTM direction and each attention head is one entry with a
+# hand-written backward rule, however many intervals the episode has.
+rng = np.random.default_rng(0)
+episode = forward_episode(rng.normal(size=(16, 5)), ModelParams.init(config, rng))
+print(f"\na 16-interval forward pass recorded {len(episode.tape.entries)} operations:",
+      [e.op for e in episode.tape.entries])
 error = grad_check(config, seed=0, intervals=4)
 print(f"\nfull-model gradient check, max relative error: {error:.2e}")
 print("under the 1e-4 acceptance threshold:", error < 1e-4)

@@ -1,13 +1,14 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
-The engine supplies exactly the operations the risk model needs, nothing
-more: no broadcasting, no GPU, double precision throughout.  Each forward
-call on a :class:`Tape` produces a fresh :class:`Tensor` and appends an
-entry holding the inputs, the output, and a backward rule.  Entries are
-therefore already in topological order, and :meth:`Tape.backward` is a
-single reverse sweep that accumulates gradients into ``Tensor.grad``
-(summing over all paths, so shared subexpressions and shared parameters
-come out right).
+Each forward call on a :class:`Tape` produces a fresh :class:`Tensor` and
+appends an entry holding the inputs, the output, and a backward rule.
+Entries are therefore already in topological order, and
+:meth:`Tape.backward` is a single reverse sweep that accumulates gradients
+into ``Tensor.grad`` (summing over all paths, so shared subexpressions and
+shared parameters come out right).  The tape has a few generic ops (no
+broadcasting, double precision throughout); a layer with its own
+hand-written backward rule records itself as one entry through
+:meth:`Tape.record`.
 
 Gradients accumulate across tapes: running backward on several per-example
 tapes sums example gradients into the shared parameter tensors, which is
@@ -32,6 +33,20 @@ def _require_same_shape(op: str, a: "Tensor", b: "Tensor") -> None:
         raise ShapeMismatchError(
             f"{op}: shapes {a.data.shape} and {b.data.shape} differ"
         )
+
+
+def sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic function that stays finite for any finite input."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def softmax(v: np.ndarray) -> np.ndarray:
+    """Softmax of a 1-D array, computed with max subtraction."""
+    if v.ndim != 1:
+        raise ShapeMismatchError(f"softmax: expected 1-D, got {v.shape}")
+    shifted = np.exp(v - v.max())
+    return shifted / shifted.sum()
 
 
 class Tensor:
@@ -78,8 +93,9 @@ class Tape:
     def __init__(self):
         self.entries: list[TapeEntry] = []
 
-    def _push(self, op: str, inputs: Sequence[Tensor], data: np.ndarray,
-              backward: BackwardRule) -> Tensor:
+    def record(self, op: str, inputs: Sequence[Tensor], data: np.ndarray,
+               backward: BackwardRule) -> Tensor:
+        """Append one entry; ``backward`` returns one gradient per input."""
         out = Tensor(data)
         self.entries.append(TapeEntry(op, tuple(inputs), out, backward))
         return out
@@ -102,59 +118,29 @@ class Tape:
                 return np.outer(g, b.data), a.data.T @ g
             return g @ b.data.T, a.data.T @ g
 
-        return self._push("matmul", (a, b), a.data @ b.data, backward)
+        return self.record("matmul", (a, b), a.data @ b.data, backward)
 
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         _require_same_shape("add", a, b)
-        return self._push("add", (a, b), a.data + b.data, lambda g: (g, g))
+        return self.record("add", (a, b), a.data + b.data, lambda g: (g, g))
 
-    def mul(self, a: Tensor, b: Tensor) -> Tensor:
-        """Elementwise product."""
-        _require_same_shape("mul", a, b)
-        return self._push(
-            "mul", (a, b), a.data * b.data, lambda g: (g * b.data, g * a.data)
-        )
-
-    def concat(self, parts: Sequence[Tensor]) -> Tensor:
-        """Concatenate 1-D tensors."""
-        if not parts:
-            raise ValueError("concat: need at least one tensor")
-        for p in parts:
-            if p.data.ndim != 1:
-                raise ShapeMismatchError(f"concat: expected 1-D, got {p.data.shape}")
-        sizes = [p.data.shape[0] for p in parts]
-        offsets = np.cumsum(sizes)[:-1]
-
-        def backward(g):
-            return tuple(np.split(g, offsets))
-
-        return self._push("concat", parts, np.concatenate([p.data for p in parts]), backward)
+    def concat(self, a: Tensor, b: Tensor) -> Tensor:
+        """Join two 2-D tensors with the same row count side by side."""
+        if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
+            raise ShapeMismatchError(
+                f"concat: need 2-D tensors with equal rows, got {a.data.shape} and {b.data.shape}"
+            )
+        split = a.data.shape[1]
+        return self.record("concat", (a, b), np.hstack([a.data, b.data]),
+                           lambda g: (g[:, :split], g[:, split:]))
 
     # -- nonlinearities -----------------------------------------------------
 
     def sigmoid(self, x: Tensor) -> Tensor:
-        v = x.data
-        out = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                       np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
-        return self._push("sigmoid", (x,), out, lambda g: (g * out * (1.0 - out),))
+        out = sigmoid(x.data)
+        return self.record("sigmoid", (x,), out, lambda g: (g * out * (1.0 - out),))
 
-    def tanh(self, x: Tensor) -> Tensor:
-        out = np.tanh(x.data)
-        return self._push("tanh", (x,), out, lambda g: (g * (1.0 - out * out),))
-
-    def softmax(self, x: Tensor) -> Tensor:
-        """Softmax of a 1-D tensor, computed with max subtraction."""
-        if x.data.ndim != 1:
-            raise ShapeMismatchError(f"softmax: expected 1-D, got {x.data.shape}")
-        shifted = np.exp(x.data - x.data.max())
-        out = shifted / shifted.sum()
-
-        def backward(g):
-            return (out * (g - np.dot(g, out)),)
-
-        return self._push("softmax", (x,), out, backward)
-
-    # -- reductions and combinations ----------------------------------------
+    # -- reductions ---------------------------------------------------------
 
     def maximum(self, a: Tensor, b: Tensor) -> Tensor:
         """Elementwise max; on ties the gradient routes to the first input."""
@@ -164,64 +150,34 @@ class Tape:
         def backward(g):
             return g * first_wins, g * ~first_wins
 
-        return self._push("maximum", (a, b), np.maximum(a.data, b.data), backward)
+        return self.record("maximum", (a, b), np.maximum(a.data, b.data), backward)
 
-    def mean(self, parts: Sequence[Tensor]) -> Tensor:
-        """Elementwise mean of same-shape tensors (reduction over a sequence)."""
-        if not parts:
-            raise ValueError("mean: need at least one tensor")
-        for p in parts[1:]:
-            _require_same_shape("mean", parts[0], p)
-        n = len(parts)
-
-        def backward(g):
-            share = g / n
-            return (share,) * n
-
-        total = parts[0].data.copy()
-        for p in parts[1:]:
-            total += p.data
-        return self._push("mean", parts, total / n, backward)
-
-    def weighted_sum(self, parts: Sequence[Tensor], weights: Tensor) -> Tensor:
-        """sum_t weights[t] * parts[t] for same-shape tensors."""
-        if weights.data.ndim != 1 or len(parts) != weights.data.shape[0]:
-            raise ShapeMismatchError(
-                f"weighted_sum: {len(parts)} tensors vs weights {weights.data.shape}"
-            )
-        for p in parts[1:]:
-            _require_same_shape("weighted_sum", parts[0], p)
-        w = weights.data
-
-        def backward(g):
-            part_grads = tuple(w[t] * g for t in range(len(parts)))
-            weight_grad = np.array([np.dot(g.ravel(), parts[t].data.ravel())
-                                    for t in range(len(parts))])
-            return part_grads + (weight_grad,)
-
-        total = np.zeros_like(parts[0].data)
-        for t, p in enumerate(parts):
-            total += w[t] * p.data
-        return self._push("weighted_sum", (*parts, weights), total, backward)
+    def mean(self, x: Tensor) -> Tensor:
+        """Mean over the rows of a 2-D tensor (over time, for an episode)."""
+        if x.data.ndim != 2:
+            raise ShapeMismatchError(f"mean: expected a 2-D tensor, got {x.data.shape}")
+        n = x.data.shape[0]
+        return self.record("mean", (x,), x.data.sum(axis=0) / n,
+                           lambda g: (np.broadcast_to(g / n, x.data.shape),))
 
     # -- stochastic and loss ops --------------------------------------------
 
-    def dropout(self, x: Tensor, rate: float, rng: np.random.Generator | None = None,
-                train: bool = True) -> Tensor:
+    def dropout(self, x: Tensor, rate: float,
+                rng: np.random.Generator | None = None) -> Tensor:
         """Inverted dropout: keep with probability 1-rate and rescale.
 
-        Identity when ``train`` is off.  The caller owns the generator; no
-        ambient global randomness.
+        Identity at rate 0.  The caller owns the generator; no ambient
+        global randomness.
         """
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        if not train or rate == 0.0:
+        if rate == 0.0:
             return x
         if rng is None:
             raise ValueError("dropout in training mode needs a random generator")
         keep = 1.0 - rate
         mask = (rng.random(x.data.shape) >= rate) / keep
-        return self._push("dropout", (x,), x.data * mask, lambda g: (g * mask,))
+        return self.record("dropout", (x,), x.data * mask, lambda g: (g * mask,))
 
     def binary_cross_entropy(self, p: Tensor, y: float) -> Tensor:
         """-[y log p + (1-y) log(1-p)] with p clipped to [1e-12, 1-1e-12]."""
@@ -238,7 +194,7 @@ class Tape:
             inside = (p.data > 1e-12) & (p.data < 1.0 - 1e-12)
             return (g * inside * (clipped - y) / (clipped * (1.0 - clipped)),)
 
-        return self._push("bce", (p,), loss.reshape(p.data.shape), backward)
+        return self.record("bce", (p,), loss.reshape(p.data.shape), backward)
 
     # -- reverse sweep ------------------------------------------------------
 

@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -189,13 +190,8 @@ def cmd_train(args) -> int:
     store_files = sorted((store / "episodes").glob("*.txt")) + [store / "labels.csv"]
     _write_manifest(
         out / "manifest.json", "train",
-        {"store": str(store), "out": str(out), "variant": variant,
-         "interval_hours": args.interval_hours, "hidden": args.hidden,
-         "heads": args.heads, "bidirectional": args.bidirectional,
-         "pooling": args.pooling, "dropout_in": args.dropout_in,
-         "dropout_out": args.dropout_out, "lr": args.lr, "batch": args.batch,
-         "epochs": args.epochs, "patience": args.patience,
-         "folds": args.folds, "fold": args.fold},
+        {"store": str(store), "out": str(out), "variant": variant, "fold": args.fold,
+         "train": asdict(cfg), "model": asdict(model_cfg)},
         seed=args.seed,
         dataset_digest=_digest_files(store_files),
     )

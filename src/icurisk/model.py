@@ -15,12 +15,17 @@ interval.  Each of R reading heads scores every state with a small tanh
 network, softmax-normalizes the scores over time, and forms a convex
 combination of the states; the head readings are max-pooled elementwise
 into the classifier feature z, and the risk is sigmoid(w . z + b).
+
+An LSTM direction and an attention head each work on the whole episode at
+once and record one tape entry with a hand-written backward rule, so a
+forward pass records about ten entries whatever the episode length.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from copy import deepcopy
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -29,6 +34,8 @@ from icurisk.autodiff import (
     Tape,
     Tensor,
     check_gradients,
+    sigmoid,
+    softmax,
 )
 from icurisk.preprocess import PipelineStats
 
@@ -45,7 +52,9 @@ POOLING_MODES = ("attention", "mean")
 
 @dataclass
 class ModelConfig:
-    """Architecture switches; every field maps to a CLI flag."""
+    """Architecture switches; a ``train`` flag sets each field except
+    ``input_dim`` (the feature width), ``recurrent`` (``--variant``) and
+    ``attn_hidden``."""
 
     input_dim: int = 185
     hidden: int = 32
@@ -84,6 +93,14 @@ class LstmDirection:
     Wc: Tensor; Uc: Tensor; bc: Tensor
 
     FIELDS = ("Wi", "Ui", "bi", "Wf", "Uf", "bf", "Wo", "Uo", "bo", "Wc", "Uc", "bc")
+
+    def tensors(self) -> list[Tensor]:
+        return [getattr(self, name) for name in self.FIELDS]
+
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(W, U, b) with the gates stacked in i, f, o, c order."""
+        arrays = [t.data for t in self.tensors()]
+        return np.vstack(arrays[0::3]), np.vstack(arrays[1::3]), np.concatenate(arrays[2::3])
 
 
 @dataclass
@@ -210,71 +227,92 @@ class ModelParams:
                 tensor.grad *= factor
 
     def copy(self) -> "ModelParams":
-        clone = ModelParams.init(self.config, np.random.default_rng(0))
-        ours = dict(self.named_parameters())
-        for name, tensor in clone.named_parameters():
-            tensor.data = ours[name].data.copy()
+        clone = deepcopy(self)
+        clone.zero_grads()
         return clone
 
 
 # -- forward operations -----------------------------------------------------
 
 
-def _affine(tape: Tape, W: Tensor, x: Tensor, U: Tensor, h: Tensor, b: Tensor) -> Tensor:
-    return tape.add(tape.add(tape.matmul(W, x), tape.matmul(U, h)), b)
+def lstm_cell(z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One memory/state update from the stacked gate pre-activations.
+
+    ``z`` is W x + U h_prev + b with the gates stacked in i, f, o, c order.
+    Returns (h, c, acts), acts being the four activated gates, stacked.
+    """
+    n = c_prev.shape[0]
+    acts = np.concatenate([sigmoid(z[:3 * n]), np.tanh(z[3 * n:])])
+    i, f, o, c_cand = np.split(acts, 4)
+    c = f * c_prev + i * c_cand
+    return o * np.tanh(c), c, acts
 
 
-def lstm_cell(tape: Tape, x: Tensor, h_prev: Tensor, c_prev: Tensor,
-              d: LstmDirection) -> tuple[Tensor, Tensor]:
-    """One memory/state update; returns (h, c)."""
-    i = tape.sigmoid(_affine(tape, d.Wi, x, d.Ui, h_prev, d.bi))
-    f = tape.sigmoid(_affine(tape, d.Wf, x, d.Uf, h_prev, d.bf))
-    o = tape.sigmoid(_affine(tape, d.Wo, x, d.Uo, h_prev, d.bo))
-    c_cand = tape.tanh(_affine(tape, d.Wc, x, d.Uc, h_prev, d.bc))
-    c = tape.add(tape.mul(f, c_prev), tape.mul(i, c_cand))
-    h = tape.mul(o, tape.tanh(c))
-    return h, c
-
-
-def run_lstm(tape: Tape, xs: list[Tensor], d: LstmDirection,
-             reverse: bool = False) -> list[Tensor]:
-    """Iterate the cell from zero states; output is aligned by interval index.
+def run_lstm(tape: Tape, X: Tensor, d: LstmDirection, reverse: bool = False) -> Tensor:
+    """States of one direction for every interval, from zero states.
 
     With ``reverse`` the rows are consumed last-to-first and the states
-    re-reversed, so ``states[t]`` always belongs to input ``xs[t]``.
+    re-reversed, so state row t always belongs to input row t.
     """
-    if not xs:
+    steps = X.data.shape[0]
+    if steps < 1:
         raise ValueError("run_lstm: need at least one interval")
-    hidden = d.bi.data.shape[0]
-    h = Tensor(np.zeros(hidden))
-    c = Tensor(np.zeros(hidden))
-    states = []
-    for x in (reversed(xs) if reverse else xs):
-        h, c = lstm_cell(tape, x, h, c, d)
-        states.append(h)
-    return states[::-1] if reverse else states
+    W, U, b = d.stacked()
+    n = U.shape[1]
+    rows = X.data[::-1] if reverse else X.data
+    pre = rows @ W.T + b
+    H = np.zeros((steps + 1, n))  # row 0 holds the zero initial state,
+    C = np.zeros((steps + 1, n))  # row t + 1 the state after step t
+    acts = np.empty((steps, 4 * n))
+    for t in range(steps):
+        H[t + 1], C[t + 1], acts[t] = lstm_cell(pre[t] + U @ H[t], C[t])
+
+    def backward(g):  # backprop through time, last step first
+        G = g[::-1] if reverse else g
+        dZ = np.empty((steps, 4 * n))
+        dh, dc = np.zeros(n), np.zeros(n)  # carried back from step t + 1
+        for t in reversed(range(steps)):
+            i, f, o, c_cand = np.split(acts[t], 4)
+            tanh_c = np.tanh(C[t + 1])
+            dh = dh + G[t]
+            dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+            dZ[t] = np.concatenate([dc * c_cand * i * (1.0 - i),
+                                    dc * C[t] * f * (1.0 - f),
+                                    dh * tanh_c * o * (1.0 - o),
+                                    dc * i * (1.0 - c_cand * c_cand)])
+            dh = U.T @ dZ[t]
+            dc = dc * f
+        dX = dZ @ W
+        per_gate = zip(np.split(dZ.T @ rows, 4), np.split(dZ.T @ H[:-1], 4),
+                       np.split(dZ.sum(axis=0), 4))
+        return (dX[::-1] if reverse else dX, *(g for gate in per_gate for g in gate))
+
+    states = H[:0:-1] if reverse else H[1:]
+    return tape.record("lstm", (X, *d.tensors()), states, backward)
 
 
-def run_bilstm(tape: Tape, xs: list[Tensor], forward: LstmDirection,
-               backward: LstmDirection) -> list[Tensor]:
-    """Joint states: forward and reverse-direction states concatenated per interval."""
-    fwd = run_lstm(tape, xs, forward)
-    bwd = run_lstm(tape, xs, backward, reverse=True)
-    return [tape.concat([f, b]) for f, b in zip(fwd, bwd)]
+def attend(tape: Tape, H: Tensor, head: AttentionHead) -> tuple[Tensor, np.ndarray]:
+    """One reading head over the states H (intervals x state_dim).
 
+    Scores every state, softmax-normalizes the scores over time and returns
+    the convex combination of the states under those weights, with the
+    weights themselves.
+    """
+    S = H.data
+    M, v = head.M.data, head.v.data[0]
+    hidden = np.tanh(S @ M.T + head.b.data)
+    weights = softmax(hidden @ v + head.c.data[0])
 
-def attention_weights(tape: Tape, states: list[Tensor], head: AttentionHead) -> Tensor:
-    """Softmax-normalized relevance of each interval's state for one head."""
-    scores = [
-        tape.add(tape.matmul(head.v, tape.tanh(tape.add(tape.matmul(head.M, s), head.b))), head.c)
-        for s in states
-    ]
-    return tape.softmax(tape.concat(scores))
+    def backward(g):
+        d_weights = S @ g
+        d_score = weights * (d_weights - weights @ d_weights)
+        d_pre = np.outer(d_score, v) * (1.0 - hidden * hidden)
+        return (np.outer(weights, g) + d_pre @ M, d_pre.T @ S, d_pre.sum(axis=0),
+                (d_score @ hidden)[None, :], np.array([d_score.sum()]))
 
-
-def read_head(tape: Tape, states: list[Tensor], weights: Tensor) -> Tensor:
-    """Convex combination of states under one head's attention weights."""
-    return tape.weighted_sum(states, weights)
+    reading = tape.record("attention", (H, head.M, head.b, head.v, head.c),
+                          weights @ S, backward)
+    return reading, weights
 
 
 def pool_heads(tape: Tape, readings: list[Tensor]) -> Tensor:
@@ -287,18 +325,9 @@ def pool_heads(tape: Tape, readings: list[Tensor]) -> Tensor:
     return pooled
 
 
-def mean_pool(tape: Tape, states: list[Tensor]) -> Tensor:
-    """Plain average of the states over time (the no-attention baseline)."""
-    return tape.mean(states)
-
-
 def classify(tape: Tape, z: Tensor, classifier: Classifier) -> Tensor:
     """Risk probability sigmoid(w . z + b), as a one-element tensor."""
     return tape.sigmoid(tape.add(tape.matmul(classifier.w, z), classifier.b))
-
-
-def log_loss(tape: Tape, p: Tensor, y: int) -> Tensor:
-    return tape.binary_cross_entropy(p, y)
 
 
 def forward_episode(X: np.ndarray, params: ModelParams, train: bool = False,
@@ -306,8 +335,8 @@ def forward_episode(X: np.ndarray, params: ModelParams, train: bool = False,
                     record_id: int | None = None) -> ForwardResult:
     """Score one episode's feature matrix.
 
-    In training mode, inverted dropout is applied to every input row and to
-    the pooled feature z, drawing from ``rng``.  Evaluation mode is fully
+    In training mode, inverted dropout is applied to the input matrix and
+    to the pooled feature z, drawing from ``rng``.  Evaluation mode is fully
     deterministic.  The attention trace is populated only for attention
     pooling.
     """
@@ -319,42 +348,39 @@ def forward_episode(X: np.ndarray, params: ModelParams, train: bool = False,
         )
     if X.shape[0] < 1:
         raise ValueError("episode must have at least one interval")
+    if not cfg.recurrent and X.shape[0] != 1:
+        raise ValueError(
+            f"non-recurrent model expects a single interval, got {X.shape[0]}"
+        )
 
     tape = Tape()
-    xs = [Tensor(X[t]) for t in range(X.shape[0])]
-    if train and cfg.dropout_in > 0:
-        xs = [tape.dropout(x, cfg.dropout_in, rng) for x in xs]
+    x = Tensor(X)
+    if train:
+        x = tape.dropout(x, cfg.dropout_in, rng)
 
-    head_weights: list[Tensor] = []
-    states: list[Tensor] = []
-    if cfg.recurrent:
-        if cfg.bidirectional:
-            states = run_bilstm(tape, xs, params.forward_lstm, params.backward_lstm)
-        else:
-            states = run_lstm(tape, xs, params.forward_lstm)
-        if cfg.pooling == "attention":
-            head_weights = [attention_weights(tape, states, head) for head in params.heads]
-            readings = [read_head(tape, states, a) for a in head_weights]
-            z = pool_heads(tape, readings)
-        else:
-            z = mean_pool(tape, states)
+    weights = []
+    if not cfg.recurrent:
+        z = tape.mean(x)
     else:
-        if X.shape[0] != 1:
-            raise ValueError(
-                f"non-recurrent model expects a single interval, got {X.shape[0]}"
-            )
-        z = xs[0]
+        states = run_lstm(tape, x, params.forward_lstm)
+        if cfg.bidirectional:
+            states = tape.concat(states, run_lstm(tape, x, params.backward_lstm, reverse=True))
+        if cfg.pooling == "attention":
+            readings, weights = zip(*(attend(tape, states, head) for head in params.heads))
+            z = pool_heads(tape, list(readings))
+        else:
+            z = tape.mean(states)
 
-    if train and cfg.dropout_out > 0:
+    if train:
         z = tape.dropout(z, cfg.dropout_out, rng)
     p = classify(tape, z, params.classifier)
 
     trace = None
-    if head_weights:
+    if weights:
         trace = AttentionTrace(
             record_id=record_id,
-            weights=np.stack([a.data.copy() for a in head_weights]),
-            states=np.stack([s.data.copy() for s in states]),
+            weights=np.stack(weights),
+            states=states.data.copy(),
             risk=float(p.data[0]),
         )
     return ForwardResult(risk=float(p.data[0]), trace=trace, tape=tape, output=p)
@@ -378,7 +404,7 @@ def grad_check(config: ModelConfig, seed: int, intervals: int = 4,
 
     def build() -> tuple[Tape, Tensor]:
         result = forward_episode(X, params, train=False)
-        return result.tape, log_loss(result.tape, result.output, y)
+        return result.tape, result.tape.binary_cross_entropy(result.output, y)
 
     return check_gradients(build, [t for _, t in params.named_parameters()], step)
 

@@ -15,12 +15,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from icurisk.ingest import MAX_MINUTES, RawEpisode
-from icurisk.model import ModelConfig, ModelParams, forward_episode, log_loss
+from icurisk.model import ModelConfig, ModelParams, forward_episode
 from icurisk.preprocess import EpisodeFeatures, PipelineStats, build_features, fit_pipeline
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when an epoch produces a non-finite loss."""
+    """Raised when a batch produces a non-finite loss or gradient."""
 
 
 VARIANTS = ("lr-baseline", "lstm-mean", "lstm-attn", "bilstm-attn")
@@ -191,24 +191,30 @@ def train_fold(train_features: list[EpisodeFeatures],
     for epoch in range(cfg.max_epochs):
         perm = rng.permutation(len(train_features))
         epoch_losses = []
-        for start in range(0, len(perm), cfg.batch_size):
+        for batch, start in enumerate(range(0, len(perm), cfg.batch_size)):
             chunk = perm[start:start + cfg.batch_size]
             params.zero_grads()
+            batch_losses = []
             for idx in chunk:
                 feat = train_features[idx]
                 result = forward_episode(feat.matrix, params, train=True, rng=rng)
-                loss = log_loss(result.tape, result.output, feat.label)
+                loss = result.tape.binary_cross_entropy(result.output, feat.label)
                 result.tape.backward(loss)
-                epoch_losses.append(float(loss.data[0]))
+                batch_losses.append(float(loss.data[0]))
             params.scale_grads(1.0 / len(chunk))  # mean gradient over the batch
+            # Checked before the step, so a NaN never reaches Adam's moments.
+            batch_loss = float(np.mean(batch_losses))
+            grad_norm = math.sqrt(sum(float(np.sum(t.grad * t.grad))
+                                      for t in optimizer.tensors if t.grad is not None))
+            if not (math.isfinite(batch_loss) and math.isfinite(grad_norm)):
+                raise TrainingDiverged(
+                    f"fold {fold}: non-finite training loss {batch_loss} or gradient "
+                    f"norm {grad_norm} at epoch {epoch}, batch {batch}"
+                )
             optimizer.step()
+            epoch_losses += batch_losses
 
-        mean_loss = float(np.mean(epoch_losses))
-        train_losses.append(mean_loss)
-        if not math.isfinite(mean_loss):
-            raise TrainingDiverged(
-                f"fold {fold}: non-finite training loss at epoch {epoch}"
-            )
+        train_losses.append(float(np.mean(epoch_losses)))
 
         epoch_auc = auc(_score_all(val_features, params), val_labels)
         if epoch_auc > best_auc:
@@ -272,6 +278,15 @@ def cross_validate(episodes: list[RawEpisode], cfg: TrainConfig,
     if any(label is None for label in labels):
         raise ValueError("cross-validation needs labeled episodes")
     folds = kfold_split(len(episodes), cfg.folds, cfg.seed, labels)
+    # Validation AUC needs both classes; check every fold before any trains.
+    for fold_idx, val_idx in enumerate(folds):
+        positives = sum(labels[int(j)] == 1 for j in val_idx)
+        if positives in (0, len(val_idx)):
+            raise ValueError(
+                f"fold {fold_idx} of k={cfg.folds}: validation split has "
+                f"{positives} positive and {len(val_idx) - positives} negative "
+                "episodes; each fold needs both classes (use fewer folds)"
+            )
 
     results: list[FoldResult] = []
     for fold_idx, val_idx in enumerate(folds):
@@ -301,10 +316,3 @@ def cross_validate(episodes: list[RawEpisode], cfg: TrainConfig,
         pooled_auc=auc(pooled_scores, pooled_labels),
     )
 
-
-def baseline_lr(episodes: list[RawEpisode], cfg: TrainConfig,
-                model_cfg: ModelConfig | None = None) -> CVResult:
-    """Logistic regression on whole-stay statistics (single 48-hour interval)."""
-    model_cfg = model_cfg or ModelConfig()
-    cfg, model_cfg = apply_variant("lr-baseline", cfg, model_cfg)
-    return cross_validate(episodes, cfg, model_cfg)

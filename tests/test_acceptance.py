@@ -18,22 +18,19 @@ import pytest
 from icurisk.autodiff import Tape, Tensor
 from icurisk.cli import main as cli_main
 from icurisk.ingest import join_labels, parse_outcomes, parse_record
-from icurisk.model import (
-    AttentionHead,
-    ModelConfig,
-    attention_weights,
-    grad_check,
-    lstm_cell,
-    mean_pool,
-    pool_heads,
-    read_head,
-    run_lstm,
-)
+from icurisk.model import AttentionHead, ModelConfig, attend, grad_check, pool_heads
 from icurisk.preprocess import build_features, fit_pipeline
 from icurisk.train import TrainConfig, apply_variant, auc, cross_validate, train_fold
 
 from conftest import separable_features, synth_record_text, write_corpus
-from test_model import lstm_cell_oracle, random_direction, run_lstm_oracle
+from test_model import (
+    cell,
+    lstm_cell_oracle,
+    lstm_states,
+    random_direction,
+    run_lstm_oracle,
+    zero_head,
+)
 from test_train import brute_force_auc
 
 
@@ -84,15 +81,16 @@ def test_criterion_2_forward_oracle_equivalence():
             x = rng.normal(size=3)
             h_prev = rng.normal(size=2)
             c_prev = rng.normal(size=2)
-            h, c = lstm_cell(Tape(), Tensor(x), Tensor(h_prev), Tensor(c_prev), d)
+            h, c = cell(x, h_prev, c_prev, d)
             h_ref, c_ref = lstm_cell_oracle(list(x), list(h_prev), list(c_prev), d)
-            assert np.abs(h.data - h_ref).max() < 1e-10
-            assert np.abs(c.data - c_ref).max() < 1e-10
+            assert np.abs(h - h_ref).max() < 1e-10
+            assert np.abs(c - c_ref).max() < 1e-10
 
             X = rng.normal(size=(4, 3))
-            states = run_lstm(Tape(), [Tensor(r) for r in X], d)
-            for s, ref in zip(states, run_lstm_oracle(X, d)):
-                assert np.abs(s.data - ref).max() < 1e-10
+            for reverse in (False, True):
+                states = lstm_states(X, d, reverse=reverse)
+                for s, ref in zip(states, run_lstm_oracle(X, d, reverse=reverse)):
+                    assert np.abs(s - ref).max() < 1e-10
 
 
 def test_criterion_3_memory_gating():
@@ -107,14 +105,14 @@ def test_criterion_3_memory_gating():
 
             d.bf.data = np.full(3, 100.0)
             d.bi.data = np.full(3, -100.0)
-            _, c = lstm_cell(Tape(), Tensor(x), Tensor(h_prev), Tensor(c_prev), d)
-            assert np.abs(c.data - c_prev).max() < 1e-6  # retention
+            _, c = cell(x, h_prev, c_prev, d)
+            assert np.abs(c - c_prev).max() < 1e-6  # retention
 
             d.bi.data = np.full(3, 100.0)
             d.bf.data = np.full(3, -100.0)
-            _, c = lstm_cell(Tape(), Tensor(x), Tensor(h_prev), Tensor(c_prev), d)
+            _, c = cell(x, h_prev, c_prev, d)
             candidate = np.tanh(d.Wc.data @ x + d.Uc.data @ h_prev + d.bc.data)
-            assert np.abs(c.data - candidate).max() < 1e-6  # overwrite
+            assert np.abs(c - candidate).max() < 1e-6  # overwrite
 
 
 def test_criterion_4_attention_normalization():
@@ -123,19 +121,17 @@ def test_criterion_4_attention_normalization():
         rng = np.random.default_rng(3)
         for _ in range(1000):
             t = int(rng.integers(1, 13))
-            states = [Tensor(rng.normal(size=4)) for _ in range(t)]
+            states = Tensor(rng.normal(size=(t, 4)))
             head = AttentionHead(
                 M=Tensor(rng.normal(size=(3, 4))), b=Tensor(rng.normal(size=3)),
                 v=Tensor(rng.normal(size=(1, 3))), c=Tensor(rng.normal(size=1)),
             )
-            weights = attention_weights(Tape(), states, head).data
+            _, weights = attend(Tape(), states, head)
             assert (weights >= 0).all()
             assert abs(weights.sum() - 1.0) <= 1e-6
         for t in (1, 2, 7, 16):
-            states = [Tensor(rng.normal(size=4)) for _ in range(t)]
-            zero_head = AttentionHead(M=Tensor(np.zeros((3, 4))), b=Tensor(np.zeros(3)),
-                                      v=Tensor(np.zeros((1, 3))), c=Tensor(np.zeros(1)))
-            weights = attention_weights(Tape(), states, zero_head).data
+            states = Tensor(rng.normal(size=(t, 4)))
+            _, weights = attend(Tape(), states, zero_head(3, 4))
             assert np.array_equal(weights, np.full(t, 1.0 / t))
 
 
@@ -145,9 +141,9 @@ def test_criterion_5_pooling_identities():
         rng = np.random.default_rng(4)
         for _ in range(100):
             t = int(rng.integers(1, 10))
-            states = [Tensor(rng.normal(size=6)) for _ in range(t)]
-            averaged = mean_pool(Tape(), states).data
-            uniform = read_head(Tape(), states, Tensor(np.full(t, 1.0 / t))).data
+            states = Tensor(rng.normal(size=(t, 6)))
+            averaged = Tape().mean(states).data
+            uniform = attend(Tape(), states, zero_head(2, 6))[0].data
             assert np.abs(averaged - uniform).max() <= 1e-12
 
             readings = [Tensor(rng.normal(size=6)) for _ in range(int(rng.integers(1, 5)))]

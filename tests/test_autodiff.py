@@ -11,6 +11,7 @@ from icurisk.autodiff import (
     Tensor,
     check_gradients,
     max_relative_error,
+    softmax,
 )
 
 
@@ -24,33 +25,36 @@ class TestForwardValues:
         assert 0.0 <= out[0] < out[1] <= 1.0
 
     def test_softmax_hand_value(self):
-        out = Tape().softmax(Tensor([math.log(2), 0.0, 0.0])).data
+        out = softmax(np.array([math.log(2), 0.0, 0.0]))
         np.testing.assert_allclose(out, [0.5, 0.25, 0.25], atol=1e-12)
 
     def test_softmax_properties(self):
         rng = np.random.default_rng(0)
-        tape = Tape()
         for _ in range(200):
             v = rng.normal(0, 5, size=rng.integers(1, 12))
-            out = tape.softmax(Tensor(v)).data
+            out = softmax(v)
             assert (out >= 0).all()
             assert abs(out.sum() - 1.0) <= 1e-12
-            shifted = tape.softmax(Tensor(v + rng.normal())).data
+            shifted = softmax(v + rng.normal())
             np.testing.assert_allclose(out, shifted, atol=1e-12)
-
-    def test_dropout_eval_is_identity(self):
-        x = Tensor([1.0, 2.0, 3.0])
-        assert Tape().dropout(x, 0.5, train=False) is x
 
     def test_dropout_rate_zero_is_identity(self):
         x = Tensor([1.0, 2.0])
-        assert Tape().dropout(x, 0.0, np.random.default_rng(0), train=True) is x
+        assert Tape().dropout(x, 0.0, np.random.default_rng(0)) is x
 
     def test_dropout_train_rescales(self):
         rng = np.random.default_rng(1)
         x = Tensor(np.ones(1000))
-        out = Tape().dropout(x, 0.25, rng, train=True).data
+        out = Tape().dropout(x, 0.25, rng).data
         assert set(np.round(np.unique(out), 12)) <= {0.0, round(1 / 0.75, 12)}
+
+    def test_dropout_matrix_draws_rows_in_order(self):
+        # One (T, d) draw is the same random stream as T row draws.
+        X = Tensor(np.ones((3, 4)))
+        whole = Tape().dropout(X, 0.5, np.random.default_rng(2)).data
+        rng = np.random.default_rng(2)
+        rows = [Tape().dropout(Tensor(np.ones(4)), 0.5, rng).data for _ in range(3)]
+        np.testing.assert_array_equal(whole, np.stack(rows))
 
     def test_dropout_rate_one_rejected(self):
         with pytest.raises(ValueError, match="rate"):
@@ -58,7 +62,7 @@ class TestForwardValues:
 
     def test_dropout_needs_rng_in_train_mode(self):
         with pytest.raises(ValueError, match="generator"):
-            Tape().dropout(Tensor([1.0]), 0.5, None, train=True)
+            Tape().dropout(Tensor([1.0]), 0.5, None)
 
     def test_bce_values(self):
         tape = Tape()
@@ -75,10 +79,14 @@ class TestForwardValues:
 
     def test_mean_and_weighted_sum_values(self):
         tape = Tape()
-        parts = [Tensor([2.0, 0.0]), Tensor([0.0, 2.0])]
-        np.testing.assert_array_equal(tape.mean(parts).data, [1.0, 1.0])
-        out = tape.weighted_sum(parts, Tensor([0.25, 0.75])).data
-        np.testing.assert_array_equal(out, [0.5, 1.5])
+        rows = Tensor([[2.0, 0.0], [0.0, 2.0]])
+        np.testing.assert_array_equal(tape.mean(rows).data, [1.0, 1.0])
+        out = tape.matmul(Tensor([[0.25, 0.75]]), rows).data
+        np.testing.assert_array_equal(out, [[0.5, 1.5]])
+
+    def test_concat_joins_columns(self):
+        out = Tape().concat(Tensor([[1.0], [2.0]]), Tensor([[3.0, 4.0], [5.0, 6.0]])).data
+        np.testing.assert_array_equal(out, [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]])
 
 
 class TestShapeErrors:
@@ -90,17 +98,24 @@ class TestShapeErrors:
         with pytest.raises(ShapeMismatchError, match=r"\(2,\).*\(3,\)"):
             Tape().add(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
 
-    def test_concat_requires_1d(self):
+    def test_concat_requires_equal_rows(self):
+        with pytest.raises(ShapeMismatchError, match=r"\(2, 2\).*\(3, 2\)"):
+            Tape().concat(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))))
         with pytest.raises(ShapeMismatchError):
-            Tape().concat([Tensor(np.zeros((2, 2)))])
+            Tape().concat(Tensor(np.zeros(2)), Tensor(np.zeros(2)))
 
     def test_weighted_sum_length_mismatch(self):
+        # A weighted sum of rows is a (1, T) @ (T, d) product on the tape.
+        with pytest.raises(ShapeMismatchError, match=r"\(1, 3\).*\(2, 4\)"):
+            Tape().matmul(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 4))))
+
+    def test_mean_requires_2d(self):
         with pytest.raises(ShapeMismatchError):
-            Tape().weighted_sum([Tensor(np.zeros(2))], Tensor(np.zeros(3)))
+            Tape().mean(Tensor(np.zeros(3)))
 
     def test_softmax_requires_1d(self):
         with pytest.raises(ShapeMismatchError):
-            Tape().softmax(Tensor(np.zeros((2, 2))))
+            softmax(np.zeros((2, 2)))
 
     def test_backward_requires_scalar(self):
         tape = Tape()
@@ -117,11 +132,23 @@ class TestBackward:
         tape.backward(tape.matmul(w, x))
         np.testing.assert_array_equal(w.grad, x.data.reshape(1, 3))
 
-    def test_tanh_derivative(self):
-        c = Tensor([0.3])
+    def test_sigmoid_derivative(self):
+        z = Tensor([0.3])
         tape = Tape()
-        tape.backward(tape.tanh(c))
-        assert c.grad[0] == pytest.approx(1.0 - math.tanh(0.3) ** 2, abs=1e-12)
+        tape.backward(tape.sigmoid(z))
+        s = 1.0 / (1.0 + math.exp(-0.3))
+        assert z.grad[0] == pytest.approx(s * (1.0 - s), abs=1e-12)
+
+    def test_record_routes_gradients_to_inputs(self):
+        # A hand-written op: out = a * b.sum(), recorded as one entry.
+        a, b = Tensor([2.0]), Tensor([1.0, 3.0])
+        tape = Tape()
+        out = tape.record("scale", (a, b), a.data * b.data.sum(),
+                          lambda g: (g * b.data.sum(), np.full(2, g[0] * a.data[0])))
+        tape.backward(out)
+        assert [e.op for e in tape.entries] == ["scale"]
+        np.testing.assert_array_equal(a.grad, [4.0])
+        np.testing.assert_array_equal(b.grad, [2.0, 2.0])
 
     def test_maximum_tie_routes_to_first(self):
         a = Tensor([1.0])
@@ -132,24 +159,25 @@ class TestBackward:
         np.testing.assert_array_equal(b.grad, [0.0])
 
     def test_shared_subexpression_sums_paths(self):
-        # loss = x*x + x*x: naive recomputation oracle gives d/dx = 4x.
+        # loss = s + s with s = sigmoid(x) computed once: d/dx = 2 s (1 - s).
         x = Tensor([1.5])
         tape = Tape()
-        square = tape.mul(x, x)
-        tape.backward(tape.add(square, square))
-        np.testing.assert_allclose(x.grad, [4.0 * 1.5], atol=1e-12)
+        s = tape.sigmoid(x)
+        tape.backward(tape.add(s, s))
+        sig = 1.0 / (1.0 + math.exp(-1.5))
+        np.testing.assert_allclose(x.grad, [2.0 * sig * (1.0 - sig)], atol=1e-12)
 
     def test_reused_node_matches_path_sum_oracle(self):
-        # loss = sigmoid(s) * tanh(s) with s = a + b shared by both branches.
+        # loss = sigmoid(s) + s with s = a + b shared by both branches.
         a_val, b_val = 0.4, -0.2
         a, b = Tensor([a_val]), Tensor([b_val])
         tape = Tape()
         s = tape.add(a, b)
-        tape.backward(tape.mul(tape.sigmoid(s), tape.tanh(s)))
+        tape.backward(tape.add(tape.sigmoid(s), s))
 
         def loss(av, bv):
             s = av + bv
-            return (1 / (1 + math.exp(-s))) * math.tanh(s)
+            return 1 / (1 + math.exp(-s)) + s
 
         h = 1e-7
         numeric = (loss(a_val + h, b_val) - loss(a_val - h, b_val)) / (2 * h)
@@ -166,29 +194,30 @@ class TestBackward:
     def test_random_graph_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         for trial in range(10):
-            w1 = Tensor(rng.normal(size=(3, 4)))
+            w1 = Tensor(rng.normal(size=(5, 3)))
             w2 = Tensor(rng.normal(size=(1, 3)))
-            b = Tensor(rng.normal(size=3))
-            x = rng.normal(size=4)
-            weights = rng.dirichlet(np.ones(2))
+            w3 = Tensor(rng.normal(size=(1, 6)))
+            b = Tensor(rng.normal(size=(2, 3)))
+            x = rng.normal(size=(2, 5))
+            weights = rng.dirichlet(np.ones(2))[None, :]
 
             def build():
                 tape = Tape()
-                hidden = tape.tanh(tape.add(tape.matmul(w1, Tensor(x)), b))
-                gate = tape.sigmoid(hidden)
-                mixed = tape.weighted_sum([hidden, tape.mul(hidden, gate)],
-                                          Tensor(weights))
-                pooled = tape.maximum(mixed, tape.mean([hidden, mixed]))
-                score = tape.matmul(w2, tape.softmax(pooled))
+                hidden = tape.sigmoid(tape.add(tape.matmul(Tensor(x), w1), b))
+                gated = tape.sigmoid(tape.add(hidden, hidden))
+                mixed = tape.matmul(Tensor(weights), gated)
+                pooled = tape.maximum(tape.mean(hidden), tape.mean(mixed))
+                joint = tape.mean(tape.concat(hidden, gated))
+                score = tape.add(tape.matmul(w2, pooled), tape.matmul(w3, joint))
                 return tape, tape.binary_cross_entropy(tape.sigmoid(score), 1)
 
-            err = check_gradients(build, [w1, w2, b], step=1e-5)
+            err = check_gradients(build, [w1, w2, w3, b], step=1e-5)
             assert err < 1e-4, f"trial {trial}: {err}"
 
     def test_dead_branch_leaves_grad_none(self):
         x = Tensor([1.0])
         tape = Tape()
-        tape.mul(x, x)  # never connected to the loss
+        tape.sigmoid(x)  # never connected to the loss
         loss = tape.add(Tensor([1.0]), Tensor([0.0]))
         tape.backward(loss)
         assert x.grad is None

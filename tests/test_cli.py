@@ -126,6 +126,21 @@ class TestTrain:
         assert not params.config.recurrent
         assert stats.interval_minutes == 2880
 
+    def test_manifest_records_resolved_configuration(self, store, tmp_path):
+        for variant in ("bilstm-attn", "lr-baseline"):
+            out = tmp_path / variant
+            assert run("train", "--store", store, "--out", out, "--variant", variant,
+                       *TRAIN_FAST, "--fold", "0") == 0
+            options = json.loads((out / "manifest.json").read_text())["options"]
+            assert options["variant"] == variant
+            if variant == "bilstm-attn":
+                assert options["model"]["bidirectional"] is True
+                assert options["train"]["interval_minutes"] == 720
+            else:
+                assert options["model"]["recurrent"] is False
+                assert options["model"]["dropout_in"] == options["model"]["dropout_out"] == 0.0
+                assert options["train"]["interval_minutes"] == 2880
+
     def test_single_fold_option(self, store, tmp_path):
         out = tmp_path / "one-fold"
         assert run("train", "--store", store, "--out", out, *TRAIN_FAST,

@@ -1,4 +1,4 @@
-"""LSTM cell/runner, attention pooling, classifier, and model persistence."""
+"""LSTM cell and layer, attention pooling, classifier, and model persistence."""
 
 import math
 
@@ -13,22 +13,19 @@ from icurisk.model import (
     ModelConfig,
     ModelFormatError,
     ModelParams,
-    attention_weights,
+    attend,
     classify,
     forward_episode,
     grad_check,
     load_model,
-    log_loss,
     lstm_cell,
-    mean_pool,
     pool_heads,
-    read_head,
-    run_bilstm,
     run_lstm,
     save_model,
 )
 from icurisk.preprocess import PipelineStats, fit_pipeline
 from icurisk.ingest import parse_record
+from icurisk.train import TrainConfig, VARIANTS, apply_variant
 
 from conftest import synth_record_text
 
@@ -97,14 +94,23 @@ def zero_direction(hidden, dim):
     )
 
 
+def cell(x, h_prev, c_prev, d):
+    """One cell update from raw input and previous states; returns (h, c)."""
+    W, U, b = d.stacked()
+    h, c, _ = lstm_cell(W @ x + U @ h_prev + b, c_prev)
+    return h, c
+
+
+def lstm_states(X, d, reverse=False):
+    return run_lstm(Tape(), Tensor(X), d, reverse=reverse).data
+
+
 class TestLstmCell:
     def test_zero_parameters_give_zero_states(self):
         d = zero_direction(3, 4)
-        tape = Tape()
-        h, c = lstm_cell(tape, Tensor(np.ones(4)), Tensor(np.zeros(3)),
-                         Tensor(np.zeros(3)), d)
-        np.testing.assert_array_equal(h.data, np.zeros(3))
-        np.testing.assert_array_equal(c.data, np.zeros(3))
+        h, c = cell(np.ones(4), np.zeros(3), np.zeros(3), d)
+        np.testing.assert_array_equal(h, np.zeros(3))
+        np.testing.assert_array_equal(c, np.zeros(3))
 
     def test_saturated_gates_retain_memory(self):
         rng = np.random.default_rng(0)
@@ -112,10 +118,8 @@ class TestLstmCell:
         d.bf.data = np.full(3, 100.0)
         d.bi.data = np.full(3, -100.0)
         c_prev = rng.normal(size=3)
-        tape = Tape()
-        _, c = lstm_cell(tape, Tensor(rng.normal(size=4)),
-                         Tensor(rng.normal(size=3) * 0.1), Tensor(c_prev), d)
-        assert np.abs(c.data - c_prev).max() < 1e-6
+        _, c = cell(rng.normal(size=4), rng.normal(size=3) * 0.1, c_prev, d)
+        assert np.abs(c - c_prev).max() < 1e-6
 
     def test_saturated_gates_overwrite_memory(self):
         rng = np.random.default_rng(1)
@@ -124,10 +128,9 @@ class TestLstmCell:
         d.bf.data = np.full(3, -100.0)
         x = rng.normal(size=4)
         h_prev = rng.normal(size=3) * 0.1
-        tape = Tape()
-        _, c = lstm_cell(tape, Tensor(x), Tensor(h_prev), Tensor(rng.normal(size=3)), d)
+        _, c = cell(x, h_prev, rng.normal(size=3), d)
         candidate = np.tanh(d.Wc.data @ x + d.Uc.data @ h_prev + d.bc.data)
-        assert np.abs(c.data - candidate).max() < 1e-6
+        assert np.abs(c - candidate).max() < 1e-6
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(2)
@@ -136,11 +139,10 @@ class TestLstmCell:
             x = rng.normal(size=3)
             h_prev = rng.normal(size=2)
             c_prev = rng.normal(size=2)
-            tape = Tape()
-            h, c = lstm_cell(tape, Tensor(x), Tensor(h_prev), Tensor(c_prev), d)
+            h, c = cell(x, h_prev, c_prev, d)
             h_ref, c_ref = lstm_cell_oracle(list(x), list(h_prev), list(c_prev), d)
-            np.testing.assert_allclose(h.data, h_ref, atol=1e-10)
-            np.testing.assert_allclose(c.data, c_ref, atol=1e-10)
+            np.testing.assert_allclose(h, h_ref, atol=1e-10)
+            np.testing.assert_allclose(c, c_ref, atol=1e-10)
 
 
 class TestRunLstm:
@@ -148,117 +150,139 @@ class TestRunLstm:
         rng = np.random.default_rng(3)
         d = random_direction(rng, 3, 4)
         x = rng.normal(size=4)
-        states = run_lstm(Tape(), [Tensor(x)], d)
-        tape = Tape()
-        h, _ = lstm_cell(tape, Tensor(x), Tensor(np.zeros(3)), Tensor(np.zeros(3)), d)
-        assert len(states) == 1
-        np.testing.assert_array_equal(states[0].data, h.data)
+        states = lstm_states(x[None, :], d)
+        h, _ = cell(x, np.zeros(3), np.zeros(3), d)
+        assert states.shape == (1, 3)
+        np.testing.assert_array_equal(states[0], h)
 
     def test_zero_parameters_all_states_zero(self):
-        d = zero_direction(2, 3)
-        states = run_lstm(Tape(), [Tensor(np.ones(3)) for _ in range(5)], d)
-        for s in states:
-            np.testing.assert_array_equal(s.data, np.zeros(2))
+        states = lstm_states(np.ones((5, 3)), zero_direction(2, 3))
+        np.testing.assert_array_equal(states, np.zeros((5, 2)))
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="interval"):
-            run_lstm(Tape(), [], zero_direction(2, 3))
+            run_lstm(Tape(), Tensor(np.zeros((0, 3))), zero_direction(2, 3))
 
     def test_reverse_on_palindrome_reverses_states(self):
         rng = np.random.default_rng(4)
         d = random_direction(rng, 3, 4)
         half = rng.normal(size=(3, 4))
         X = np.vstack([half, half[::-1]])  # palindromic rows
-        fwd = run_lstm(Tape(), [Tensor(r) for r in X], d)
-        bwd = run_lstm(Tape(), [Tensor(r) for r in X], d, reverse=True)
-        for t in range(len(X)):
-            np.testing.assert_allclose(bwd[t].data, fwd[len(X) - 1 - t].data, atol=1e-12)
+        fwd = lstm_states(X, d)
+        bwd = lstm_states(X, d, reverse=True)
+        np.testing.assert_allclose(bwd, fwd[::-1], atol=1e-12)
 
     def test_matches_sequence_oracle(self):
         rng = np.random.default_rng(5)
         d = random_direction(rng, 2, 3)
         X = rng.normal(size=(6, 3))
-        states = run_lstm(Tape(), [Tensor(r) for r in X], d)
-        ref = run_lstm_oracle(X, d)
-        for s, r in zip(states, ref):
-            np.testing.assert_allclose(s.data, r, atol=1e-10)
+        for s, r in zip(lstm_states(X, d), run_lstm_oracle(X, d)):
+            np.testing.assert_allclose(s, r, atol=1e-10)
+
+    def test_reverse_matches_sequence_oracle(self):
+        rng = np.random.default_rng(26)
+        d = random_direction(rng, 2, 3)
+        X = rng.normal(size=(5, 3))
+        for s, r in zip(lstm_states(X, d, reverse=True), run_lstm_oracle(X, d, reverse=True)):
+            np.testing.assert_allclose(s, r, atol=1e-10)
+
+
+def bilstm_model(rng, dim=4, hidden=3):
+    cfg = ModelConfig(input_dim=dim, hidden=hidden, heads=1, bidirectional=True,
+                      dropout_in=0.0, dropout_out=0.0)
+    return ModelParams.init(cfg, rng)
 
 
 class TestBiLstm:
     def test_width_and_forward_half(self):
         rng = np.random.default_rng(6)
-        fwd = random_direction(rng, 3, 4)
-        bwd = random_direction(rng, 3, 4)
+        params = bilstm_model(rng)
         X = rng.normal(size=(5, 4))
-        xs = [Tensor(r) for r in X]
-        joint = run_bilstm(Tape(), xs, fwd, bwd)
-        only_fwd = run_lstm(Tape(), [Tensor(r) for r in X], fwd)
-        assert all(s.data.shape == (6,) for s in joint)
-        for t in range(5):
-            np.testing.assert_array_equal(joint[t].data[:3], only_fwd[t].data)
+        joint = forward_episode(X, params).trace.states
+        assert joint.shape == (5, 6)
+        np.testing.assert_array_equal(joint[:, :3], lstm_states(X, params.forward_lstm))
 
     def test_single_interval_uses_same_input_both_ways(self):
         rng = np.random.default_rng(7)
-        fwd = random_direction(rng, 2, 3)
-        bwd = random_direction(rng, 2, 3)
-        x = rng.normal(size=3)
-        joint = run_bilstm(Tape(), [Tensor(x)], fwd, bwd)
-        f = run_lstm(Tape(), [Tensor(x)], fwd)[0]
-        b = run_lstm(Tape(), [Tensor(x)], bwd)[0]
-        np.testing.assert_array_equal(joint[0].data, np.concatenate([f.data, b.data]))
+        params = bilstm_model(rng, dim=3, hidden=2)
+        X = rng.normal(size=(1, 3))
+        joint = forward_episode(X, params).trace.states
+        f = lstm_states(X, params.forward_lstm)
+        b = lstm_states(X, params.backward_lstm)
+        np.testing.assert_array_equal(joint, np.hstack([f, b]))
 
     def test_zeroed_backward_reproduces_unidirectional(self):
         rng = np.random.default_rng(8)
-        fwd = random_direction(rng, 3, 4)
+        params = bilstm_model(rng)
+        params.backward_lstm = zero_direction(3, 4)
         X = rng.normal(size=(4, 4))
-        joint = run_bilstm(Tape(), [Tensor(r) for r in X], fwd, zero_direction(3, 4))
-        uni = run_lstm(Tape(), [Tensor(r) for r in X], fwd)
-        for t in range(4):
-            np.testing.assert_array_equal(joint[t].data[:3], uni[t].data)
-            np.testing.assert_array_equal(joint[t].data[3:], np.zeros(3))
+        joint = forward_episode(X, params).trace.states
+        np.testing.assert_array_equal(joint[:, :3], lstm_states(X, params.forward_lstm))
+        np.testing.assert_array_equal(joint[:, 3:], np.zeros((4, 3)))
 
 
 def make_head(M, b, v, c):
     return AttentionHead(M=Tensor(M), b=Tensor(b), v=Tensor(v), c=Tensor(c))
 
 
+def zero_head(attn_hidden, width):
+    return make_head(np.zeros((attn_hidden, width)), np.zeros(attn_hidden),
+                     np.zeros((1, attn_hidden)), np.zeros(1))
+
+
+def attention_weights(states, head):
+    return attend(Tape(), Tensor(states), head)[1]
+
+
+def reading(states, head):
+    return attend(Tape(), Tensor(states), head)[0].data
+
+
 class TestAttention:
     def test_zero_scoring_net_is_uniform(self):
         rng = np.random.default_rng(9)
-        states = [Tensor(rng.normal(size=4)) for _ in range(5)]
-        head = make_head(np.zeros((2, 4)), np.zeros(2), np.zeros((1, 2)), np.zeros(1))
-        weights = attention_weights(Tape(), states, head).data
+        weights = attention_weights(rng.normal(size=(5, 4)), zero_head(2, 4))
         np.testing.assert_array_equal(weights, np.full(5, 0.2))
 
     def test_hand_softmax_scores(self):
         # Scores (ln 2, 0, 0) via a 1-unit scoring net on 1-d states.
-        states = [Tensor([math.atanh(math.log(2))]), Tensor([0.0]), Tensor([0.0])]
+        states = np.array([[math.atanh(math.log(2))], [0.0], [0.0]])
         head = make_head(np.ones((1, 1)), np.zeros(1), np.ones((1, 1)), np.zeros(1))
-        weights = attention_weights(Tape(), states, head).data
-        np.testing.assert_allclose(weights, [0.5, 0.25, 0.25], atol=1e-12)
+        np.testing.assert_allclose(attention_weights(states, head), [0.5, 0.25, 0.25],
+                                   atol=1e-12)
 
     def test_single_interval_gets_full_weight(self):
         rng = np.random.default_rng(10)
         head = make_head(rng.normal(size=(3, 2)), rng.normal(size=3),
                          rng.normal(size=(1, 3)), rng.normal(size=1))
-        weights = attention_weights(Tape(), [Tensor(rng.normal(size=2))], head).data
+        weights = attention_weights(rng.normal(size=(1, 2)), head)
         np.testing.assert_array_equal(weights, [1.0])
 
     def test_read_head_one_hot_selects_state(self):
-        states = [Tensor(np.array([float(t), -float(t)])) for t in range(5)]
-        weights = Tensor(np.array([0.0, 0.0, 0.0, 1.0, 0.0]))
-        out = read_head(Tape(), states, weights).data
-        np.testing.assert_array_equal(out, states[3].data)
+        states = np.array([[float(t), -float(t)] for t in range(5)])
+        # tanh(t - 2.5) + tanh(3.5 - t) peaks at t = 3; a large v makes the
+        # softmax one-hot there.
+        head = make_head(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-2.5, 3.5]),
+                         np.full((1, 2), 1e4), np.zeros(1))
+        np.testing.assert_array_equal(attention_weights(states, head), [0, 0, 0, 1, 0])
+        np.testing.assert_array_equal(reading(states, head), states[3])
 
     def test_read_head_uniform_identical_states(self):
-        states = [Tensor([2.0, -1.0]) for _ in range(4)]
-        out = read_head(Tape(), states, Tensor(np.full(4, 0.25))).data
-        np.testing.assert_allclose(out, [2.0, -1.0], atol=1e-15)
+        rng = np.random.default_rng(27)
+        states = np.tile([2.0, -1.0], (4, 1))
+        head = make_head(rng.normal(size=(3, 2)), rng.normal(size=3),
+                         rng.normal(size=(1, 3)), rng.normal(size=1))
+        np.testing.assert_array_equal(attention_weights(states, head), np.full(4, 0.25))
+        np.testing.assert_allclose(reading(states, head), [2.0, -1.0], atol=1e-15)
 
     def test_read_head_hand_weighted_sum(self):
-        states = [Tensor([1.0, 0.0]), Tensor([0.0, 1.0])]
-        out = read_head(Tape(), states, Tensor([0.25, 0.75])).data
-        np.testing.assert_array_equal(out, [0.25, 0.75])
+        # Scores (0, ln 3) give weights (1/4, 3/4) over two unit states.
+        states = np.eye(2)
+        head = make_head(np.array([[0.0, 1.0]]), np.zeros(1),
+                         np.array([[math.log(3) / math.tanh(1.0)]]), np.zeros(1))
+        weights = attention_weights(states, head)
+        np.testing.assert_allclose(weights, [0.25, 0.75], atol=1e-12)
+        np.testing.assert_array_equal(reading(states, head), weights)
 
 
 class TestPooling:
@@ -282,18 +306,16 @@ class TestPooling:
         np.testing.assert_array_equal(forward, shuffled)
 
     def test_mean_pool_values(self):
-        states = [Tensor([2.0, 0.0]), Tensor([0.0, 2.0])]
-        np.testing.assert_array_equal(mean_pool(Tape(), states).data, [1.0, 1.0])
-        single = [Tensor([5.0, 6.0])]
-        np.testing.assert_array_equal(mean_pool(Tape(), single).data, [5.0, 6.0])
+        np.testing.assert_array_equal(Tape().mean(Tensor([[2.0, 0.0], [0.0, 2.0]])).data,
+                                      [1.0, 1.0])
+        np.testing.assert_array_equal(Tape().mean(Tensor([[5.0, 6.0]])).data, [5.0, 6.0])
 
     def test_mean_pool_equals_uniform_read_head(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            t = int(rng.integers(1, 9))
-            states = [Tensor(rng.normal(size=5)) for _ in range(t)]
-            averaged = mean_pool(Tape(), states).data
-            uniform = read_head(Tape(), states, Tensor(np.full(t, 1.0 / t))).data
+            states = rng.normal(size=(int(rng.integers(1, 9)), 5))
+            averaged = Tape().mean(Tensor(states)).data
+            uniform = reading(states, zero_head(3, 5))
             assert np.abs(averaged - uniform).max() <= 1e-12
 
 
@@ -313,8 +335,8 @@ class TestClassifier:
 
     def test_log_loss_values(self):
         tape = Tape()
-        assert log_loss(tape, Tensor([0.5]), 1).data[0] == pytest.approx(math.log(2))
-        assert log_loss(tape, Tensor([0.9]), 0).data[0] == pytest.approx(2.302585, abs=1e-6)
+        assert tape.binary_cross_entropy(Tensor([0.5]), 1).data[0] == pytest.approx(math.log(2))
+        assert tape.binary_cross_entropy(Tensor([0.9]), 0).data[0] == pytest.approx(2.302585, abs=1e-6)
 
 
 class TestForwardEpisode:
@@ -381,6 +403,20 @@ class TestForwardEpisode:
         with pytest.raises(ShapeMismatchError, match="width"):
             forward_episode(np.zeros((3, 5)), params)
 
+    def test_eval_mode_skips_dropout(self):
+        cfg, params = self._model(dropout_in=0.5, dropout_out=0.5)
+        X = np.random.default_rng(28).normal(size=(4, 6))
+        result = forward_episode(X, params, rng=np.random.default_rng(0))
+        assert "dropout" not in [e.op for e in result.tape.entries]
+
+    def test_one_tape_entry_per_layer(self):
+        cfg, params = self._model(dropout_in=0.5, dropout_out=0.5)
+        X = np.random.default_rng(29).normal(size=(16, 6))
+        result = forward_episode(X, params, train=True, rng=np.random.default_rng(0))
+        assert [e.op for e in result.tape.entries] == [
+            "dropout", "lstm", "lstm", "concat", "attention", "attention",
+            "maximum", "dropout", "matmul", "add", "sigmoid"]
+
     def test_train_mode_same_rng_same_output(self):
         cfg, params = self._model(dropout_in=0.4, dropout_out=0.4)
         X = np.random.default_rng(21).normal(size=(4, 6))
@@ -394,7 +430,7 @@ class TestForwardEpisode:
             tensor.data = np.zeros_like(tensor.data)
         X = np.random.default_rng(22).normal(size=(4, 6))
         result = forward_episode(X, params)
-        result.tape.backward(log_loss(result.tape, result.output, 1))
+        result.tape.backward(result.tape.binary_cross_entropy(result.output, 1))
         for _, tensor in params.named_parameters():
             if tensor.grad is not None:
                 assert np.isfinite(tensor.grad).all()
@@ -405,6 +441,12 @@ class TestGradCheck:
         cfg = ModelConfig(input_dim=5, hidden=3, heads=2, bidirectional=True,
                           pooling="attention", dropout_in=0.0, dropout_out=0.0)
         assert grad_check(cfg, seed=0) < 1e-4
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_variant(self, variant):
+        _, cfg = apply_variant(variant, TrainConfig(), ModelConfig(
+            input_dim=5, hidden=3, heads=2, attn_hidden=4, dropout_in=0.0, dropout_out=0.0))
+        assert grad_check(cfg, seed=1) < 1e-4
 
     def test_requires_dropout_off(self):
         cfg = ModelConfig(input_dim=5, hidden=3, dropout_in=0.5, dropout_out=0.0)

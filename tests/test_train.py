@@ -14,7 +14,6 @@ from icurisk.train import (
     adam_step,
     apply_variant,
     auc,
-    baseline_lr,
     cross_validate,
     describe_variant,
     kfold_split,
@@ -216,6 +215,14 @@ class TestTrainFold:
             train_fold(bad, bad, _quick_cfg(max_epochs=2, patience=2),
                        _small_model(), fold=3, seed=0)
 
+    def test_divergence_names_the_batch(self):
+        feats = separable_features(n=8, intervals=2, dim=8, seed=5)
+        feats[1] = EpisodeFeatures(99, np.full((2, 8), np.nan), 1)
+        # The seed-0 shuffle puts episode 1 in the second batch of four.
+        with np.errstate(all="ignore"), pytest.raises(
+                TrainingDiverged, match=r"fold 0: .* epoch 0, batch 1$"):
+            train_fold(feats, feats, _quick_cfg(batch_size=4), _small_model(), seed=0)
+
     def test_early_stopping_respects_patience(self):
         feats = separable_features(n=10, intervals=2, dim=8, seed=4)
         cfg = _quick_cfg(max_epochs=40, patience=2)
@@ -296,6 +303,13 @@ class TestCrossValidate:
                                 only_fold=1)
         assert [f.fold for f in result.folds] == [1]
 
+    def test_single_class_fold_rejected_before_training(self):
+        episodes = _toy_episodes(n=10)
+        for ep, label in zip(episodes, [1, 1] + [0] * 8):
+            ep.label = label
+        with pytest.raises(ValueError, match=r"fold 2 of k=5: .* 0 positive and 2 negative"):
+            cross_validate(episodes, TrainConfig(folds=5), _small_model(input_dim=185))
+
     def test_unlabeled_episodes_rejected(self):
         episodes = _toy_episodes()
         episodes[0].label = None
@@ -305,7 +319,8 @@ class TestCrossValidate:
     def test_lr_baseline_separates_toy_data(self):
         episodes = _toy_episodes(n=12, seed=6)
         cfg = TrainConfig(folds=2, max_epochs=20, patience=20, batch_size=4, seed=0)
-        result = baseline_lr(episodes, cfg)
+        cfg, model_cfg = apply_variant("lr-baseline", cfg, ModelConfig())
+        result = cross_validate(episodes, cfg, model_cfg)
         assert result.mean_auc == 1.0
         # Single 48-hour interval means exactly one row per episode.
         assert result.folds[0].pipeline.interval_minutes == 2880
