@@ -10,11 +10,10 @@ import numpy as np
 from icurisk.ingest import parse_record, serialize_record
 from icurisk.preprocess import (
     apply_truncation,
-    bin_intervals,
+    assemble_matrix,
     build_features,
     feature_names,
     fit_pipeline,
-    interval_stats,
 )
 
 # A patient with a handful of heart-rate and glucose measurements over the
@@ -62,13 +61,13 @@ clamped = apply_truncation(episode, stats.truncation)
 print("HR values after truncation:",
       [m.value for m in clamped.measurements if m.parameter == hr])
 
-bins = bin_intervals(clamped, 180)
-print(f"\n{len(bins)} intervals of 3 hours (capped at the last observed one)")
-print("interval 0 HR values:", bins[0][hr])
+raw = assemble_matrix(clamped, 180)
+print(f"\n{len(raw)} intervals of 3 hours (capped at the last observed one)")
+print("interval 0 HR values:",
+      [m.value for m in clamped.measurements if m.parameter == hr and m.minutes < 180])
 print("interval 0 HR stats (min,max,mean,median,std):",
-      np.round(interval_stats(bins[0][hr]), 3))
-print("interval 2 HR stats:", interval_stats(bins[2][hr]),
-      "<- empty, imputed next")
+      np.round(raw[0, hr * 5:(hr + 1) * 5], 3))
+print("interval 2 HR stats:", raw[2, hr * 5:(hr + 1) * 5], "<- empty, imputed next")
 
 features = build_features(episode, stats)
 print(f"\nfinal matrix: {features.matrix.shape[0]} intervals x "

@@ -232,6 +232,9 @@ def cmd_predict(args) -> int:
     lines = ["record_id,risk"]
     for feat in features:
         result = forward_episode(feat.matrix, params, record_id=feat.record_id)
+        if not np.isfinite(result.risk):
+            raise ValueError(f"record {feat.record_id}: model {model_path} "
+                             f"gives a non-finite risk ({result.risk})")
         lines.append(f"{feat.record_id},{result.risk!r}")
     out = Path(args.out)
     out.write_text("\n".join(lines) + "\n")

@@ -248,18 +248,20 @@ def lstm_cell(z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return o * np.tanh(c), c, acts
 
 
-def run_lstm(tape: Tape, X: Tensor, d: LstmDirection, reverse: bool = False) -> Tensor:
+def run_lstm(tape: Tape, X: np.ndarray, d: LstmDirection, reverse: bool = False) -> Tensor:
     """States of one direction for every interval, from zero states.
 
     With ``reverse`` the rows are consumed last-to-first and the states
-    re-reversed, so state row t always belongs to input row t.
+    re-reversed, so state row t always belongs to input row t.  ``X`` is a
+    plain array: the entry's inputs are the 12 gate tensors, and no
+    gradient flows back into the episode's features.
     """
-    steps = X.data.shape[0]
+    steps = X.shape[0]
     if steps < 1:
         raise ValueError("run_lstm: need at least one interval")
     W, U, b = d.stacked()
     n = U.shape[1]
-    rows = X.data[::-1] if reverse else X.data
+    rows = X[::-1] if reverse else X
     pre = rows @ W.T + b
     H = np.zeros((steps + 1, n))  # row 0 holds the zero initial state,
     C = np.zeros((steps + 1, n))  # row t + 1 the state after step t
@@ -282,13 +284,12 @@ def run_lstm(tape: Tape, X: Tensor, d: LstmDirection, reverse: bool = False) -> 
                                     dc * i * (1.0 - c_cand * c_cand)])
             dh = U.T @ dZ[t]
             dc = dc * f
-        dX = dZ @ W
         per_gate = zip(np.split(dZ.T @ rows, 4), np.split(dZ.T @ H[:-1], 4),
                        np.split(dZ.sum(axis=0), 4))
-        return (dX[::-1] if reverse else dX, *(g for gate in per_gate for g in gate))
+        return tuple(g for gate in per_gate for g in gate)
 
     states = H[:0:-1] if reverse else H[1:]
-    return tape.record("lstm", (X, *d.tensors()), states, backward)
+    return tape.record("lstm", d.tensors(), states, backward)
 
 
 def attend(tape: Tape, H: Tensor, head: AttentionHead) -> tuple[Tensor, np.ndarray]:
@@ -362,9 +363,10 @@ def forward_episode(X: np.ndarray, params: ModelParams, train: bool = False,
     if not cfg.recurrent:
         z = tape.mean(x)
     else:
-        states = run_lstm(tape, x, params.forward_lstm)
+        states = run_lstm(tape, x.data, params.forward_lstm)
         if cfg.bidirectional:
-            states = tape.concat(states, run_lstm(tape, x, params.backward_lstm, reverse=True))
+            states = tape.concat(states, run_lstm(tape, x.data, params.backward_lstm,
+                                                  reverse=True))
         if cfg.pooling == "attention":
             readings, weights = zip(*(attend(tape, states, head) for head in params.heads))
             z = pool_heads(tape, list(readings))

@@ -6,7 +6,12 @@ each interval's values per parameter with (min, max, mean, median, std),
 fill missing cells first with the patient's own across-time mean and then
 with the training-population mean, append the five static descriptors to
 every row, and z-score every column.  The result is T x 185 with
-185 = 36 parameters x 5 statistics + 5 statics.
+185 = 36 parameters x 5 statistics + 5 statics.  :func:`assemble_matrix`
+states the interval and summary rules (endpoint, horizon, median, std).
+
+Every step works on an episode's measurements as three columns (minutes,
+parameter, value), with bincounts and sorts in place of per-measurement
+loops.
 
 All fitting functions consume only the episodes they are given, so handing
 them the training split of a fold is what keeps validation data out of the
@@ -15,7 +20,6 @@ fitted statistics.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,11 +144,35 @@ class EpisodeFeatures:
     label: int | None
 
 
-def _nearest_rank(sorted_values: np.ndarray, percent: int) -> float:
-    """Nearest-rank percentile: value at rank ceil(percent * n / 100)."""
-    n = len(sorted_values)
-    rank = max(1, -(-percent * n // 100))  # integer ceil, no float fuzz
-    return float(sorted_values[min(rank, n) - 1])
+def _columns(
+    measurements: list[Measurement], bounds: TruncationBounds | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(minutes, parameter, value) arrays of the measurements, in list order.
+
+    With ``bounds`` each value is clamped into its parameter's fitted range.
+    """
+    minutes = np.array([m.minutes for m in measurements], dtype=np.int64)
+    params = np.array([m.parameter for m in measurements], dtype=np.intp)
+    values = np.array([m.value for m in measurements], dtype=np.float64)
+    if bounds is not None:
+        values = np.clip(values, bounds.lower[params], bounds.upper[params])
+    return minutes, params, values
+
+
+def _statics(episode: RawEpisode) -> np.ndarray:
+    """The static descriptors as floats, NaN where missing."""
+    return np.array([np.nan if v is None else v for v in episode.statics], dtype=np.float64)
+
+
+def _parameter_means(params: np.ndarray, values: np.ndarray, n_params: int) -> np.ndarray:
+    """Mean value per parameter index, NaN for a parameter with no values."""
+    with np.errstate(invalid="ignore"):
+        return np.bincount(params, values, n_params) / np.bincount(params, minlength=n_params)
+
+
+def _nearest_rank(counts: np.ndarray, percent: int) -> np.ndarray:
+    """1-based nearest-rank position ceil(percent * n / 100), at least 1."""
+    return np.maximum(1, -(-percent * counts // 100))  # integer ceil, no float fuzz
 
 
 def fit_truncation(
@@ -156,34 +184,24 @@ def fit_truncation(
     in ``unobserved``.
     """
     n_params = len(registry.time_series)
-    values: list[list[float]] = [[] for _ in range(n_params)]
-    for ep in episodes:
-        for m in ep.measurements:
-            values[m.parameter].append(m.value)
-
+    _, params, values = _columns([m for ep in episodes for m in ep.measurements])
+    ordered = values[np.lexsort((values, params))]
+    counts = np.bincount(params, minlength=n_params)
+    first = np.cumsum(counts) - counts
+    seen = counts > 0
     lower = np.full(n_params, -np.inf)
     upper = np.full(n_params, np.inf)
-    unobserved = []
-    for p in range(n_params):
-        if not values[p]:
-            unobserved.append(registry.time_series[p])
-            continue
-        ordered = np.sort(np.asarray(values[p], dtype=np.float64))
-        lower[p] = _nearest_rank(ordered, 1)
-        upper[p] = _nearest_rank(ordered, 99)
+    lower[seen] = ordered[(first + _nearest_rank(counts, 1) - 1)[seen]]
+    upper[seen] = ordered[(first + _nearest_rank(counts, 99) - 1)[seen]]
+    unobserved = [registry.time_series[p] for p in np.flatnonzero(~seen)]
     return TruncationBounds(lower, upper, unobserved)
 
 
 def apply_truncation(episode: RawEpisode, bounds: TruncationBounds) -> RawEpisode:
     """Clamp every measurement value into its parameter's fitted range."""
-    clamped = [
-        Measurement(
-            m.minutes,
-            m.parameter,
-            min(float(bounds.upper[m.parameter]), max(float(bounds.lower[m.parameter]), m.value)),
-        )
-        for m in episode.measurements
-    ]
+    _, _, values = _columns(episode.measurements, bounds)
+    clamped = [Measurement(m.minutes, m.parameter, v)
+               for m, v in zip(episode.measurements, values.tolist())]
     return RawEpisode(
         episode.record_id,
         list(episode.statics),
@@ -197,62 +215,12 @@ def n_bins_max(interval_minutes: int) -> int:
     return -(-MAX_MINUTES // interval_minutes)
 
 
-def _bin_index(minutes: int, interval_minutes: int) -> int:
-    # The exact 48h endpoint folds into the last bin; everything else is
-    # half-open [k*L, (k+1)*L).
-    return min(minutes // interval_minutes, n_bins_max(interval_minutes) - 1)
-
-
-def bin_intervals(
-    episode: RawEpisode,
-    interval_minutes: int,
-    registry: ParameterRegistry = DEFAULT_REGISTRY,
-) -> list[list[list[float]]]:
-    """Group measurement values into per-interval, per-parameter lists.
-
-    Returns ``bins[t][p]`` = values of parameter ``p`` in interval ``t``, in
-    measurement order.  The number of intervals is capped at the observed
-    horizon; an episode with no measurements yields one (empty) interval.
-    """
-    if interval_minutes <= 0:
-        raise ValueError("interval_minutes must be positive")
-    if episode.measurements:
-        horizon = _bin_index(episode.measurements[-1].minutes, interval_minutes) + 1
-    else:
-        horizon = 1
-    n_params = len(registry.time_series)
-    bins = [[[] for _ in range(n_params)] for _ in range(horizon)]
-    for m in episode.measurements:
-        bins[_bin_index(m.minutes, interval_minutes)][m.parameter].append(m.value)
-    return bins
-
-
-def interval_stats(values: list[float]) -> np.ndarray:
-    """(min, max, mean, median, std) of one interval's values.
-
-    Population std; an even-length median averages the two central order
-    statistics; an empty list yields five NaN markers for imputation.
-    """
-    if not values:
-        return np.full(N_STATS, np.nan)
-    arr = np.asarray(values, dtype=np.float64)
-    return np.array(
-        [arr.min(), arr.max(), arr.mean(), np.median(arr), arr.std()]
-    )
-
-
 def episode_series_means(
     episode: RawEpisode, registry: ParameterRegistry = DEFAULT_REGISTRY
 ) -> np.ndarray:
     """Across-time mean per parameter for one patient; NaN if never measured."""
-    n_params = len(registry.time_series)
-    totals = np.zeros(n_params)
-    counts = np.zeros(n_params)
-    for m in episode.measurements:
-        totals[m.parameter] += m.value
-        counts[m.parameter] += 1
-    with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, totals / np.maximum(counts, 1), np.nan)
+    _, params, values = _columns(episode.measurements)
+    return _parameter_means(params, values, len(registry.time_series))
 
 
 def fit_imputation(
@@ -266,27 +234,16 @@ def fit_imputation(
     mean 0.0 and is noted in ``unobserved``.
     """
     n_params = len(registry.time_series)
-    totals = np.zeros(n_params)
-    counts = np.zeros(n_params)
-    static_totals = np.zeros(len(registry.statics))
-    static_counts = np.zeros(len(registry.statics))
-    for ep in episodes:
-        for m in ep.measurements:
-            v = min(float(bounds.upper[m.parameter]), max(float(bounds.lower[m.parameter]), m.value))
-            totals[m.parameter] += v
-            counts[m.parameter] += 1
-        for idx, value in enumerate(ep.statics):
-            if value is not None:
-                static_totals[idx] += value
-                static_counts[idx] += 1
-
-    unobserved = [registry.time_series[p] for p in range(n_params) if counts[p] == 0]
-    unobserved += [
-        registry.statics[j] for j in range(len(registry.statics)) if static_counts[j] == 0
-    ]
-    series_means = np.where(counts > 0, totals / np.maximum(counts, 1), 0.0)
-    static_means = np.where(static_counts > 0, static_totals / np.maximum(static_counts, 1), 0.0)
-    return ImputationStats(series_means, static_means, unobserved)
+    _, params, values = _columns([m for ep in episodes for m in ep.measurements], bounds)
+    statics = np.array([_statics(ep) for ep in episodes]).reshape(-1, len(registry.statics))
+    with np.errstate(invalid="ignore"):
+        static_means = np.nansum(statics, axis=0) / np.sum(~np.isnan(statics), axis=0)
+    means = np.concatenate([_parameter_means(params, values, n_params), static_means])
+    missing = np.isnan(means)
+    unobserved = [name for name, gone in
+                  zip(registry.time_series + registry.statics, missing) if gone]
+    means[missing] = 0.0
+    return ImputationStats(means[:n_params], means[n_params:], unobserved)
 
 
 def assemble_matrix(
@@ -294,18 +251,43 @@ def assemble_matrix(
     interval_minutes: int,
     registry: ParameterRegistry = DEFAULT_REGISTRY,
 ) -> np.ndarray:
-    """Stack interval statistics and statics into a T x 185 matrix with NaN holes."""
-    bins = bin_intervals(episode, interval_minutes, registry)
+    """Stack interval statistics and statics into a T x 185 matrix with NaN holes.
+
+    Interval k holds minutes [k*L, (k+1)*L) for L = ``interval_minutes``,
+    except that the exact 48-hour endpoint folds into the last interval.
+    T stops at the last observed interval; an episode with no measurements
+    gives one row.  Each (interval, parameter) cell holds the (min, max,
+    mean, median, std) of its values: the std is the population std, and an
+    even count takes the mean of the two central values as the median.  A
+    cell with no values is five NaN, which :func:`impute` fills.
+    """
+    if interval_minutes <= 0:
+        raise ValueError("interval_minutes must be positive")
     n_params = len(registry.time_series)
-    width = feature_width(registry)
-    matrix = np.full((len(bins), width), np.nan)
-    for t, row_bins in enumerate(bins):
-        for p in range(n_params):
-            matrix[t, p * N_STATS:(p + 1) * N_STATS] = interval_stats(row_bins[p])
-    for j, value in enumerate(episode.statics):
-        if value is not None:
-            matrix[:, n_params * N_STATS + j] = value
-    return matrix
+    minutes, params, values = _columns(episode.measurements)
+    bins = np.minimum(minutes // interval_minutes, n_bins_max(interval_minutes) - 1)
+    n_rows = int(bins.max(initial=0)) + 1
+    cell = bins * n_params + params  # row-major (interval, parameter) index
+    counts = np.bincount(cell, minlength=n_rows * n_params)
+    seen = counts > 0
+    k = counts[seen]
+    # bincount sums each cell in measurement order; np.mean of the cell's
+    # values would too, up to its pairwise summation from 8 values on.
+    mean = np.zeros(counts.size)
+    mean[seen] = np.bincount(cell, values, counts.size)[seen] / k
+    dev = values - mean[cell]
+    ranked = values[np.lexsort((values, cell))]  # by cell, then value
+    first = (np.cumsum(counts) - counts)[seen]
+    median = ranked[first + k // 2]
+    even = k % 2 == 0
+    median[even] = (ranked[(first + k // 2 - 1)[even]] + median[even]) / 2
+    stats = np.full((counts.size, N_STATS), np.nan)
+    stats[seen] = np.column_stack([
+        ranked[first], ranked[first + k - 1], mean[seen], median,
+        np.sqrt(np.bincount(cell, dev * dev, counts.size)[seen] / k),
+    ])
+    statics = np.broadcast_to(_statics(episode), (n_rows, len(registry.statics)))
+    return np.hstack([stats.reshape(n_rows, n_params * N_STATS), statics])
 
 
 def impute(
@@ -320,21 +302,9 @@ def impute(
     across-time mean of ``p``; if the patient never measured ``p``, the
     population mean.  Missing statics come from the static means.
     """
-    out = matrix.copy()
-    n_params = len(registry.time_series)
-    for p in range(n_params):
-        block = out[:, p * N_STATS:(p + 1) * N_STATS]
-        hole = np.isnan(block)
-        if hole.any():
-            fill = patient_means[p]
-            if not math.isfinite(fill):
-                fill = stats.series_means[p]
-            block[hole] = fill
-    static_block = out[:, n_params * N_STATS:]
-    hole = np.isnan(static_block)
-    if hole.any():
-        static_block[hole] = np.broadcast_to(stats.static_means, static_block.shape)[hole]
-    return out
+    series = np.where(np.isfinite(patient_means), patient_means, stats.series_means)
+    fill = np.concatenate([np.repeat(series, N_STATS), stats.static_means])
+    return np.where(np.isnan(matrix), fill, matrix)
 
 
 def fit_normalization(matrices: list[np.ndarray]) -> NormalizationStats:
@@ -351,20 +321,32 @@ def normalize(matrix: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     return out
 
 
+def _imputed_matrix(
+    episode: RawEpisode,
+    interval_minutes: int,
+    bounds: TruncationBounds,
+    imputation: ImputationStats,
+    registry: ParameterRegistry,
+) -> np.ndarray:
+    clamped = apply_truncation(episode, bounds)
+    raw = assemble_matrix(clamped, interval_minutes, registry)
+    return impute(raw, episode_series_means(clamped, registry), imputation, registry)
+
+
 def fit_pipeline(
     episodes: list[RawEpisode],
     interval_minutes: int = 180,
     registry: ParameterRegistry = DEFAULT_REGISTRY,
 ) -> PipelineStats:
-    """Fit truncation, imputation, and normalization on a training split."""
+    """Fit truncation, imputation, and normalization on a training split.
+
+    The imputed training matrices are dropped after the fit, so a caller
+    that needs them builds them again with :func:`build_features`.
+    """
     bounds = fit_truncation(episodes, registry)
     imputation = fit_imputation(episodes, bounds, registry)
-    matrices = []
-    for ep in episodes:
-        clamped = apply_truncation(ep, bounds)
-        raw = assemble_matrix(clamped, interval_minutes, registry)
-        matrices.append(impute(raw, episode_series_means(clamped, registry), imputation, registry))
-    norm = fit_normalization(matrices)
+    norm = fit_normalization([_imputed_matrix(ep, interval_minutes, bounds, imputation, registry)
+                              for ep in episodes])
     return PipelineStats(interval_minutes, bounds, imputation, norm, feature_names(registry))
 
 
@@ -373,8 +355,17 @@ def build_features(
     stats: PipelineStats,
     registry: ParameterRegistry = DEFAULT_REGISTRY,
 ) -> EpisodeFeatures:
-    """Run the full transform chain with already-fitted statistics."""
-    clamped = apply_truncation(episode, stats.truncation)
-    raw = assemble_matrix(clamped, stats.interval_minutes, registry)
-    filled = impute(raw, episode_series_means(clamped, registry), stats.imputation, registry)
-    return EpisodeFeatures(episode.record_id, normalize(filled, stats.normalization), episode.label)
+    """Run the full transform chain with already-fitted statistics.
+
+    Raises ValueError, naming the record and the feature, if any cell of
+    the finished matrix is not finite (say, from corrupt statistics).
+    """
+    filled = _imputed_matrix(episode, stats.interval_minutes, stats.truncation,
+                             stats.imputation, registry)
+    matrix = normalize(filled, stats.normalization)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        t, j = bad[0]
+        raise ValueError(f"record {episode.record_id}: feature {stats.feature_names[j]} "
+                         f"is {matrix[t, j]} in interval {t}")
+    return EpisodeFeatures(episode.record_id, matrix, episode.label)

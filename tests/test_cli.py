@@ -197,6 +197,32 @@ class TestPredict:
         record = sorted(data_dir.glob("*.txt"))[0]
         assert run("predict", "--model", bad, "--out", tmp_path / "r.csv", record) == 1
 
+    def _predict_with_nan(self, model_path, tiny_corpus, tmp_path, capsys, poison):
+        doc = json.loads(model_path.read_text())
+        poison(doc)
+        bad = tmp_path / "nan-model.json"
+        bad.write_text(json.dumps(doc))
+        data_dir, _ = tiny_corpus
+        record = sorted(data_dir.glob("*.txt"))[0]
+        out = tmp_path / "risks.csv"
+        assert run("predict", "--model", bad, "--out", out, record) == 1
+        assert not out.exists()
+        return capsys.readouterr().err, bad
+
+    def test_non_finite_feature_rejected(self, model_path, tiny_corpus, tmp_path, capsys):
+        def poison(doc):
+            doc["preprocess"]["normalization"]["mean"][0] = float("nan")
+        err, _ = self._predict_with_nan(model_path, tiny_corpus, tmp_path, capsys, poison)
+        assert "record 140000" in err
+        assert "feature Albumin_min" in err
+
+    def test_non_finite_risk_rejected(self, model_path, tiny_corpus, tmp_path, capsys):
+        def poison(doc):
+            doc["params"]["out.w"]["data"][0] = float("nan")
+        err, bad = self._predict_with_nan(model_path, tiny_corpus, tmp_path, capsys, poison)
+        assert "record 140000" in err
+        assert str(bad) in err
+
     def test_wrong_magic_rejected(self, tiny_corpus, tmp_path):
         bad = tmp_path / "not-model.json"
         bad.write_text('{"magic": "nope", "version": 1}')

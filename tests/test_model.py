@@ -102,7 +102,7 @@ def cell(x, h_prev, c_prev, d):
 
 
 def lstm_states(X, d, reverse=False):
-    return run_lstm(Tape(), Tensor(X), d, reverse=reverse).data
+    return run_lstm(Tape(), X, d, reverse=reverse).data
 
 
 class TestLstmCell:
@@ -161,7 +161,7 @@ class TestRunLstm:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="interval"):
-            run_lstm(Tape(), Tensor(np.zeros((0, 3))), zero_direction(2, 3))
+            run_lstm(Tape(), np.zeros((0, 3)), zero_direction(2, 3))
 
     def test_reverse_on_palindrome_reverses_states(self):
         rng = np.random.default_rng(4)

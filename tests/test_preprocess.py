@@ -1,4 +1,8 @@
-"""Truncation, binning, interval statistics, imputation, normalization."""
+"""Truncation, binning, interval statistics, imputation, normalization.
+
+The array code is also checked against the loop code it replaced, kept in
+``preprocess_oracle``.
+"""
 
 import numpy as np
 import pytest
@@ -8,7 +12,6 @@ from icurisk.preprocess import (
     N_STATS,
     apply_truncation,
     assemble_matrix,
-    bin_intervals,
     build_features,
     episode_series_means,
     feature_names,
@@ -18,11 +21,12 @@ from icurisk.preprocess import (
     fit_pipeline,
     fit_truncation,
     impute,
-    interval_stats,
+    n_bins_max,
     normalize,
     PipelineStats,
 )
 
+import preprocess_oracle as oracle
 from conftest import record_text, synth_record_text
 
 HR = DEFAULT_REGISTRY.series_index("HR")
@@ -93,60 +97,87 @@ class TestTruncation:
         assert once == twice
 
 
+def hr_block(matrix, row):
+    return matrix[row, HR * N_STATS:(HR + 1) * N_STATS]
+
+
 class TestBinning:
     def test_sixteen_bins_for_48h(self):
         ep = episode([(0, "HR", 70.0), (2875, "HR", 75.0)])
-        assert len(bin_intervals(ep, 180)) == 16
+        assert len(assemble_matrix(ep, 180)) == 16
 
     def test_minute_zero_in_bin_zero(self):
-        bins = bin_intervals(episode([(0, "HR", 70.0)]), 180)
-        assert bins[0][HR] == [70.0]
+        matrix = assemble_matrix(episode([(0, "HR", 70.0)]), 180)
+        np.testing.assert_array_equal(hr_block(matrix, 0), [70, 70, 70, 70, 0])
 
     def test_minute_180_in_bin_one(self):
-        bins = bin_intervals(episode([(180, "HR", 70.0)]), 180)
-        assert bins[1][HR] == [70.0]
+        matrix = assemble_matrix(episode([(180, "HR", 70.0)]), 180)
+        assert np.isnan(hr_block(matrix, 0)).all()
+        np.testing.assert_array_equal(hr_block(matrix, 1), [70, 70, 70, 70, 0])
 
     def test_exact_endpoint_folds_into_last_bin(self):
-        bins = bin_intervals(episode([(2880, "HR", 70.0)]), 180)
-        assert len(bins) == 16
-        assert bins[15][HR] == [70.0]
+        matrix = assemble_matrix(episode([(2880, "HR", 70.0)]), 180)
+        assert len(matrix) == 16
+        np.testing.assert_array_equal(hr_block(matrix, 15), [70, 70, 70, 70, 0])
 
     def test_horizon_capping(self):
-        assert len(bin_intervals(episode([(100, "HR", 70.0)]), 180)) == 1
+        assert len(assemble_matrix(episode([(100, "HR", 70.0)]), 180)) == 1
 
     def test_empty_episode_single_bin(self):
-        assert len(bin_intervals(episode([]), 180)) == 1
+        matrix = assemble_matrix(episode([]), 180)
+        assert matrix.shape == (1, 185)
+        assert np.isnan(matrix).all()
 
-    def test_partition_preserves_count_and_order(self):
+    def test_every_value_lands_in_its_bin(self):
         rng = np.random.default_rng(5)
-        ep = episode([(int(m), "HR", float(v)) for m, v in
-                      zip(np.sort(rng.integers(0, 2881, 200)), rng.normal(0, 1, 200))])
-        bins = bin_intervals(ep, 180)
-        merged = [v for row in bins for v in row[HR]]
-        assert merged == [m.value for m in ep.measurements]
+        minutes = np.sort(rng.integers(0, 2881, 200))
+        values = np.round(rng.normal(0, 1, 200), 6)
+        matrix = assemble_matrix(episode([(int(m), "HR", float(v))
+                                          for m, v in zip(minutes, values)]), 180)
+        bins = np.minimum(minutes // 180, n_bins_max(180) - 1)
+        assert len(matrix) == bins[-1] + 1
+        for t in range(len(matrix)):
+            inside = values[bins == t]
+            block = hr_block(matrix, t)
+            if inside.size == 0:
+                assert np.isnan(block).all()
+                continue
+            np.testing.assert_array_equal(block[[0, 1, 3]],
+                                          [inside.min(), inside.max(), np.median(inside)])
+            np.testing.assert_allclose(block[[2, 4]], [inside.mean(), inside.std()],
+                                       rtol=1e-12, atol=1e-15)
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):
-            bin_intervals(episode([]), 0)
+            assemble_matrix(episode([]), 0)
+
+
+def cell_stats(values):
+    """The HR block of one interval holding ``values``, all at minute 0."""
+    return hr_block(assemble_matrix(episode([(0, "HR", v) for v in values]), 180), 0)
 
 
 class TestIntervalStats:
     def test_three_values(self):
-        stats = interval_stats([1.0, 2.0, 3.0])
-        np.testing.assert_allclose(stats, [1, 3, 2, 2, 0.816497], atol=1e-6)
+        np.testing.assert_allclose(cell_stats([1.0, 2.0, 3.0]), [1, 3, 2, 2, 0.816497],
+                                   atol=1e-6)
 
     def test_singleton(self):
-        np.testing.assert_array_equal(interval_stats([5.0]), [5, 5, 5, 5, 0])
+        np.testing.assert_array_equal(cell_stats([5.0]), [5, 5, 5, 5, 0])
 
     def test_empty_is_all_missing(self):
-        assert np.isnan(interval_stats([])).all()
+        matrix = assemble_matrix(episode([(0, "GCS", 15.0)]), 180)
+        assert np.isnan(hr_block(matrix, 0)).all()
 
     def test_even_median_averages_central_pair(self):
-        assert interval_stats([1.0, 2.0, 10.0, 20.0])[3] == 6.0
+        assert cell_stats([10.0, 1.0, 20.0, 2.0])[3] == 6.0
+
+    def test_odd_median_is_the_middle_value(self):
+        big = np.finfo(np.float64).max
+        assert cell_stats([big, big, 1.0])[3] == big
 
     def test_population_std(self):
-        values = [3.0, 7.0]
-        assert interval_stats(values)[4] == 2.0  # sqrt(((3-5)^2+(7-5)^2)/2)
+        assert cell_stats([3.0, 7.0])[4] == 2.0  # sqrt(((3-5)^2+(7-5)^2)/2)
 
 
 class TestImputation:
@@ -284,3 +315,68 @@ class TestBuildFeatures:
         original = build_features(eps[1], stats).matrix
         replayed = build_features(eps[1], restored).matrix
         np.testing.assert_array_equal(original, replayed)
+
+
+def corpus(n=24, seed=21):
+    """Synthetic records with tied timestamps, empty and dense stays."""
+    rng = np.random.default_rng(seed)
+    eps = [parse_record(synth_record_text(i + 1, rng, sick=i % 3 == 0,
+                                          n_measurements=[0, 1, 40, 300][i % 4]))
+           for i in range(n)]
+    for i, ep in enumerate(eps):
+        ep.label = i % 2
+    return eps
+
+
+class TestMatchesLoopOracle:
+    @pytest.mark.parametrize("interval", [60, 180, 2880])
+    def test_fitted_statistics(self, interval):
+        eps = corpus()
+        new, old = fit_pipeline(eps, interval), oracle.fit_pipeline(eps, interval)
+        np.testing.assert_array_equal(new.truncation.lower, old.truncation.lower)
+        np.testing.assert_array_equal(new.truncation.upper, old.truncation.upper)
+        assert new.truncation.unobserved == old.truncation.unobserved
+        np.testing.assert_allclose(new.imputation.series_means, old.imputation.series_means,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(new.imputation.static_means, old.imputation.static_means,
+                                   rtol=1e-12, atol=0)
+        assert new.imputation.unobserved == old.imputation.unobserved
+        np.testing.assert_allclose(new.normalization.mean, old.normalization.mean,
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(new.normalization.std, old.normalization.std,
+                                   rtol=1e-12, atol=0)
+
+    def test_unobserved_parameters_and_statics(self):
+        eps = [episode([(0, "HR", 70.0)], record_id=1), episode([], record_id=2)]
+        bounds = fit_truncation(eps)
+        assert bounds.unobserved == oracle.fit_truncation(eps).unobserved
+        assert len(bounds.unobserved) == 35
+        stats = fit_imputation(eps, bounds)
+        assert stats.unobserved == oracle.fit_imputation(eps, bounds).unobserved
+        np.testing.assert_array_equal(stats.static_means, np.zeros(5))
+
+    @pytest.mark.parametrize("interval", [60, 180, 2880])
+    def test_matrices(self, interval):
+        eps = corpus()
+        stats = fit_pipeline(eps, interval)
+        for ep in eps:
+            clamped = apply_truncation(ep, stats.truncation)
+            assert clamped == oracle.apply_truncation(ep, stats.truncation)
+            raw = assemble_matrix(clamped, interval)
+            oracle.assert_same_matrix(raw, oracle.assemble_matrix(clamped, interval))
+            patient = episode_series_means(clamped)
+            np.testing.assert_allclose(patient, oracle.episode_series_means(clamped),
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(impute(raw, patient, stats.imputation),
+                                          oracle.impute(raw, patient, stats.imputation))
+            # z-scores are unit scale; atol covers those that cancel to ~0
+            np.testing.assert_allclose(build_features(ep, stats).matrix,
+                                       oracle.build_matrix(ep, stats), rtol=1e-12, atol=1e-12)
+
+
+def test_non_finite_statistics_name_record_and_feature():
+    ep = episode([(0, "HR", 70.0)], record_id=140000)
+    stats = fit_pipeline([ep, episode([(0, "HR", 60.0)], record_id=2)])
+    stats.normalization.mean[HR * N_STATS] = np.nan
+    with pytest.raises(ValueError, match="record 140000: feature HR_min"):
+        build_features(ep, stats)

@@ -1,0 +1,122 @@
+"""Property tests: file round trip, feature-matrix invariants, and the array
+preprocess against the loop oracle on generated episodes."""
+
+from functools import lru_cache
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from icurisk.ingest import (
+    DEFAULT_REGISTRY,
+    MAX_MINUTES,
+    Measurement,
+    RawEpisode,
+    StaticObservation,
+    parse_record,
+    serialize_record,
+)
+from icurisk.preprocess import (
+    apply_truncation,
+    assemble_matrix,
+    build_features,
+    episode_series_means,
+    feature_width,
+    fit_imputation,
+    fit_pipeline,
+    fit_truncation,
+)
+
+import preprocess_oracle as oracle
+from conftest import synth_record_text
+
+N_SERIES = len(DEFAULT_REGISTRY.time_series)
+N_STATICS = len(DEFAULT_REGISTRY.statics)
+
+# Ties, both sides of a 3-hour edge, and the 48:00 endpoint come up often.
+minutes_st = st.one_of(st.integers(0, MAX_MINUTES), st.sampled_from([0, 179, 180, 2879, 2880]))
+# A few dense parameters, so cells hold many values, and any of the 36.
+parameter_st = st.one_of(st.sampled_from([0, 14, 31]), st.integers(0, N_SERIES - 1))
+# Non-negative readings on a 0.01 grid, as in the record files, with repeats.
+value_st = st.one_of(st.integers(0, 200_000).map(lambda k: k / 100),
+                     st.sampled_from([0.0, 7.4, 36.6, 80.0]))
+
+
+@st.composite
+def episodes(draw, values=value_st):
+    rows = draw(st.lists(st.tuples(minutes_st, parameter_st, values), max_size=60))
+    measurements = sorted((Measurement(*row) for row in rows), key=lambda m: m.minutes)
+    # -1 marks a missing Gender, Height or Weight in the file format.
+    statics = draw(st.lists(st.none() | values.filter(lambda v: v != -1),
+                            min_size=N_STATICS, max_size=N_STATICS))
+    # A repeated static at 00:00 would fill an empty slot on parse; start at 00:01.
+    extras = sorted(draw(st.lists(st.builds(StaticObservation, st.integers(1, MAX_MINUTES),
+                                            st.integers(0, N_STATICS - 1), values),
+                                  max_size=3)), key=lambda s: s.minutes)
+    return RawEpisode(draw(st.integers(1, 999_999)), statics, measurements, extras)
+
+
+intervals = st.one_of(st.sampled_from([60, 180, 2880]), st.integers(30, MAX_MINUTES))
+
+
+@lru_cache(maxsize=None)
+def corpus_stats(interval):
+    """Statistics fitted on a synthetic split that observes every parameter."""
+    rng = np.random.default_rng(31)
+    eps = [parse_record(synth_record_text(i + 1, rng, n_measurements=200)) for i in range(8)]
+    return fit_pipeline(eps, interval)
+
+
+@settings(max_examples=100, deadline=None)
+@given(episodes(values=st.floats(allow_nan=False, allow_infinity=False)))
+def test_serialize_parse_round_trip(ep):
+    assert parse_record(serialize_record(ep)) == ep
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(episodes(), min_size=1, max_size=4,
+                unique_by=lambda ep: ep.record_id),
+       st.integers(1, MAX_MINUTES))
+def test_features_finite_capped_and_185_wide(eps, interval):
+    stats = fit_pipeline(eps, interval)
+    for ep in eps:
+        matrix = build_features(ep, stats).matrix
+        assert np.isfinite(matrix).all()
+        assert 1 <= matrix.shape[0] <= -(-MAX_MINUTES // interval)
+        assert matrix.shape[1] == feature_width() == 185
+
+
+def stay(*rows):
+    return RawEpisode(7, [60.0, None, None, 2.0, None],
+                      [Measurement(*row) for row in rows])
+
+
+@settings(max_examples=60, deadline=None)
+@given(episodes(), intervals)
+@example(stay(), 180)
+@example(stay((2880, 14, 80.0)), 180)
+@example(stay((0, 14, 80.0), (0, 14, 80.0), (0, 14, 71.5), (0, 14, 80.0)), 2880)
+@example(stay(*[(2880, 14, float(v)) for v in (3, 1, 2, 2, 9, 8, 7, 6, 5, 4)]), 60)
+def test_episode_matrices_match_oracle(ep, interval):
+    oracle.assert_same_matrix(assemble_matrix(ep, interval), oracle.assemble_matrix(ep, interval))
+    np.testing.assert_allclose(episode_series_means(ep), oracle.episode_series_means(ep),
+                               rtol=1e-12, atol=0)
+    stats = corpus_stats(interval)
+    assert apply_truncation(ep, stats.truncation) == oracle.apply_truncation(ep, stats.truncation)
+    # z-scores are unit scale; atol covers those that cancel to ~0
+    np.testing.assert_allclose(build_features(ep, stats).matrix, oracle.build_matrix(ep, stats),
+                               rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(episodes(), max_size=4))
+def test_fitted_bounds_and_means_match_oracle(eps):
+    bounds = fit_truncation(eps)
+    expected = oracle.fit_truncation(eps)
+    np.testing.assert_array_equal(bounds.lower, expected.lower)
+    np.testing.assert_array_equal(bounds.upper, expected.upper)
+    assert bounds.unobserved == expected.unobserved
+    imputation = fit_imputation(eps, bounds)
+    reference = oracle.fit_imputation(eps, bounds)
+    np.testing.assert_allclose(imputation.series_means, reference.series_means, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(imputation.static_means, reference.static_means, rtol=1e-12, atol=0)
+    assert imputation.unobserved == reference.unobserved
