@@ -58,13 +58,13 @@ print(f"fitted HR bounds: [{stats.truncation.lower[hr]:.1f}, "
       f"{stats.truncation.upper[hr]:.1f}]  (the 9999 outlier gets clamped)")
 
 clamped = apply_truncation(episode, stats.truncation)
-print("HR values after truncation:",
-      [m.value for m in clamped.measurements if m.parameter == hr])
+rows = clamped.measurements  # one (minutes, parameter, value) row per reading
+is_hr = rows["parameter"] == hr
+print("HR values after truncation:", rows["value"][is_hr].tolist())
 
 raw = assemble_matrix(clamped, 180)
 print(f"\n{len(raw)} intervals of 3 hours (capped at the last observed one)")
-print("interval 0 HR values:",
-      [m.value for m in clamped.measurements if m.parameter == hr and m.minutes < 180])
+print("interval 0 HR values:", rows["value"][is_hr & (rows["minutes"] < 180)].tolist())
 print("interval 0 HR stats (min,max,mean,median,std):",
       np.round(raw[0, hr * 5:(hr + 1) * 5], 3))
 print("interval 2 HR stats:", raw[2, hr * 5:(hr + 1) * 5], "<- empty, imputed next")

@@ -1,9 +1,10 @@
 """ICU mortality risk prediction from irregularly sampled physiological time-series.
 
-The package turns raw per-patient measurement records into equal-length
-interval feature matrices, runs a (bidirectional) LSTM over them, pools the
-hidden states with soft attention reading heads, and scores mortality risk
-with a logistic classifier.  Gradients come from a small reverse-mode
+The package parses raw per-patient records into episodes whose
+measurements are one numpy structured array of (minutes, parameter, value)
+rows, turns them into equal-length interval feature matrices, runs a
+(bidirectional) LSTM over them, pools the hidden states with soft attention
+reading heads, and scores mortality risk with a logistic classifier.  Gradients come from a small reverse-mode
 autodiff engine in :mod:`icurisk.autodiff`, so the whole chain is trainable
 with Adam and verifiable against finite differences.
 """
@@ -11,9 +12,7 @@ with Adam and verifiable against finite differences.
 __version__ = "0.1.0"
 
 from icurisk.ingest import (
-    DEFAULT_REGISTRY,
-    Measurement,
-    ParameterRegistry,
+    MEASUREMENT_DTYPE,
     RawEpisode,
     join_labels,
     parse_outcomes,
@@ -44,9 +43,7 @@ from icurisk.train import (
 )
 
 __all__ = [
-    "DEFAULT_REGISTRY",
-    "Measurement",
-    "ParameterRegistry",
+    "MEASUREMENT_DTYPE",
     "RawEpisode",
     "parse_record",
     "parse_outcomes",

@@ -3,9 +3,11 @@
 A record file starts with the header ``Time,Parameter,Value`` followed by
 rows ``HH:MM,<parameter>,<number>`` where the hour field may run up to 48.
 Five parameters (age, gender, height, ICU type, initial weight) are static
-and are read from the time-00:00 block; the other 36 registered parameters
-form the time-series.  All functions here are pure: parsing many files
-concurrently is safe.
+and are read from the time-00:00 block; the other 36 known parameters form
+the time-series.  An episode holds its rows as one structured array of
+(minutes, parameter index, value), the form :mod:`icurisk.preprocess` reads
+directly.  All functions here are pure: parsing many files concurrently is
+safe.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import io
 import math
 import re
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 # 48-hour observation window, in minutes.
 MAX_MINUTES = 48 * 60
@@ -28,6 +32,15 @@ TIME_SERIES_PARAMETERS = (
 )
 
 STATIC_PARAMETERS = ("Age", "Gender", "Height", "ICUType", "Weight")
+
+_SERIES_INDEX = {name: i for i, name in enumerate(TIME_SERIES_PARAMETERS)}
+_STATIC_INDEX = {name: i for i, name in enumerate(STATIC_PARAMETERS)}
+
+# One row per observation; ``parameter`` indexes TIME_SERIES_PARAMETERS for
+# measurements and STATIC_PARAMETERS for static extras.
+MEASUREMENT_DTYPE = np.dtype(
+    [("minutes", np.int64), ("parameter", np.intp), ("value", np.float64)]
+)
 
 # Static descriptors where the corpus uses -1 as "not recorded".
 SENTINEL_STATICS = frozenset({"Gender", "Height", "Weight"})
@@ -52,7 +65,7 @@ class RecordStructureError(IngestError):
 
 
 class UnknownParameterError(IngestError):
-    """A row names a parameter absent from the registry."""
+    """A row names none of the 41 known parameters."""
 
     def __init__(self, name: str, line_no: int):
         super().__init__(f"line {line_no}: unknown parameter {name!r}")
@@ -60,73 +73,41 @@ class UnknownParameterError(IngestError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class ParameterRegistry:
-    """The fixed list of 36 time-series and 5 static parameter names."""
-
-    time_series: tuple[str, ...] = TIME_SERIES_PARAMETERS
-    statics: tuple[str, ...] = STATIC_PARAMETERS
-
-    def __post_init__(self):
-        names = self.time_series + self.statics
-        if len(names) != 41 or len(set(names)) != 41:
-            raise ValueError(
-                "registry must hold exactly 41 unique names, got "
-                f"{len(names)} with {len(set(names))} unique"
-            )
-
-    def series_index(self, name: str) -> int | None:
-        try:
-            return self.time_series.index(name)
-        except ValueError:
-            return None
-
-    def static_index(self, name: str) -> int | None:
-        try:
-            return self.statics.index(name)
-        except ValueError:
-            return None
+def _by_minutes(rows: list[tuple[int, int, float]]) -> np.ndarray:
+    """The rows as a MEASUREMENT_DTYPE array, stably sorted by time."""
+    array = np.array(rows, dtype=MEASUREMENT_DTYPE)
+    return array[np.argsort(array["minutes"], kind="stable")]
 
 
-DEFAULT_REGISTRY = ParameterRegistry()
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """One time-stamped observation of a registered time-series parameter."""
-
-    minutes: int
-    parameter: int
-    value: float
-
-
-@dataclass(frozen=True)
-class StaticObservation:
-    """A repeat of a static-named parameter (e.g. Weight re-measured later).
-
-    Kept so that serialization round-trips; excluded from the feature matrix
-    because the static slot already accounts for the parameter.
-    """
-
-    minutes: int
-    parameter: int
-    value: float
-
-
-@dataclass
+@dataclass(eq=False)
 class RawEpisode:
     """One patient's parsed record.
 
-    ``statics`` is aligned with ``ParameterRegistry.statics``; ``None`` marks
-    a missing descriptor.  ``measurements`` is sorted non-decreasing by time,
-    preserving file order among equal timestamps.
+    ``statics`` is aligned with ``STATIC_PARAMETERS``; ``None`` marks a
+    missing descriptor.  ``measurements`` (time-series rows) and
+    ``static_extras`` (later or repeated static rows, e.g. Weight re-measured,
+    kept so serialization round-trips but left out of the feature matrix)
+    are MEASUREMENT_DTYPE arrays sorted non-decreasing by time, preserving
+    file order among equal timestamps.
     """
 
     record_id: int
     statics: list[float | None]
-    measurements: list[Measurement]
-    static_extras: list[StaticObservation] = field(default_factory=list)
+    measurements: np.ndarray
+    static_extras: np.ndarray = field(default_factory=lambda: np.empty(0, MEASUREMENT_DTYPE))
     label: int | None = None
+
+    def __eq__(self, other):
+        # The generated dataclass __eq__ would compare the arrays with ==,
+        # which yields an array, not a bool.
+        return (
+            isinstance(other, RawEpisode)
+            and self.record_id == other.record_id
+            and self.statics == other.statics
+            and self.label == other.label
+            and np.array_equal(self.measurements, other.measurements)
+            and np.array_equal(self.static_extras, other.static_extras)
+        )
 
 
 def _parse_minutes(token: str, line_no: int) -> int:
@@ -151,12 +132,12 @@ def _parse_value(token: str, line_no: int) -> float:
     return value
 
 
-def parse_record(text: str, registry: ParameterRegistry = DEFAULT_REGISTRY) -> RawEpisode:
+def parse_record(text: str) -> RawEpisode:
     """Parse one record file's contents into a :class:`RawEpisode`.
 
     The first time-00:00 row of each static parameter fills the static slot
     (with -1 mapped to missing for Gender/Height/Weight); later or repeated
-    static rows are retained as :class:`StaticObservation`.  Measurements are
+    static rows are retained in ``static_extras``.  Both row arrays are
     stably sorted by time so equal timestamps keep file order.
     """
     lines = text.splitlines()
@@ -166,10 +147,10 @@ def parse_record(text: str, registry: ParameterRegistry = DEFAULT_REGISTRY) -> R
         )
 
     record_id: int | None = None
-    statics: list[float | None] = [None] * len(registry.statics)
-    statics_seen = [False] * len(registry.statics)
-    measurements: list[Measurement] = []
-    extras: list[StaticObservation] = []
+    statics: list[float | None] = [None] * len(STATIC_PARAMETERS)
+    statics_seen = [False] * len(STATIC_PARAMETERS)
+    measurements: list[tuple[int, int, float]] = []
+    extras: list[tuple[int, int, float]] = []
 
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.strip()
@@ -194,7 +175,7 @@ def parse_record(text: str, registry: ParameterRegistry = DEFAULT_REGISTRY) -> R
 
         value = _parse_value(value_tok, line_no)
 
-        static_idx = registry.static_index(name)
+        static_idx = _STATIC_INDEX.get(name)
         if static_idx is not None:
             if minutes == 0 and not statics_seen[static_idx]:
                 statics_seen[static_idx] = True
@@ -203,25 +184,21 @@ def parse_record(text: str, registry: ParameterRegistry = DEFAULT_REGISTRY) -> R
                 else:
                     statics[static_idx] = value
             else:
-                extras.append(StaticObservation(minutes, static_idx, value))
+                extras.append((minutes, static_idx, value))
             continue
 
-        series_idx = registry.series_index(name)
+        series_idx = _SERIES_INDEX.get(name)
         if series_idx is None:
             raise UnknownParameterError(name, line_no)
-        measurements.append(Measurement(minutes, series_idx, value))
+        measurements.append((minutes, series_idx, value))
 
     if record_id is None:
         raise RecordStructureError("missing RecordID row")
 
-    measurements.sort(key=lambda m: m.minutes)  # stable: keeps ties in file order
-    extras.sort(key=lambda m: m.minutes)
-    return RawEpisode(record_id, statics, measurements, extras)
+    return RawEpisode(record_id, statics, _by_minutes(measurements), _by_minutes(extras))
 
 
-def serialize_record(
-    episode: RawEpisode, registry: ParameterRegistry = DEFAULT_REGISTRY
-) -> str:
+def serialize_record(episode: RawEpisode) -> str:
     """Render an episode back to the record file format.
 
     ``parse_record(serialize_record(ep))`` reproduces ``ep`` exactly; missing
@@ -232,15 +209,16 @@ def serialize_record(
     out.write(f"00:00,RecordID,{episode.record_id}\n")
     for idx, value in enumerate(episode.statics):
         if value is not None:
-            out.write(f"00:00,{registry.statics[idx]},{value!r}\n")
+            out.write(f"00:00,{STATIC_PARAMETERS[idx]},{value!r}\n")
 
     # Merge the two streams by time; the merge is stable within each stream,
-    # which is all the round-trip needs.
+    # which is all the round-trip needs.  ``tolist`` yields Python floats,
+    # whose repr is the shortest round-tripping form.
     rows: list[tuple[int, int, str]] = []
-    for order, m in enumerate(episode.measurements):
-        rows.append((m.minutes, order, f"{registry.time_series[m.parameter]},{m.value!r}"))
-    for order, s in enumerate(episode.static_extras):
-        rows.append((s.minutes, order, f"{registry.statics[s.parameter]},{s.value!r}"))
+    for array, names in ((episode.measurements, TIME_SERIES_PARAMETERS),
+                         (episode.static_extras, STATIC_PARAMETERS)):
+        for order, (minutes, p, value) in enumerate(array.tolist()):
+            rows.append((minutes, order, f"{names[p]},{value!r}"))
     rows.sort(key=lambda r: (r[0], r[1]))
     for minutes, _, tail in rows:
         out.write(f"{minutes // 60:02d}:{minutes % 60:02d},{tail}\n")

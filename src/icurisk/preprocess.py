@@ -5,12 +5,13 @@ bounds, partition the 48-hour window into equal-length intervals, summarize
 each interval's values per parameter with (min, max, mean, median, std),
 fill missing cells first with the patient's own across-time mean and then
 with the training-population mean, append the five static descriptors to
-every row, and z-score every column.  The result is T x 185 with
+every row, and z-score every column (a column constant over the training
+intervals maps to 0).  The result is T x 185 with
 185 = 36 parameters x 5 statistics + 5 statics.  :func:`assemble_matrix`
 states the interval and summary rules (endpoint, horizon, median, std).
 
-Every step works on an episode's measurements as three columns (minutes,
-parameter, value), with bincounts and sorts in place of per-measurement
+Every step reads the columns (minutes, parameter, value) of an episode's
+measurement array, with bincounts and sorts in place of per-measurement
 loops.
 
 All fitting functions consume only the episodes they are given, so handing
@@ -20,33 +21,33 @@ fitted statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from icurisk.ingest import (
-    DEFAULT_REGISTRY,
     MAX_MINUTES,
-    ParameterRegistry,
+    MEASUREMENT_DTYPE,
+    STATIC_PARAMETERS,
+    TIME_SERIES_PARAMETERS,
     RawEpisode,
-    Measurement,
 )
 
 STAT_NAMES = ("min", "max", "mean", "median", "std")
 N_STATS = len(STAT_NAMES)
+N_SERIES = len(TIME_SERIES_PARAMETERS)
+N_STATICS = len(STATIC_PARAMETERS)
 
 
-def feature_names(registry: ParameterRegistry = DEFAULT_REGISTRY) -> list[str]:
+def feature_names() -> list[str]:
     """Column names of the feature matrix, parameter-major then statics."""
-    names = [
-        f"{param}_{stat}" for param in registry.time_series for stat in STAT_NAMES
-    ]
-    names.extend(registry.statics)
+    names = [f"{param}_{stat}" for param in TIME_SERIES_PARAMETERS for stat in STAT_NAMES]
+    names.extend(STATIC_PARAMETERS)
     return names
 
 
-def feature_width(registry: ParameterRegistry = DEFAULT_REGISTRY) -> int:
-    return len(registry.time_series) * N_STATS + len(registry.statics)
+def feature_width() -> int:
+    return N_SERIES * N_STATS + N_STATICS
 
 
 @dataclass
@@ -144,19 +145,15 @@ class EpisodeFeatures:
     label: int | None
 
 
-def _columns(
-    measurements: list[Measurement], bounds: TruncationBounds | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(minutes, parameter, value) arrays of the measurements, in list order.
+def _pooled(episodes: list[RawEpisode]) -> np.ndarray:
+    """Every episode's measurements in one array, episode by episode."""
+    return np.concatenate([np.empty(0, MEASUREMENT_DTYPE)] + [ep.measurements for ep in episodes])
 
-    With ``bounds`` each value is clamped into its parameter's fitted range.
-    """
-    minutes = np.array([m.minutes for m in measurements], dtype=np.int64)
-    params = np.array([m.parameter for m in measurements], dtype=np.intp)
-    values = np.array([m.value for m in measurements], dtype=np.float64)
-    if bounds is not None:
-        values = np.clip(values, bounds.lower[params], bounds.upper[params])
-    return minutes, params, values
+
+def _clamped(rows: np.ndarray, bounds: TruncationBounds) -> np.ndarray:
+    """The rows' values, each clamped into its parameter's fitted range."""
+    params = rows["parameter"]
+    return np.clip(rows["value"], bounds.lower[params], bounds.upper[params])
 
 
 def _statics(episode: RawEpisode) -> np.ndarray:
@@ -175,82 +172,63 @@ def _nearest_rank(counts: np.ndarray, percent: int) -> np.ndarray:
     return np.maximum(1, -(-percent * counts // 100))  # integer ceil, no float fuzz
 
 
-def fit_truncation(
-    episodes: list[RawEpisode], registry: ParameterRegistry = DEFAULT_REGISTRY
-) -> TruncationBounds:
+def fit_truncation(episodes: list[RawEpisode]) -> TruncationBounds:
     """Fit 1st/99th nearest-rank percentile bounds per time-series parameter.
 
     Parameters with no observations fall back to (-inf, +inf) and are noted
     in ``unobserved``.
     """
-    n_params = len(registry.time_series)
-    _, params, values = _columns([m for ep in episodes for m in ep.measurements])
+    rows = _pooled(episodes)
+    params, values = rows["parameter"], rows["value"]
     ordered = values[np.lexsort((values, params))]
-    counts = np.bincount(params, minlength=n_params)
+    counts = np.bincount(params, minlength=N_SERIES)
     first = np.cumsum(counts) - counts
     seen = counts > 0
-    lower = np.full(n_params, -np.inf)
-    upper = np.full(n_params, np.inf)
+    lower = np.full(N_SERIES, -np.inf)
+    upper = np.full(N_SERIES, np.inf)
     lower[seen] = ordered[(first + _nearest_rank(counts, 1) - 1)[seen]]
     upper[seen] = ordered[(first + _nearest_rank(counts, 99) - 1)[seen]]
-    unobserved = [registry.time_series[p] for p in np.flatnonzero(~seen)]
+    unobserved = [TIME_SERIES_PARAMETERS[p] for p in np.flatnonzero(~seen)]
     return TruncationBounds(lower, upper, unobserved)
 
 
 def apply_truncation(episode: RawEpisode, bounds: TruncationBounds) -> RawEpisode:
     """Clamp every measurement value into its parameter's fitted range."""
-    _, _, values = _columns(episode.measurements, bounds)
-    clamped = [Measurement(m.minutes, m.parameter, v)
-               for m, v in zip(episode.measurements, values.tolist())]
-    return RawEpisode(
-        episode.record_id,
-        list(episode.statics),
-        clamped,
-        list(episode.static_extras),
-        episode.label,
-    )
+    clamped = episode.measurements.copy()
+    clamped["value"] = _clamped(clamped, bounds)
+    return replace(episode, measurements=clamped)
 
 
 def n_bins_max(interval_minutes: int) -> int:
     return -(-MAX_MINUTES // interval_minutes)
 
 
-def episode_series_means(
-    episode: RawEpisode, registry: ParameterRegistry = DEFAULT_REGISTRY
-) -> np.ndarray:
+def episode_series_means(episode: RawEpisode) -> np.ndarray:
     """Across-time mean per parameter for one patient; NaN if never measured."""
-    _, params, values = _columns(episode.measurements)
-    return _parameter_means(params, values, len(registry.time_series))
+    rows = episode.measurements
+    return _parameter_means(rows["parameter"], rows["value"], N_SERIES)
 
 
-def fit_imputation(
-    episodes: list[RawEpisode],
-    bounds: TruncationBounds,
-    registry: ParameterRegistry = DEFAULT_REGISTRY,
-) -> ImputationStats:
+def fit_imputation(episodes: list[RawEpisode], bounds: TruncationBounds) -> ImputationStats:
     """Population means of truncated values, plus static means.
 
     A parameter (or static) with no observations anywhere in the split gets
     mean 0.0 and is noted in ``unobserved``.
     """
-    n_params = len(registry.time_series)
-    _, params, values = _columns([m for ep in episodes for m in ep.measurements], bounds)
-    statics = np.array([_statics(ep) for ep in episodes]).reshape(-1, len(registry.statics))
+    rows = _pooled(episodes)
+    statics = np.array([_statics(ep) for ep in episodes]).reshape(-1, N_STATICS)
     with np.errstate(invalid="ignore"):
         static_means = np.nansum(statics, axis=0) / np.sum(~np.isnan(statics), axis=0)
-    means = np.concatenate([_parameter_means(params, values, n_params), static_means])
+    series_means = _parameter_means(rows["parameter"], _clamped(rows, bounds), N_SERIES)
+    means = np.concatenate([series_means, static_means])
     missing = np.isnan(means)
     unobserved = [name for name, gone in
-                  zip(registry.time_series + registry.statics, missing) if gone]
+                  zip(TIME_SERIES_PARAMETERS + STATIC_PARAMETERS, missing) if gone]
     means[missing] = 0.0
-    return ImputationStats(means[:n_params], means[n_params:], unobserved)
+    return ImputationStats(means[:N_SERIES], means[N_SERIES:], unobserved)
 
 
-def assemble_matrix(
-    episode: RawEpisode,
-    interval_minutes: int,
-    registry: ParameterRegistry = DEFAULT_REGISTRY,
-) -> np.ndarray:
+def assemble_matrix(episode: RawEpisode, interval_minutes: int) -> np.ndarray:
     """Stack interval statistics and statics into a T x 185 matrix with NaN holes.
 
     Interval k holds minutes [k*L, (k+1)*L) for L = ``interval_minutes``,
@@ -263,12 +241,12 @@ def assemble_matrix(
     """
     if interval_minutes <= 0:
         raise ValueError("interval_minutes must be positive")
-    n_params = len(registry.time_series)
-    minutes, params, values = _columns(episode.measurements)
-    bins = np.minimum(minutes // interval_minutes, n_bins_max(interval_minutes) - 1)
+    rows = episode.measurements
+    values = rows["value"]
+    bins = np.minimum(rows["minutes"] // interval_minutes, n_bins_max(interval_minutes) - 1)
     n_rows = int(bins.max(initial=0)) + 1
-    cell = bins * n_params + params  # row-major (interval, parameter) index
-    counts = np.bincount(cell, minlength=n_rows * n_params)
+    cell = bins * N_SERIES + rows["parameter"]  # row-major (interval, parameter) index
+    counts = np.bincount(cell, minlength=n_rows * N_SERIES)
     seen = counts > 0
     k = counts[seen]
     # bincount sums each cell in measurement order; np.mean of the cell's
@@ -286,16 +264,11 @@ def assemble_matrix(
         ranked[first], ranked[first + k - 1], mean[seen], median,
         np.sqrt(np.bincount(cell, dev * dev, counts.size)[seen] / k),
     ])
-    statics = np.broadcast_to(_statics(episode), (n_rows, len(registry.statics)))
-    return np.hstack([stats.reshape(n_rows, n_params * N_STATS), statics])
+    statics = np.broadcast_to(_statics(episode), (n_rows, N_STATICS))
+    return np.hstack([stats.reshape(n_rows, N_SERIES * N_STATS), statics])
 
 
-def impute(
-    matrix: np.ndarray,
-    patient_means: np.ndarray,
-    stats: ImputationStats,
-    registry: ParameterRegistry = DEFAULT_REGISTRY,
-) -> np.ndarray:
+def impute(matrix: np.ndarray, patient_means: np.ndarray, stats: ImputationStats) -> np.ndarray:
     """Fill NaN cells, patient mean first, population mean as fallback.
 
     Every missing statistic of parameter ``p`` receives the patient's
@@ -308,9 +281,15 @@ def impute(
 
 
 def fit_normalization(matrices: list[np.ndarray]) -> NormalizationStats:
-    """Per-feature mean and population std over all training intervals."""
+    """Per-feature mean and population std over all training intervals.
+
+    A column whose training values are all equal gets std exactly 0, so it
+    normalizes to 0: its computed std would be rounding noise whenever the
+    mean is inexact, and would turn every value into a z-score of +-1.
+    """
     stacked = np.concatenate(matrices, axis=0)
-    return NormalizationStats(stacked.mean(axis=0), stacked.std(axis=0))
+    constant = stacked.max(axis=0) == stacked.min(axis=0)
+    return NormalizationStats(stacked.mean(axis=0), np.where(constant, 0.0, stacked.std(axis=0)))
 
 
 def normalize(matrix: np.ndarray, stats: NormalizationStats) -> np.ndarray:
@@ -326,42 +305,33 @@ def _imputed_matrix(
     interval_minutes: int,
     bounds: TruncationBounds,
     imputation: ImputationStats,
-    registry: ParameterRegistry,
 ) -> np.ndarray:
     clamped = apply_truncation(episode, bounds)
-    raw = assemble_matrix(clamped, interval_minutes, registry)
-    return impute(raw, episode_series_means(clamped, registry), imputation, registry)
+    raw = assemble_matrix(clamped, interval_minutes)
+    return impute(raw, episode_series_means(clamped), imputation)
 
 
-def fit_pipeline(
-    episodes: list[RawEpisode],
-    interval_minutes: int = 180,
-    registry: ParameterRegistry = DEFAULT_REGISTRY,
-) -> PipelineStats:
+def fit_pipeline(episodes: list[RawEpisode], interval_minutes: int = 180) -> PipelineStats:
     """Fit truncation, imputation, and normalization on a training split.
 
     The imputed training matrices are dropped after the fit, so a caller
     that needs them builds them again with :func:`build_features`.
     """
-    bounds = fit_truncation(episodes, registry)
-    imputation = fit_imputation(episodes, bounds, registry)
-    norm = fit_normalization([_imputed_matrix(ep, interval_minutes, bounds, imputation, registry)
+    bounds = fit_truncation(episodes)
+    imputation = fit_imputation(episodes, bounds)
+    norm = fit_normalization([_imputed_matrix(ep, interval_minutes, bounds, imputation)
                               for ep in episodes])
-    return PipelineStats(interval_minutes, bounds, imputation, norm, feature_names(registry))
+    return PipelineStats(interval_minutes, bounds, imputation, norm, feature_names())
 
 
-def build_features(
-    episode: RawEpisode,
-    stats: PipelineStats,
-    registry: ParameterRegistry = DEFAULT_REGISTRY,
-) -> EpisodeFeatures:
+def build_features(episode: RawEpisode, stats: PipelineStats) -> EpisodeFeatures:
     """Run the full transform chain with already-fitted statistics.
 
     Raises ValueError, naming the record and the feature, if any cell of
     the finished matrix is not finite (say, from corrupt statistics).
     """
     filled = _imputed_matrix(episode, stats.interval_minutes, stats.truncation,
-                             stats.imputation, registry)
+                             stats.imputation)
     matrix = normalize(filled, stats.normalization)
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:

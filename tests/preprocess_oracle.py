@@ -2,18 +2,28 @@
 
 One Python step per measurement and one ``np.median``/``np.std`` call per
 (interval, parameter) cell.  Slow, but each rule is spelled out once, so
-tests compare :mod:`icurisk.preprocess` against it.  Normalization is not
-repeated here: both paths share ``fit_normalization`` and ``normalize``.
+tests compare :mod:`icurisk.preprocess` against it.  Measurements are read
+row by row as ``(minutes, parameter, value)`` tuples via ``tolist()``.
+Normalization is not repeated here: both paths share ``fit_normalization``
+and ``normalize``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from icurisk.ingest import DEFAULT_REGISTRY, MAX_MINUTES, Measurement, RawEpisode
+from icurisk.ingest import (
+    MAX_MINUTES,
+    MEASUREMENT_DTYPE,
+    STATIC_PARAMETERS,
+    TIME_SERIES_PARAMETERS,
+)
 from icurisk.preprocess import (
+    N_SERIES,
+    N_STATICS,
     N_STATS,
     ImputationStats,
     PipelineStats,
@@ -36,18 +46,17 @@ def _clamp(value, bounds, p):
     return min(float(bounds.upper[p]), max(float(bounds.lower[p]), value))
 
 
-def fit_truncation(episodes, registry=DEFAULT_REGISTRY):
-    n_params = len(registry.time_series)
-    values = [[] for _ in range(n_params)]
+def fit_truncation(episodes):
+    values = [[] for _ in range(N_SERIES)]
     for ep in episodes:
-        for m in ep.measurements:
-            values[m.parameter].append(m.value)
-    lower = np.full(n_params, -np.inf)
-    upper = np.full(n_params, np.inf)
+        for _, p, value in ep.measurements.tolist():
+            values[p].append(value)
+    lower = np.full(N_SERIES, -np.inf)
+    upper = np.full(N_SERIES, np.inf)
     unobserved = []
-    for p in range(n_params):
+    for p in range(N_SERIES):
         if not values[p]:
-            unobserved.append(registry.time_series[p])
+            unobserved.append(TIME_SERIES_PARAMETERS[p])
             continue
         ordered = np.sort(np.asarray(values[p], dtype=np.float64))
         lower[p] = _nearest_rank(ordered, 1)
@@ -56,10 +65,9 @@ def fit_truncation(episodes, registry=DEFAULT_REGISTRY):
 
 
 def apply_truncation(episode, bounds):
-    clamped = [Measurement(m.minutes, m.parameter, _clamp(m.value, bounds, m.parameter))
-               for m in episode.measurements]
-    return RawEpisode(episode.record_id, list(episode.statics), clamped,
-                      list(episode.static_extras), episode.label)
+    clamped = [(minutes, p, _clamp(value, bounds, p))
+               for minutes, p, value in episode.measurements.tolist()]
+    return replace(episode, measurements=np.array(clamped, dtype=MEASUREMENT_DTYPE))
 
 
 def n_bins_max(interval_minutes):
@@ -72,7 +80,7 @@ def _bin_index(minutes, interval_minutes):
     return min(minutes // interval_minutes, n_bins_max(interval_minutes) - 1)
 
 
-def bin_intervals(episode, interval_minutes, registry=DEFAULT_REGISTRY):
+def bin_intervals(episode, interval_minutes):
     """``bins[t][p]``: values of parameter p in interval t, in measurement order.
 
     The number of intervals stops at the last observed one; an episode with
@@ -80,13 +88,14 @@ def bin_intervals(episode, interval_minutes, registry=DEFAULT_REGISTRY):
     """
     if interval_minutes <= 0:
         raise ValueError("interval_minutes must be positive")
-    if episode.measurements:
-        horizon = _bin_index(episode.measurements[-1].minutes, interval_minutes) + 1
+    rows = episode.measurements.tolist()
+    if rows:
+        horizon = _bin_index(rows[-1][0], interval_minutes) + 1
     else:
         horizon = 1
-    bins = [[[] for _ in registry.time_series] for _ in range(horizon)]
-    for m in episode.measurements:
-        bins[_bin_index(m.minutes, interval_minutes)][m.parameter].append(m.value)
+    bins = [[[] for _ in range(N_SERIES)] for _ in range(horizon)]
+    for minutes, p, value in rows:
+        bins[_bin_index(minutes, interval_minutes)][p].append(value)
     return bins
 
 
@@ -98,53 +107,48 @@ def interval_stats(values):
     return np.array([arr.min(), arr.max(), arr.mean(), np.median(arr), arr.std()])
 
 
-def episode_series_means(episode, registry=DEFAULT_REGISTRY):
-    n_params = len(registry.time_series)
-    totals = np.zeros(n_params)
-    counts = np.zeros(n_params)
-    for m in episode.measurements:
-        totals[m.parameter] += m.value
-        counts[m.parameter] += 1
+def episode_series_means(episode):
+    totals = np.zeros(N_SERIES)
+    counts = np.zeros(N_SERIES)
+    for _, p, value in episode.measurements.tolist():
+        totals[p] += value
+        counts[p] += 1
     return np.where(counts > 0, totals / np.maximum(counts, 1), np.nan)
 
 
-def fit_imputation(episodes, bounds, registry=DEFAULT_REGISTRY):
-    n_params = len(registry.time_series)
-    n_statics = len(registry.statics)
-    totals, counts = np.zeros(n_params), np.zeros(n_params)
-    static_totals, static_counts = np.zeros(n_statics), np.zeros(n_statics)
+def fit_imputation(episodes, bounds):
+    totals, counts = np.zeros(N_SERIES), np.zeros(N_SERIES)
+    static_totals, static_counts = np.zeros(N_STATICS), np.zeros(N_STATICS)
     for ep in episodes:
-        for m in ep.measurements:
-            totals[m.parameter] += _clamp(m.value, bounds, m.parameter)
-            counts[m.parameter] += 1
+        for _, p, value in ep.measurements.tolist():
+            totals[p] += _clamp(value, bounds, p)
+            counts[p] += 1
         for j, value in enumerate(ep.statics):
             if value is not None:
                 static_totals[j] += value
                 static_counts[j] += 1
-    unobserved = [registry.time_series[p] for p in range(n_params) if counts[p] == 0]
-    unobserved += [registry.statics[j] for j in range(n_statics) if static_counts[j] == 0]
+    unobserved = [TIME_SERIES_PARAMETERS[p] for p in range(N_SERIES) if counts[p] == 0]
+    unobserved += [STATIC_PARAMETERS[j] for j in range(N_STATICS) if static_counts[j] == 0]
     series_means = np.where(counts > 0, totals / np.maximum(counts, 1), 0.0)
     static_means = np.where(static_counts > 0, static_totals / np.maximum(static_counts, 1), 0.0)
     return ImputationStats(series_means, static_means, unobserved)
 
 
-def assemble_matrix(episode, interval_minutes, registry=DEFAULT_REGISTRY):
-    bins = bin_intervals(episode, interval_minutes, registry)
-    n_params = len(registry.time_series)
-    matrix = np.full((len(bins), feature_width(registry)), np.nan)
+def assemble_matrix(episode, interval_minutes):
+    bins = bin_intervals(episode, interval_minutes)
+    matrix = np.full((len(bins), feature_width()), np.nan)
     for t, row_bins in enumerate(bins):
-        for p in range(n_params):
+        for p in range(N_SERIES):
             matrix[t, p * N_STATS:(p + 1) * N_STATS] = interval_stats(row_bins[p])
     for j, value in enumerate(episode.statics):
         if value is not None:
-            matrix[:, n_params * N_STATS + j] = value
+            matrix[:, N_SERIES * N_STATS + j] = value
     return matrix
 
 
-def impute(matrix, patient_means, stats, registry=DEFAULT_REGISTRY):
+def impute(matrix, patient_means, stats):
     out = matrix.copy()
-    n_params = len(registry.time_series)
-    for p in range(n_params):
+    for p in range(N_SERIES):
         block = out[:, p * N_STATS:(p + 1) * N_STATS]
         hole = np.isnan(block)
         if hole.any():
@@ -152,41 +156,41 @@ def impute(matrix, patient_means, stats, registry=DEFAULT_REGISTRY):
             if not math.isfinite(fill):
                 fill = stats.series_means[p]
             block[hole] = fill
-    static_block = out[:, n_params * N_STATS:]
+    static_block = out[:, N_SERIES * N_STATS:]
     hole = np.isnan(static_block)
     if hole.any():
         static_block[hole] = np.broadcast_to(stats.static_means, static_block.shape)[hole]
     return out
 
 
-def imputed_matrix(episode, interval_minutes, bounds, imputation, registry=DEFAULT_REGISTRY):
+def imputed_matrix(episode, interval_minutes, bounds, imputation):
     clamped = apply_truncation(episode, bounds)
-    raw = assemble_matrix(clamped, interval_minutes, registry)
-    return impute(raw, episode_series_means(clamped, registry), imputation, registry)
+    raw = assemble_matrix(clamped, interval_minutes)
+    return impute(raw, episode_series_means(clamped), imputation)
 
 
-def fit_pipeline(episodes, interval_minutes=180, registry=DEFAULT_REGISTRY):
-    bounds = fit_truncation(episodes, registry)
-    imputation = fit_imputation(episodes, bounds, registry)
-    norm = fit_normalization([imputed_matrix(ep, interval_minutes, bounds, imputation, registry)
+def fit_pipeline(episodes, interval_minutes=180):
+    bounds = fit_truncation(episodes)
+    imputation = fit_imputation(episodes, bounds)
+    norm = fit_normalization([imputed_matrix(ep, interval_minutes, bounds, imputation)
                               for ep in episodes])
-    return PipelineStats(interval_minutes, bounds, imputation, norm, feature_names(registry))
+    return PipelineStats(interval_minutes, bounds, imputation, norm, feature_names())
 
 
-def build_matrix(episode, stats, registry=DEFAULT_REGISTRY):
+def build_matrix(episode, stats):
     """The finished matrix :func:`icurisk.preprocess.build_features` should give."""
     filled = imputed_matrix(episode, stats.interval_minutes, stats.truncation,
-                            stats.imputation, registry)
+                            stats.imputation)
     return normalize(filled, stats.normalization)
 
 
-def assert_same_matrix(new, old, registry=DEFAULT_REGISTRY):
+def assert_same_matrix(new, old):
     """Same shape and NaN cells; min, max, median and statics exactly equal,
     mean and std within 1e-12 relative (their sums may run in another order)."""
     assert new.shape == old.shape
     np.testing.assert_array_equal(np.isnan(new), np.isnan(old))
     column = np.arange(new.shape[1])
     stat = column % N_STATS
-    exact = (column >= len(registry.time_series) * N_STATS) | (stat == 0) | (stat == 1) | (stat == 3)
+    exact = (column >= N_SERIES * N_STATS) | (stat == 0) | (stat == 1) | (stat == 3)
     np.testing.assert_array_equal(new[:, exact], old[:, exact])
     np.testing.assert_allclose(new[:, ~exact], old[:, ~exact], rtol=1e-12, atol=0)

@@ -188,8 +188,8 @@ def test_criterion_8_preprocessing_shapes(tmp_path):
         rng = np.random.default_rng(6)
         # A dense 48-hour record, including the exact 2880-minute endpoint.
         full = parse_record(synth_record_text(1, rng, n_measurements=300))
-        full.measurements.append(type(full.measurements[0])(2880, 0, 50.0))
-        full.measurements.sort(key=lambda m: m.minutes)
+        endpoint = np.array([(2880, 0, 50.0)], dtype=full.measurements.dtype)
+        full.measurements = np.concatenate([full.measurements, endpoint])  # stays sorted
         full.label = 0
 
         dataset = _find_dataset()

@@ -1,16 +1,17 @@
 """Record and outcome parsing, error taxonomy, and round-trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from icurisk.ingest import (
-    DEFAULT_REGISTRY,
-    Measurement,
-    ParameterRegistry,
+    MEASUREMENT_DTYPE,
+    STATIC_PARAMETERS,
+    TIME_SERIES_PARAMETERS,
     RawEpisode,
     RecordParseError,
     RecordStructureError,
-    StaticObservation,
     UnknownParameterError,
     join_labels,
     parse_outcomes,
@@ -21,7 +22,12 @@ from icurisk.ingest import (
 from conftest import record_text
 
 
-HR = DEFAULT_REGISTRY.series_index("HR")
+HR = TIME_SERIES_PARAMETERS.index("HR")
+WEIGHT = STATIC_PARAMETERS.index("Weight")
+
+
+def static(ep, name):
+    return ep.statics[STATIC_PARAMETERS.index(name)]
 
 
 class TestParseRecord:
@@ -34,26 +40,27 @@ class TestParseRecord:
         )
         ep = parse_record(text)
         assert ep.record_id == 132539
-        assert ep.statics[DEFAULT_REGISTRY.static_index("Age")] == 54.0
-        assert ep.measurements == [Measurement(7, HR, 73.0)]
+        assert static(ep, "Age") == 54.0
+        assert ep.measurements.dtype == MEASUREMENT_DTYPE
+        assert ep.measurements.tolist() == [(7, HR, 73.0)]
 
     def test_height_sentinel_is_missing(self):
         ep = parse_record(record_text(1, {"Height": -1}))
-        assert ep.statics[DEFAULT_REGISTRY.static_index("Height")] is None
+        assert static(ep, "Height") is None
 
     def test_gender_and_weight_sentinels(self):
         ep = parse_record(record_text(1, {"Gender": -1, "Weight": -1}))
-        assert ep.statics[DEFAULT_REGISTRY.static_index("Gender")] is None
-        assert ep.statics[DEFAULT_REGISTRY.static_index("Weight")] is None
+        assert static(ep, "Gender") is None
+        assert static(ep, "Weight") is None
 
     def test_age_minus_one_is_kept(self):
         # The -1 convention is documented only for Gender/Height/Weight.
         ep = parse_record(record_text(1, {"Age": -1}))
-        assert ep.statics[DEFAULT_REGISTRY.static_index("Age")] == -1.0
+        assert static(ep, "Age") == -1.0
 
     def test_48_hour_boundary_accepted(self):
         ep = parse_record(record_text(1, rows=[(2880, "HR", 80)]))
-        assert ep.measurements[0].minutes == 2880
+        assert ep.measurements["minutes"][0] == 2880
 
     def test_beyond_48_hours_rejected(self):
         with pytest.raises(RecordParseError, match="48-hour"):
@@ -98,10 +105,9 @@ class TestParseRecord:
 
     def test_late_weight_goes_to_extras(self):
         ep = parse_record(record_text(1, {"Weight": 80.0}, [(300, "Weight", 81.5)]))
-        weight_idx = DEFAULT_REGISTRY.static_index("Weight")
-        assert ep.statics[weight_idx] == 80.0
-        assert ep.static_extras == [StaticObservation(300, weight_idx, 81.5)]
-        assert ep.measurements == []
+        assert ep.statics[WEIGHT] == 80.0
+        assert ep.static_extras.tolist() == [(300, WEIGHT, 81.5)]
+        assert ep.measurements.size == 0
 
     def test_repeated_static_at_time_zero(self):
         # First time-00:00 row claims the slot, even when it is the sentinel.
@@ -112,20 +118,24 @@ class TestParseRecord:
             "00:00,Weight,82.0\n"
         )
         ep = parse_record(text)
-        weight_idx = DEFAULT_REGISTRY.static_index("Weight")
-        assert ep.statics[weight_idx] is None
-        assert ep.static_extras == [StaticObservation(0, weight_idx, 82.0)]
+        assert ep.statics[WEIGHT] is None
+        assert ep.static_extras.tolist() == [(0, WEIGHT, 82.0)]
 
     def test_equal_timestamps_keep_file_order(self):
         rows = [(10, "HR", 70), (10, "HR", 75), (10, "GCS", 14)]
         ep = parse_record(record_text(1, rows=rows))
-        assert [m.value for m in ep.measurements] == [70.0, 75.0, 14.0]
+        assert ep.measurements["value"].tolist() == [70.0, 75.0, 14.0]
 
     def test_out_of_order_input_is_sorted_stably(self):
         rows = [(30, "HR", 1), (10, "HR", 2), (30, "HR", 3)]
         ep = parse_record(record_text(1, rows=rows))
-        assert [(m.minutes, m.value) for m in ep.measurements] == [
+        assert ep.measurements[["minutes", "value"]].tolist() == [
             (10, 2.0), (30, 1.0), (30, 3.0)]
+        # Long enough that an unstable sort would reorder ties.
+        rows = [(30 - 10 * (i % 3), "HR", i) for i in range(60)]
+        ep = parse_record(record_text(1, rows=rows))
+        assert ep.measurements[["minutes", "value"]].tolist() == sorted(
+            (m, float(v)) for m, _, v in rows)
 
     def test_blank_lines_skipped(self):
         text = "Time,Parameter,Value\n\n00:00,RecordID,9\n\n00:05,HR,70\n\n"
@@ -144,7 +154,7 @@ class TestRoundTrip:
 
     def test_random_episodes(self):
         rng = np.random.default_rng(11)
-        params = DEFAULT_REGISTRY.time_series
+        params = TIME_SERIES_PARAMETERS
         for trial in range(25):
             rows = []
             for minutes in np.sort(rng.integers(0, 2881, size=rng.integers(0, 40))):
@@ -158,6 +168,58 @@ class TestRoundTrip:
                 statics["Weight"] = float(np.round(rng.uniform(40, 120), 1))
             ep = parse_record(record_text(trial + 1, statics, rows))
             assert parse_record(serialize_record(ep)) == ep
+
+
+def explicit_episode():
+    """A measurement and a static extra share minute 7; values integral and not."""
+    rows = [(0, HR, 71.5), (7, TIME_SERIES_PARAMETERS.index("GCS"), 15.0), (7, HR, 72.0),
+            (2880, TIME_SERIES_PARAMETERS.index("Urine"), 120.0)]
+    return RawEpisode(77, [61.0, 1.0, None, 2.0, 74.3],
+                      np.array(rows, dtype=MEASUREMENT_DTYPE),
+                      np.array([(7, WEIGHT, 75.25)], dtype=MEASUREMENT_DTYPE))
+
+
+def test_serialize_exact_text():
+    assert serialize_record(explicit_episode()) == (
+        "Time,Parameter,Value\n"
+        "00:00,RecordID,77\n"
+        "00:00,Age,61.0\n"
+        "00:00,Gender,1.0\n"
+        "00:00,ICUType,2.0\n"
+        "00:00,Weight,74.3\n"
+        "00:00,HR,71.5\n"
+        "00:07,Weight,75.25\n"
+        "00:07,GCS,15.0\n"
+        "00:07,HR,72.0\n"
+        "48:00,Urine,120.0\n"
+    )
+
+
+class TestEpisodeEquality:
+    def test_round_trip_equal(self):
+        ep = explicit_episode()
+        assert parse_record(serialize_record(ep)) == ep
+
+    @pytest.mark.parametrize("rows, index, field, changed", [
+        ("measurements", 1, "value", 15.5), ("measurements", 1, "minutes", 8),
+        ("measurements", 1, "parameter", HR), ("static_extras", 0, "value", 75.5)])
+    def test_one_row_field_differs(self, rows, index, field, changed):
+        ep, other = explicit_episode(), explicit_episode()
+        getattr(other, rows)[field][index] = changed
+        assert ep != other
+
+    @pytest.mark.parametrize("changes", [
+        {"static_extras": np.empty(0, MEASUREMENT_DTYPE)},
+        {"statics": [61.0, 1.0, 170.0, 2.0, 74.3]}, {"label": 1}, {"record_id": 78}])
+    def test_one_field_differs(self, changes):
+        ep = explicit_episode()
+        assert ep != replace(ep, **changes)
+
+    def test_non_episode_is_unequal(self):
+        ep = explicit_episode()
+        for other in (None, 77, serialize_record(ep), ep.measurements):
+            assert (ep == other) is False
+            assert (ep != other) is True
 
 
 class TestOutcomes:
@@ -202,11 +264,7 @@ class TestJoinLabels:
 
 class TestRegistry:
     def test_counts(self):
-        assert len(DEFAULT_REGISTRY.time_series) == 36
-        assert len(DEFAULT_REGISTRY.statics) == 5
-        names = DEFAULT_REGISTRY.time_series + DEFAULT_REGISTRY.statics
+        assert len(TIME_SERIES_PARAMETERS) == 36
+        assert len(STATIC_PARAMETERS) == 5
+        names = TIME_SERIES_PARAMETERS + STATIC_PARAMETERS
         assert len(set(names)) == 41
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError, match="41"):
-            ParameterRegistry(time_series=("HR",) * 36)

@@ -7,7 +7,7 @@ The array code is also checked against the loop code it replaced, kept in
 import numpy as np
 import pytest
 
-from icurisk.ingest import DEFAULT_REGISTRY, Measurement, RawEpisode, parse_record
+from icurisk.ingest import TIME_SERIES_PARAMETERS, parse_record
 from icurisk.preprocess import (
     N_STATS,
     apply_truncation,
@@ -29,8 +29,8 @@ from icurisk.preprocess import (
 import preprocess_oracle as oracle
 from conftest import record_text, synth_record_text
 
-HR = DEFAULT_REGISTRY.series_index("HR")
-GCS = DEFAULT_REGISTRY.series_index("GCS")
+HR = TIME_SERIES_PARAMETERS.index("HR")
+GCS = TIME_SERIES_PARAMETERS.index("GCS")
 
 
 def episode(rows, statics=None, record_id=1, label=0):
@@ -84,8 +84,9 @@ class TestTruncation:
         ep = episode([(0, "HR", 1000.0), (1, "HR", 50.0), (2, "HR", 0.0)])
         bounds = fit_truncation([episode([(i, "HR", float(i)) for i in range(1, 101)])])
         clamped = apply_truncation(ep, bounds)
-        assert [m.value for m in clamped.measurements] == [99.0, 50.0, 1.0]
-        assert [m.minutes for m in clamped.measurements] == [0, 1, 2]
+        assert clamped.measurements["value"].tolist() == [99.0, 50.0, 1.0]
+        assert clamped.measurements["minutes"].tolist() == [0, 1, 2]
+        assert ep.measurements["value"].tolist() == [1000.0, 50.0, 0.0]  # input untouched
 
     def test_idempotence(self):
         rng = np.random.default_rng(4)
@@ -248,6 +249,27 @@ class TestNormalization:
         stats = fit_normalization([np.full((2, 185), 3.0)])
         out = normalize(np.full((1, 185), 99.0), stats)
         np.testing.assert_array_equal(out, np.zeros((1, 185)))
+
+    def test_constant_with_inexact_mean_maps_to_zero(self):
+        # The mean of three 0.1s is not exactly 0.1, so the computed std is
+        # rounding noise rather than 0.
+        stats = fit_normalization([np.full((3, 185), 0.1)])
+        assert stats.zero_std.all()
+        np.testing.assert_array_equal(normalize(np.full((1, 185), 0.1), stats),
+                                      np.zeros((1, 185)))
+
+    def test_parameter_seen_in_one_cell_maps_to_zero(self):
+        # One Cholesterol reading: after imputation every interval of every
+        # stay holds that value in the min, max, mean and median columns.
+        rng = np.random.default_rng(13)
+        eps = [episode([(int(m), "HR", float(v)) for m, v in
+                        zip(np.sort(rng.integers(0, 2881, 20)), np.round(rng.normal(80, 9, 20), 1))],
+                       record_id=i + 1) for i in range(30)]
+        eps.append(episode([(0, "Cholesterol", 106.13)], record_id=31))
+        stats = fit_pipeline(eps)
+        chol = TIME_SERIES_PARAMETERS.index("Cholesterol") * N_STATS
+        for ep in eps:
+            np.testing.assert_array_equal(build_features(ep, stats).matrix[:, chol:chol + 4], 0.0)
 
 
 class TestBuildFeatures:

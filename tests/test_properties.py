@@ -7,15 +7,15 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from icurisk.ingest import (
-    DEFAULT_REGISTRY,
     MAX_MINUTES,
-    Measurement,
+    MEASUREMENT_DTYPE,
     RawEpisode,
-    StaticObservation,
     parse_record,
     serialize_record,
 )
 from icurisk.preprocess import (
+    N_SERIES,
+    N_STATICS,
     apply_truncation,
     assemble_matrix,
     build_features,
@@ -29,9 +29,6 @@ from icurisk.preprocess import (
 import preprocess_oracle as oracle
 from conftest import synth_record_text
 
-N_SERIES = len(DEFAULT_REGISTRY.time_series)
-N_STATICS = len(DEFAULT_REGISTRY.statics)
-
 # Ties, both sides of a 3-hour edge, and the 48:00 endpoint come up often.
 minutes_st = st.one_of(st.integers(0, MAX_MINUTES), st.sampled_from([0, 179, 180, 2879, 2880]))
 # A few dense parameters, so cells hold many values, and any of the 36.
@@ -41,17 +38,22 @@ value_st = st.one_of(st.integers(0, 200_000).map(lambda k: k / 100),
                      st.sampled_from([0.0, 7.4, 36.6, 80.0]))
 
 
+def by_minutes(rows):
+    """A measurement array of the rows, stably sorted by time as parsing does."""
+    return np.array(sorted(rows, key=lambda row: row[0]), dtype=MEASUREMENT_DTYPE)
+
+
 @st.composite
 def episodes(draw, values=value_st):
-    rows = draw(st.lists(st.tuples(minutes_st, parameter_st, values), max_size=60))
-    measurements = sorted((Measurement(*row) for row in rows), key=lambda m: m.minutes)
+    measurements = by_minutes(draw(st.lists(st.tuples(minutes_st, parameter_st, values),
+                                            max_size=60)))
     # -1 marks a missing Gender, Height or Weight in the file format.
     statics = draw(st.lists(st.none() | values.filter(lambda v: v != -1),
                             min_size=N_STATICS, max_size=N_STATICS))
     # A repeated static at 00:00 would fill an empty slot on parse; start at 00:01.
-    extras = sorted(draw(st.lists(st.builds(StaticObservation, st.integers(1, MAX_MINUTES),
-                                            st.integers(0, N_STATICS - 1), values),
-                                  max_size=3)), key=lambda s: s.minutes)
+    extras = by_minutes(draw(st.lists(st.tuples(st.integers(1, MAX_MINUTES),
+                                                st.integers(0, N_STATICS - 1), values),
+                                      max_size=3)))
     return RawEpisode(draw(st.integers(1, 999_999)), statics, measurements, extras)
 
 
@@ -86,8 +88,7 @@ def test_features_finite_capped_and_185_wide(eps, interval):
 
 
 def stay(*rows):
-    return RawEpisode(7, [60.0, None, None, 2.0, None],
-                      [Measurement(*row) for row in rows])
+    return RawEpisode(7, [60.0, None, None, 2.0, None], by_minutes(rows))
 
 
 @settings(max_examples=60, deadline=None)
