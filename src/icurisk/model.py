@@ -1,11 +1,10 @@
 """The risk model: (bi)LSTM state tracking, attention pooling, logistic output.
 
-Per interval t the LSTM cell computes
+Per interval t the LSTM cell computes its four gates as one affine map,
 
-    i = sigmoid(Wi x + Ui h_prev + bi)        input gate
-    f = sigmoid(Wf x + Uf h_prev + bf)        forget gate
-    o = sigmoid(Wo x + Uo h_prev + bo)        output gate
-    c_cand = tanh(Wc x + Uc h_prev + bc)      candidate memory
+    z = W x + U h_prev + b                    W 4h x d, U 4h x h, b 4h
+    i, f, o = sigmoid(z[0:h]), sigmoid(z[h:2h]), sigmoid(z[2h:3h])
+    c_cand = tanh(z[3h:4h])                   input, forget, output gate; candidate
     c = f * c_prev + i * c_cand
     h = o * tanh(c)
 
@@ -85,22 +84,12 @@ class ModelConfig:
 
 @dataclass
 class LstmDirection:
-    """Gate weights for one direction: input, recurrent, bias per gate."""
+    """One direction's four gates as one affine map: W (4h x d), U (4h x h)
+    and b (4h), each with the gate blocks stacked in i, f, o, c order."""
 
-    Wi: Tensor; Ui: Tensor; bi: Tensor
-    Wf: Tensor; Uf: Tensor; bf: Tensor
-    Wo: Tensor; Uo: Tensor; bo: Tensor
-    Wc: Tensor; Uc: Tensor; bc: Tensor
-
-    FIELDS = ("Wi", "Ui", "bi", "Wf", "Uf", "bf", "Wo", "Uo", "bo", "Wc", "Uc", "bc")
-
-    def tensors(self) -> list[Tensor]:
-        return [getattr(self, name) for name in self.FIELDS]
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(W, U, b) with the gates stacked in i, f, o, c order."""
-        arrays = [t.data for t in self.tensors()]
-        return np.vstack(arrays[0::3]), np.vstack(arrays[1::3]), np.concatenate(arrays[2::3])
+    W: Tensor
+    U: Tensor
+    b: Tensor
 
 
 @dataclass
@@ -146,19 +135,11 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 def _init_direction(cfg: ModelConfig, rng: np.random.Generator) -> LstmDirection:
     d, h = cfg.input_dim, cfg.hidden
-
-    def w() -> Tensor:
-        return Tensor(_glorot(rng, h, d))
-
-    def u() -> Tensor:
-        return Tensor(_glorot(rng, h, h))
-
-    return LstmDirection(
-        Wi=w(), Ui=u(), bi=Tensor(np.zeros(h)),
-        Wf=w(), Uf=u(), bf=Tensor(np.ones(h)),  # +1 favors memory retention early on
-        Wo=w(), Uo=u(), bo=Tensor(np.zeros(h)),
-        Wc=w(), Uc=u(), bc=Tensor(np.zeros(h)),
-    )
+    # Glorot per gate block, drawn W then U for each of i, f, o, c.
+    W, U = zip(*((_glorot(rng, h, d), _glorot(rng, h, h)) for _ in range(4)))
+    b = np.zeros(4 * h)
+    b[h:2 * h] = 1.0  # forget gate at +1 favors memory retention early on
+    return LstmDirection(Tensor(np.vstack(W)), Tensor(np.vstack(U)), Tensor(b))
 
 
 def _init_head(cfg: ModelConfig, rng: np.random.Generator) -> AttentionHead:
@@ -187,7 +168,7 @@ class ModelParams:
 
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator) -> "ModelParams":
-        """Fresh parameters: Glorot-uniform weights, zero biases except bf=+1."""
+        """Fresh parameters: Glorot weights, zero biases but the forget gate's +1."""
         forward_lstm = _init_direction(config, rng) if config.recurrent else None
         backward_lstm = (
             _init_direction(config, rng)
@@ -208,8 +189,8 @@ class ModelParams:
         out: list[tuple[str, Tensor]] = []
         for prefix, direction in (("fw", self.forward_lstm), ("bw", self.backward_lstm)):
             if direction is not None:
-                out.extend((f"{prefix}.{name}", getattr(direction, name))
-                           for name in LstmDirection.FIELDS)
+                out += [(f"{prefix}.W", direction.W), (f"{prefix}.U", direction.U),
+                        (f"{prefix}.b", direction.b)]
         for r, head in enumerate(self.heads):
             out.extend((f"head{r}.{name}", getattr(head, name))
                        for name in AttentionHead.FIELDS)
@@ -239,11 +220,11 @@ def lstm_cell(z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """One memory/state update from the stacked gate pre-activations.
 
     ``z`` is W x + U h_prev + b with the gates stacked in i, f, o, c order.
-    Returns (h, c, acts), acts being the four activated gates, stacked.
+    Returns (h, c, acts), acts being the four activated gates as 4 x h rows.
     """
-    n = c_prev.shape[0]
-    acts = np.concatenate([sigmoid(z[:3 * n]), np.tanh(z[3 * n:])])
-    i, f, o, c_cand = np.split(acts, 4)
+    z = z.reshape(4, -1)
+    acts = np.vstack([sigmoid(z[:3]), np.tanh(z[3:])])
+    i, f, o, c_cand = acts
     c = f * c_prev + i * c_cand
     return o * np.tanh(c), c, acts
 
@@ -253,43 +234,42 @@ def run_lstm(tape: Tape, X: np.ndarray, d: LstmDirection, reverse: bool = False)
 
     With ``reverse`` the rows are consumed last-to-first and the states
     re-reversed, so state row t always belongs to input row t.  ``X`` is a
-    plain array: the entry's inputs are the 12 gate tensors, and no
-    gradient flows back into the episode's features.
+    plain array: the entry's inputs are W, U and b, and no gradient flows
+    back into the episode's features.
     """
     steps = X.shape[0]
     if steps < 1:
         raise ValueError("run_lstm: need at least one interval")
-    W, U, b = d.stacked()
+    W, U, b = d.W.data, d.U.data, d.b.data
     n = U.shape[1]
     rows = X[::-1] if reverse else X
     pre = rows @ W.T + b
     H = np.zeros((steps + 1, n))  # row 0 holds the zero initial state,
     C = np.zeros((steps + 1, n))  # row t + 1 the state after step t
-    acts = np.empty((steps, 4 * n))
+    acts = np.empty((steps, 4, n))
     for t in range(steps):
         H[t + 1], C[t + 1], acts[t] = lstm_cell(pre[t] + U @ H[t], C[t])
 
     def backward(g):  # backprop through time, last step first
         G = g[::-1] if reverse else g
         dZ = np.empty((steps, 4 * n))
+        gates = dZ.reshape(steps, 4, n)  # the same memory, one row per gate
         dh, dc = np.zeros(n), np.zeros(n)  # carried back from step t + 1
         for t in reversed(range(steps)):
-            i, f, o, c_cand = np.split(acts[t], 4)
+            i, f, o, c_cand = acts[t]
             tanh_c = np.tanh(C[t + 1])
             dh = dh + G[t]
             dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-            dZ[t] = np.concatenate([dc * c_cand * i * (1.0 - i),
-                                    dc * C[t] * f * (1.0 - f),
-                                    dh * tanh_c * o * (1.0 - o),
-                                    dc * i * (1.0 - c_cand * c_cand)])
+            gates[t] = (dc * c_cand * i * (1.0 - i),
+                        dc * C[t] * f * (1.0 - f),
+                        dh * tanh_c * o * (1.0 - o),
+                        dc * i * (1.0 - c_cand * c_cand))
             dh = U.T @ dZ[t]
             dc = dc * f
-        per_gate = zip(np.split(dZ.T @ rows, 4), np.split(dZ.T @ H[:-1], 4),
-                       np.split(dZ.sum(axis=0), 4))
-        return tuple(g for gate in per_gate for g in gate)
+        return dZ.T @ rows, dZ.T @ H[:-1], dZ.sum(axis=0)
 
     states = H[:0:-1] if reverse else H[1:]
-    return tape.record("lstm", d.tensors(), states, backward)
+    return tape.record("lstm", (d.W, d.U, d.b), states, backward)
 
 
 def attend(tape: Tape, H: Tensor, head: AttentionHead) -> tuple[Tensor, np.ndarray]:
@@ -414,8 +394,25 @@ def grad_check(config: ModelConfig, seed: int, intervals: int = 4,
 # -- persistence ------------------------------------------------------------
 
 
+def v1_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
+    """The parameter arrays under format v1's names, in its key order.
+
+    Version 1 files keep each LSTM gate's blocks apart (``fw.Wi, fw.Ui,
+    fw.bi, fw.Wf, ...``, gates in i, f, o, c order); those entries are views
+    into the stacked W, U and b, so writing to them fills the model.  Heads
+    and classifier keep their own names.
+    """
+    out: list[tuple[str, np.ndarray]] = []
+    for prefix, d in (("fw", params.forward_lstm), ("bw", params.backward_lstm)):
+        if d is not None:
+            for g, W, U, b in zip("ifoc", *(np.split(t.data, 4) for t in (d.W, d.U, d.b))):
+                out += [(f"{prefix}.W{g}", W), (f"{prefix}.U{g}", U), (f"{prefix}.b{g}", b)]
+    return out + [(name, tensor.data) for name, tensor in params.named_parameters()
+                  if not name.startswith(("fw.", "bw."))]
+
+
 def save_model(path, params: ModelParams, preprocess_stats: PipelineStats | None = None) -> None:
-    """Write a self-describing model file (JSON container).
+    """Write a self-describing model file (JSON container, format version 1).
 
     The fitted preprocessing statistics are embedded so a saved model can
     score raw record files on its own.
@@ -426,8 +423,8 @@ def save_model(path, params: ModelParams, preprocess_stats: PipelineStats | None
         "config": asdict(params.config),
         "preprocess": preprocess_stats.to_dict() if preprocess_stats else None,
         "params": {
-            name: {"shape": list(tensor.shape), "data": tensor.data.ravel().tolist()}
-            for name, tensor in params.named_parameters()
+            name: {"shape": list(array.shape), "data": array.ravel().tolist()}
+            for name, array in v1_arrays(params)
         },
     }
     with open(path, "w") as fh:
@@ -435,28 +432,41 @@ def save_model(path, params: ModelParams, preprocess_stats: PipelineStats | None
 
 
 def load_model(path) -> tuple[ModelParams, PipelineStats | None]:
-    """Load a model file; rejects unknown magic or version."""
+    """Load a model file; a malformed one raises ``ModelFormatError`` naming
+    the file and the field or parameter at fault.  NaN values load: they are
+    caught where risks come out."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("magic") != MODEL_MAGIC:
-        raise ModelFormatError(f"not a model file: magic {doc.get('magic')!r}")
+        raise ModelFormatError(f"{path}: not a model file: magic {doc.get('magic')!r}")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
-            f"unsupported model format version {doc.get('version')!r}, "
+            f"{path}: unsupported model format version {doc.get('version')!r}, "
             f"expected {MODEL_FORMAT_VERSION}"
         )
-    config = ModelConfig(**doc["config"])
+    for key in ("config", "params"):
+        if not isinstance(doc.get(key), dict):
+            raise ModelFormatError(f"{path}: missing {key!r} object")
+    try:
+        config = ModelConfig(**doc["config"])
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: config: {exc}") from exc
     params = ModelParams.init(config, np.random.default_rng(0))
-    saved = doc["params"]
-    expected = [name for name, _ in params.named_parameters()]
-    if sorted(saved) != sorted(expected):
-        raise ModelFormatError("parameter names do not match the configuration")
-    for name, tensor in params.named_parameters():
-        entry = saved[name]
-        if tuple(entry["shape"]) != tensor.shape:
-            raise ModelFormatError(
-                f"parameter {name}: shape {entry['shape']} does not match {tensor.shape}"
-            )
-        tensor.data = np.asarray(entry["data"], dtype=np.float64).reshape(tensor.shape)
-    stats = PipelineStats.from_dict(doc["preprocess"]) if doc.get("preprocess") else None
-    return params, stats
+    saved, arrays = doc["params"], v1_arrays(params)
+    odd = sorted(set(saved) ^ {name for name, _ in arrays})
+    if odd:
+        raise ModelFormatError(f"{path}: parameters {odd} do not match the configuration")
+    for name, array in arrays:
+        entry = saved[name] if isinstance(saved[name], dict) else {}
+        data = entry.get("data")
+        if entry.get("shape") != list(array.shape):
+            problem = f"shape {entry.get('shape')} does not match {array.shape}"
+        elif not isinstance(data, list) or not {type(v) for v in data} <= {int, float}:
+            problem = "data must be a list of numbers"
+        elif len(data) != array.size:
+            problem = f"{len(data)} values, expected {array.size}"
+        else:
+            array[...] = np.reshape(data, array.shape)
+            continue
+        raise ModelFormatError(f"{path}: parameter {name}: {problem}")
+    return params, PipelineStats.from_dict(doc["preprocess"]) if doc.get("preprocess") else None

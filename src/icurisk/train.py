@@ -72,9 +72,9 @@ class CVResult:
 def kfold_split(n: int, k: int, seed: int, labels) -> list[np.ndarray]:
     """Stratified k-fold indices: a disjoint partition of 0..n-1.
 
-    Positives and negatives are shuffled separately and dealt round-robin,
-    so fold sizes differ by at most one and each fold's positive count is
-    within one of an even share.
+    Positives and negatives are shuffled separately and dealt round-robin
+    (positives first), so fold sizes differ by at most one and each fold's
+    positive count is within one of an even share.
     """
     if k < 2:
         raise ValueError("need at least 2 folds")
@@ -88,10 +88,8 @@ def kfold_split(n: int, k: int, seed: int, labels) -> list[np.ndarray]:
     negatives = np.flatnonzero(labels != 1)
     rng.shuffle(positives)
     rng.shuffle(negatives)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for slot, idx in enumerate(np.concatenate([positives, negatives])):
-        folds[slot % k].append(int(idx))
-    return [np.sort(np.asarray(fold, dtype=np.intp)) for fold in folds]
+    order = np.concatenate([positives, negatives])
+    return [np.sort(order[f::k]) for f in range(k)]
 
 
 def auc(scores, labels) -> float:
@@ -109,17 +107,9 @@ def auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs at least one positive and one negative label")
 
-    order = np.argsort(scores, kind="mergesort")
-    ordered = scores[order]
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j + 1 < len(ordered) and ordered[j + 1] == ordered[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0  # average rank, 1-based
-        i = j + 1
-    pos_rank_sum = float(ranks[labels == 1].sum())
+    _, tie_group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    average_rank = np.cumsum(counts) - (counts - 1) / 2.0  # 1-based, halves for ties
+    pos_rank_sum = float(average_rank[tie_group][labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 

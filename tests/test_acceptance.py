@@ -24,11 +24,13 @@ from icurisk.train import TrainConfig, apply_variant, auc, cross_validate, train
 
 from conftest import separable_features, synth_record_text, write_corpus
 from test_model import (
+    candidate_memory,
     cell,
     lstm_cell_oracle,
     lstm_states,
     random_direction,
     run_lstm_oracle,
+    set_gate_biases,
     zero_head,
 )
 from test_train import brute_force_auc
@@ -103,16 +105,13 @@ def test_criterion_3_memory_gating():
             h_prev = rng.normal(size=3) * 0.2
             c_prev = rng.normal(size=3)
 
-            d.bf.data = np.full(3, 100.0)
-            d.bi.data = np.full(3, -100.0)
+            set_gate_biases(d, input_gate=-100.0, forget_gate=100.0)
             _, c = cell(x, h_prev, c_prev, d)
             assert np.abs(c - c_prev).max() < 1e-6  # retention
 
-            d.bi.data = np.full(3, 100.0)
-            d.bf.data = np.full(3, -100.0)
+            set_gate_biases(d, input_gate=100.0, forget_gate=-100.0)
             _, c = cell(x, h_prev, c_prev, d)
-            candidate = np.tanh(d.Wc.data @ x + d.Uc.data @ h_prev + d.bc.data)
-            assert np.abs(c - candidate).max() < 1e-6  # overwrite
+            assert np.abs(c - candidate_memory(x, h_prev, d)).max() < 1e-6  # overwrite
 
 
 def test_criterion_4_attention_normalization():

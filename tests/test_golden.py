@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icurisk.model import ModelConfig, ModelParams, forward_episode
+from icurisk.model import ModelConfig, ModelParams, forward_episode, v1_arrays
 
 GOLDEN = Path(__file__).with_name("forward_golden.json")
 TOLERANCE = 1e-12
@@ -50,17 +50,18 @@ def run_case(name: str) -> dict:
                       dropout_in=0.3, dropout_out=0.4, **ARCHITECTURES[arch])
     rng = np.random.default_rng(seed)
     params = ModelParams.init(cfg, rng)
-    for _, tensor in params.named_parameters():  # no zero biases
-        tensor.data = rng.normal(0.0, 0.7, size=tensor.shape)
+    for _, array in v1_arrays(params):  # no zero biases; drawn per v1 entry
+        array[...] = rng.normal(0.0, 0.7, size=array.shape)
     X = rng.normal(0.0, 1.5, size=(t, cfg.input_dim))
 
     result = forward_episode(X, params, train=mode == "train",
                              rng=np.random.default_rng(seed + 1))
     result.tape.backward(result.tape.binary_cross_entropy(result.output, seed % 2))
+    for _, tensor in params.named_parameters():  # read the gradients under v1 names
+        tensor.data = tensor.grad
     out = {
         "risk": result.risk,
-        "grads": {n: tensor.grad.ravel().tolist()
-                  for n, tensor in params.named_parameters()},
+        "grads": {n: grad.ravel().tolist() for n, grad in v1_arrays(params)},
     }
     if result.trace is not None:
         out["weights"] = result.trace.weights.tolist()

@@ -1,6 +1,8 @@
 """LSTM cell and layer, attention pooling, classifier, and model persistence."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from icurisk.model import (
     pool_heads,
     run_lstm,
     save_model,
+    v1_arrays,
 )
 from icurisk.preprocess import PipelineStats, fit_pipeline
 from icurisk.ingest import parse_record
@@ -44,15 +47,23 @@ def _dot_row(matrix, row, vector):
     return sum(matrix[row][k] * vector[k] for k in range(len(vector)))
 
 
+def gate_blocks(tensor):
+    """The i, f, o, c blocks of a stacked LSTM tensor, as views."""
+    return np.split(tensor.data, 4)
+
+
 def lstm_cell_oracle(x, h_prev, c_prev, d):
     """Unit-by-unit recomputation of the cell with plain Python arithmetic."""
     hidden = len(h_prev)
+    Wi, Wf, Wo, Wc = gate_blocks(d.W)
+    Ui, Uf, Uo, Uc = gate_blocks(d.U)
+    bi, bf, bo, bc = gate_blocks(d.b)
     h_new, c_new = [], []
     for j in range(hidden):
-        i = _sig(_dot_row(d.Wi.data, j, x) + _dot_row(d.Ui.data, j, h_prev) + d.bi.data[j])
-        f = _sig(_dot_row(d.Wf.data, j, x) + _dot_row(d.Uf.data, j, h_prev) + d.bf.data[j])
-        o = _sig(_dot_row(d.Wo.data, j, x) + _dot_row(d.Uo.data, j, h_prev) + d.bo.data[j])
-        cand = math.tanh(_dot_row(d.Wc.data, j, x) + _dot_row(d.Uc.data, j, h_prev) + d.bc.data[j])
+        i = _sig(_dot_row(Wi, j, x) + _dot_row(Ui, j, h_prev) + bi[j])
+        f = _sig(_dot_row(Wf, j, x) + _dot_row(Uf, j, h_prev) + bf[j])
+        o = _sig(_dot_row(Wo, j, x) + _dot_row(Uo, j, h_prev) + bo[j])
+        cand = math.tanh(_dot_row(Wc, j, x) + _dot_row(Uc, j, h_prev) + bc[j])
         c = f * c_prev[j] + i * cand
         c_new.append(c)
         h_new.append(o * math.tanh(c))
@@ -60,7 +71,7 @@ def lstm_cell_oracle(x, h_prev, c_prev, d):
 
 
 def run_lstm_oracle(X, d, reverse=False):
-    hidden = len(d.bi.data)
+    hidden = d.U.shape[1]
     h, c = [0.0] * hidden, [0.0] * hidden
     states = []
     rows = list(X)[::-1] if reverse else list(X)
@@ -71,33 +82,31 @@ def run_lstm_oracle(X, d, reverse=False):
 
 
 def random_direction(rng, hidden, dim, scale=0.5):
-    def t(*shape):
-        return Tensor(rng.normal(0, scale, size=shape))
-
-    return LstmDirection(
-        Wi=t(hidden, dim), Ui=t(hidden, hidden), bi=t(hidden),
-        Wf=t(hidden, dim), Uf=t(hidden, hidden), bf=t(hidden),
-        Wo=t(hidden, dim), Uo=t(hidden, hidden), bo=t(hidden),
-        Wc=t(hidden, dim), Uc=t(hidden, hidden), bc=t(hidden),
-    )
+    """Each gate's W, U and b drawn in turn (i, f, o, c), then stacked."""
+    shapes = ((hidden, dim), (hidden, hidden), (hidden,))
+    gates = [[rng.normal(0, scale, size=shape) for shape in shapes] for _ in range(4)]
+    return LstmDirection(*(Tensor(np.concatenate(blocks)) for blocks in zip(*gates)))
 
 
 def zero_direction(hidden, dim):
-    def z(*shape):
-        return Tensor(np.zeros(shape))
+    return LstmDirection(Tensor(np.zeros((4 * hidden, dim))),
+                         Tensor(np.zeros((4 * hidden, hidden))), Tensor(np.zeros(4 * hidden)))
 
-    return LstmDirection(
-        Wi=z(hidden, dim), Ui=z(hidden, hidden), bi=z(hidden),
-        Wf=z(hidden, dim), Uf=z(hidden, hidden), bf=z(hidden),
-        Wo=z(hidden, dim), Uo=z(hidden, hidden), bo=z(hidden),
-        Wc=z(hidden, dim), Uc=z(hidden, hidden), bc=z(hidden),
-    )
+
+def set_gate_biases(d, input_gate, forget_gate):
+    b_i, b_f, _, _ = gate_blocks(d.b)
+    b_i[...] = input_gate
+    b_f[...] = forget_gate
+
+
+def candidate_memory(x, h_prev, d):
+    W_c, U_c, b_c = (gate_blocks(t)[3] for t in (d.W, d.U, d.b))
+    return np.tanh(W_c @ x + U_c @ h_prev + b_c)
 
 
 def cell(x, h_prev, c_prev, d):
     """One cell update from raw input and previous states; returns (h, c)."""
-    W, U, b = d.stacked()
-    h, c, _ = lstm_cell(W @ x + U @ h_prev + b, c_prev)
+    h, c, _ = lstm_cell(d.W.data @ x + d.U.data @ h_prev + d.b.data, c_prev)
     return h, c
 
 
@@ -115,8 +124,7 @@ class TestLstmCell:
     def test_saturated_gates_retain_memory(self):
         rng = np.random.default_rng(0)
         d = random_direction(rng, 3, 4)
-        d.bf.data = np.full(3, 100.0)
-        d.bi.data = np.full(3, -100.0)
+        set_gate_biases(d, input_gate=-100.0, forget_gate=100.0)
         c_prev = rng.normal(size=3)
         _, c = cell(rng.normal(size=4), rng.normal(size=3) * 0.1, c_prev, d)
         assert np.abs(c - c_prev).max() < 1e-6
@@ -124,13 +132,11 @@ class TestLstmCell:
     def test_saturated_gates_overwrite_memory(self):
         rng = np.random.default_rng(1)
         d = random_direction(rng, 3, 4)
-        d.bi.data = np.full(3, 100.0)
-        d.bf.data = np.full(3, -100.0)
+        set_gate_biases(d, input_gate=100.0, forget_gate=-100.0)
         x = rng.normal(size=4)
         h_prev = rng.normal(size=3) * 0.1
         _, c = cell(x, h_prev, rng.normal(size=3), d)
-        candidate = np.tanh(d.Wc.data @ x + d.Uc.data @ h_prev + d.bc.data)
-        assert np.abs(c - candidate).max() < 1e-6
+        assert np.abs(c - candidate_memory(x, h_prev, d)).max() < 1e-6
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(2)
@@ -486,7 +492,6 @@ class TestPersistence:
         params = ModelParams.init(cfg, np.random.default_rng(0))
         path = tmp_path / "model.json"
         save_model(path, params)
-        import json
         doc = json.loads(path.read_text())
         doc["version"] = 99
         path.write_text(json.dumps(doc))
@@ -499,3 +504,80 @@ class TestPersistence:
         clone = params.copy()
         clone.classifier.w.data[...] = 99.0
         assert not (params.classifier.w.data == 99.0).any()
+
+
+def _edit_saved_model(tmp_path, edit):
+    cfg = ModelConfig(input_dim=4, hidden=2, dropout_in=0.0, dropout_out=0.0)
+    path = tmp_path / "model.json"
+    save_model(path, ModelParams.init(cfg, np.random.default_rng(0)))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _set(*keys_and_value):
+    *keys, value = keys_and_value
+
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+class TestMalformedModelFile:
+    @pytest.mark.parametrize("edit, names", [
+        (lambda doc: doc["params"]["fw.Wi"]["data"].pop(), "parameter fw.Wi: 7 values"),
+        (lambda doc: doc.pop("params"), "'params'"),
+        (lambda doc: doc.pop("config"), "'config'"),
+        (_set("config", "depth", 3), "config: .*'depth'"),
+        (_set("params", "out.b", "data", 0, "0.5"), "parameter out.b: data"),
+        (_set("params", "fw.bc", "data", 1, None), "parameter fw.bc: data"),
+    ], ids=["short-data", "no-params", "no-config", "unknown-config-field",
+            "string-value", "null-value"])
+    def test_rejected_naming_file_and_field(self, tmp_path, edit, names):
+        path = _edit_saved_model(tmp_path, edit)
+        with pytest.raises(ModelFormatError, match=names) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    def test_nan_value_still_loads(self, tmp_path):
+        # Finiteness is checked where risks are produced, not at load.
+        path = _edit_saved_model(tmp_path, _set("params", "out.w", "data", 0, float("nan")))
+        params, _ = load_model(path)
+        assert np.isnan(params.classifier.w.data[0, 0])
+
+
+# Written with the per-gate implementation that introduced format v1; the
+# risk was recorded from the same code on V1_EPISODE.
+MODEL_V1 = Path(__file__).with_name("model_v1.json")
+V1_EPISODE = np.array([[0.5, -1.25, 2.0, 0.0],
+                       [1.5, 0.25, -0.75, -2.0],
+                       [-0.5, 1.0, 0.125, 1.75],
+                       [0.0, -0.5, -1.5, 0.625],
+                       [2.25, 0.75, 1.0, -1.0]])
+V1_RISK = 0.6693694707218867
+
+
+class TestFormatV1:
+    def test_recorded_file_scores_recorded_risk(self):
+        params, stats = load_model(MODEL_V1)
+        assert stats is None
+        assert forward_episode(V1_EPISODE, params).risk == V1_RISK
+
+    def test_recorded_file_resaves_byte_identically(self, tmp_path):
+        params, stats = load_model(MODEL_V1)
+        save_model(tmp_path / "again.json", params, stats)
+        assert (tmp_path / "again.json").read_bytes() == MODEL_V1.read_bytes()
+
+    def test_gate_entries_are_views_in_v1_order(self):
+        cfg = ModelConfig(input_dim=4, hidden=2, heads=1, bidirectional=True)
+        params = ModelParams.init(cfg, np.random.default_rng(0))
+        arrays = dict(v1_arrays(params))
+        assert list(arrays)[:6] == ["fw.Wi", "fw.Ui", "fw.bi", "fw.Wf", "fw.Uf", "fw.bf"]
+        assert list(arrays)[24:] == ["head0.M", "head0.b", "head0.v", "head0.c",
+                                     "out.w", "out.b"]
+        np.testing.assert_array_equal(arrays["fw.bf"], 1.0)  # forget gate starts at +1
+        arrays["bw.Uo"][...] = 7.0
+        np.testing.assert_array_equal(params.backward_lstm.U.data[4:6], 7.0)

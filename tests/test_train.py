@@ -41,7 +41,34 @@ def brute_force_auc(scores, labels):
     return total / pairs
 
 
+def round_robin_folds(n, k, seed, labels):
+    """Reference deal: shuffle each class, then hand out one index per fold in turn."""
+    rng = np.random.default_rng(seed)
+    labels = np.asarray(labels)
+    positives = np.flatnonzero(labels == 1)
+    negatives = np.flatnonzero(labels != 1)
+    rng.shuffle(positives)
+    rng.shuffle(negatives)
+    folds = [[] for _ in range(k)]
+    for slot, idx in enumerate(np.concatenate([positives, negatives])):
+        folds[slot % k].append(int(idx))
+    return [np.sort(np.asarray(fold, dtype=np.intp)) for fold in folds]
+
+
 class TestKfoldSplit:
+    def test_matches_round_robin_reference(self):
+        rng = np.random.default_rng(2)
+        for seed in range(200):
+            n = int(rng.integers(2, 40))
+            k = int(rng.integers(2, n + 1))
+            labels = rng.integers(0, 2, size=n)
+            got = kfold_split(n, k, seed, labels)
+            expected = round_robin_folds(n, k, seed, labels)
+            assert len(got) == k
+            for fold, ref in zip(got, expected):
+                assert fold.dtype == ref.dtype
+                np.testing.assert_array_equal(fold, ref)
+
     def test_even_sizes(self):
         folds = kfold_split(10, 5, seed=0, labels=[0] * 8 + [1] * 2)
         assert [len(f) for f in folds] == [2] * 5
