@@ -29,6 +29,7 @@ from icurisk.model import (
     AttentionTrace,
     ModelConfig,
     ModelParams,
+    forward_batch,
     forward_episode,
     grad_check,
     load_model,
@@ -56,6 +57,7 @@ __all__ = [
     "ModelConfig",
     "ModelParams",
     "AttentionTrace",
+    "forward_batch",
     "forward_episode",
     "grad_check",
     "save_model",

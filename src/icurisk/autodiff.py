@@ -10,10 +10,10 @@ broadcasting, double precision throughout); a layer with its own
 hand-written backward rule records itself as one entry through
 :meth:`Tape.record`.
 
-Gradients accumulate across tapes: running backward on several per-example
-tapes sums example gradients into the shared parameter tensors, which is
-how mini-batches are aggregated.  Callers zero parameter grads between
-optimizer steps.
+A mini-batch is one tape: the model's layers work on a whole padded batch,
+and the loss is the batch mean, so one backward sweep gives the mean
+gradient.  Gradients also accumulate across tapes, so callers zero
+parameter grads between optimizer steps.
 """
 
 from __future__ import annotations
@@ -125,14 +125,16 @@ class Tape:
         return self.record("add", (a, b), a.data + b.data, lambda g: (g, g))
 
     def concat(self, a: Tensor, b: Tensor) -> Tensor:
-        """Join two 2-D tensors with the same row count side by side."""
-        if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
+        """Join two tensors of at least 2-D along their last axis; every
+        other dimension must agree."""
+        if a.data.ndim < 2 or a.data.shape[:-1] != b.data.shape[:-1]:
             raise ShapeMismatchError(
-                f"concat: need 2-D tensors with equal rows, got {a.data.shape} and {b.data.shape}"
+                f"concat: need tensors of 2 or more dimensions that differ only in "
+                f"the last, got {a.data.shape} and {b.data.shape}"
             )
-        split = a.data.shape[1]
-        return self.record("concat", (a, b), np.hstack([a.data, b.data]),
-                           lambda g: (g[:, :split], g[:, split:]))
+        split = a.data.shape[-1]
+        return self.record("concat", (a, b), np.concatenate([a.data, b.data], axis=-1),
+                           lambda g: (g[..., :split], g[..., split:]))
 
     # -- nonlinearities -----------------------------------------------------
 
@@ -179,22 +181,33 @@ class Tape:
         mask = (rng.random(x.data.shape) >= rate) / keep
         return self.record("dropout", (x,), x.data * mask, lambda g: (g * mask,))
 
-    def binary_cross_entropy(self, p: Tensor, y: float) -> Tensor:
-        """-[y log p + (1-y) log(1-p)] with p clipped to [1e-12, 1-1e-12]."""
-        if p.data.size != 1:
+    def binary_cross_entropy(self, p: Tensor, y) -> Tensor:
+        """Mean over a batch of -[y log p + (1-y) log(1-p)], p clipped to
+        [1e-12, 1-1e-12].
+
+        ``p`` holds one probability per example, ``y`` one label each (or
+        one label for all); the result is a one-element tensor.
+        """
+        if p.data.ndim != 1:
             raise ShapeMismatchError(
-                f"binary_cross_entropy: probability must be scalar, got {p.data.shape}"
+                f"binary_cross_entropy: probabilities must be 1-D, got {p.data.shape}"
             )
-        if y not in (0, 1):
+        labels = np.asarray(y, dtype=np.float64)
+        if labels.ndim > 1 or labels.size not in (1, p.data.size):
+            raise ShapeMismatchError(
+                f"binary_cross_entropy: {labels.size} labels for {p.data.size} probabilities"
+            )
+        if not np.isin(labels, (0.0, 1.0)).all():
             raise ValueError(f"label must be 0 or 1, got {y}")
+        n = p.data.size
         clipped = np.clip(p.data, 1e-12, 1.0 - 1e-12)
-        loss = -(y * np.log(clipped) + (1.0 - y) * np.log(1.0 - clipped))
+        losses = -(labels * np.log(clipped) + (1.0 - labels) * np.log(1.0 - clipped))
 
         def backward(g):
             inside = (p.data > 1e-12) & (p.data < 1.0 - 1e-12)
-            return (g * inside * (clipped - y) / (clipped * (1.0 - clipped)),)
+            return (g / n * inside * (clipped - labels) / (clipped * (1.0 - clipped)),)
 
-        return self.record("bce", (p,), loss.reshape(p.data.shape), backward)
+        return self.record("bce", (p,), np.array([losses.sum() / n]), backward)
 
     # -- reverse sweep ------------------------------------------------------
 

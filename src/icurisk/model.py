@@ -15,9 +15,14 @@ network, softmax-normalizes the scores over time, and forms a convex
 combination of the states; the head readings are max-pooled elementwise
 into the classifier feature z, and the risk is sigmoid(w . z + b).
 
-An LSTM direction and an attention head each work on the whole episode at
-once and record one tape entry with a hand-written backward rule, so a
-forward pass records about ten entries whatever the episode length.
+The model runs on a batch of episodes at once: their feature matrices are
+padded at the end to the longest (batch x intervals x features) and each
+episode's length is kept.  An LSTM direction, an attention head and each
+other layer work on the whole batch and record one tape entry with a
+hand-written backward rule, so a forward pass records about ten entries
+whatever the batch size and episode lengths.  Padding never reaches a
+real state, weight or reading, and gets zero gradient.  Scoring one
+episode is the batch of one.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from icurisk.autodiff import (
     Tensor,
     check_gradients,
     sigmoid,
-    softmax,
 )
 from icurisk.preprocess import PipelineStats
 
@@ -128,26 +132,37 @@ class ForwardResult:
     output: Tensor  # probability node, for attaching a loss
 
 
+@dataclass
+class BatchResult:
+    """Risks of a padded batch, with the tape that computed them."""
+
+    risks: np.ndarray  # one per episode
+    weights: np.ndarray | None  # batch x heads x intervals, 0 past each length
+    states: np.ndarray | None  # batch x intervals x state_dim
+    tape: Tape
+    output: Tensor  # the probabilities, for attaching a loss
+
+
 def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (rows + cols))
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def _init_direction(cfg: ModelConfig, rng: np.random.Generator) -> LstmDirection:
+def _init_direction(cfg: ModelConfig, weight) -> LstmDirection:
     d, h = cfg.input_dim, cfg.hidden
-    # Glorot per gate block, drawn W then U for each of i, f, o, c.
-    W, U = zip(*((_glorot(rng, h, d), _glorot(rng, h, h)) for _ in range(4)))
+    # One weight block per gate, drawn W then U for each of i, f, o, c.
+    W, U = zip(*((weight(h, d), weight(h, h)) for _ in range(4)))
     b = np.zeros(4 * h)
     b[h:2 * h] = 1.0  # forget gate at +1 favors memory retention early on
     return LstmDirection(Tensor(np.vstack(W)), Tensor(np.vstack(U)), Tensor(b))
 
 
-def _init_head(cfg: ModelConfig, rng: np.random.Generator) -> AttentionHead:
+def _init_head(cfg: ModelConfig, weight) -> AttentionHead:
     a, s = cfg.attn_hidden, cfg.state_dim
     return AttentionHead(
-        M=Tensor(_glorot(rng, a, s)),
+        M=Tensor(weight(a, s)),
         b=Tensor(np.zeros(a)),
-        v=Tensor(_glorot(rng, 1, a)),
+        v=Tensor(weight(1, a)),
         c=Tensor(np.zeros(1)),
     )
 
@@ -169,19 +184,27 @@ class ModelParams:
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator) -> "ModelParams":
         """Fresh parameters: Glorot weights, zero biases but the forget gate's +1."""
-        forward_lstm = _init_direction(config, rng) if config.recurrent else None
+        return cls._build(config, lambda rows, cols: _glorot(rng, rows, cols))
+
+    @classmethod
+    def zeros(cls, config: ModelConfig) -> "ModelParams":
+        """Parameters shaped by ``config`` with zero weights, to be filled in."""
+        return cls._build(config, lambda rows, cols: np.zeros((rows, cols)))
+
+    @classmethod
+    def _build(cls, config: ModelConfig, weight) -> "ModelParams":
+        """Every tensor the configuration needs; ``weight(rows, cols)`` makes
+        each weight matrix, in a fixed order."""
+        forward_lstm = _init_direction(config, weight) if config.recurrent else None
         backward_lstm = (
-            _init_direction(config, rng)
+            _init_direction(config, weight)
             if config.recurrent and config.bidirectional else None
         )
         heads = (
-            [_init_head(config, rng) for _ in range(config.heads)]
+            [_init_head(config, weight) for _ in range(config.heads)]
             if config.recurrent and config.pooling == "attention" else []
         )
-        classifier = Classifier(
-            w=Tensor(_glorot(rng, 1, config.state_dim)),
-            b=Tensor(np.zeros(1)),
-        )
+        classifier = Classifier(w=Tensor(weight(1, config.state_dim)), b=Tensor(np.zeros(1)))
         return cls(config, forward_lstm, backward_lstm, heads, classifier)
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
@@ -202,11 +225,6 @@ class ModelParams:
         for _, tensor in self.named_parameters():
             tensor.zero_grad()
 
-    def scale_grads(self, factor: float) -> None:
-        for _, tensor in self.named_parameters():
-            if tensor.grad is not None:
-                tensor.grad *= factor
-
     def copy(self) -> "ModelParams":
         clone = deepcopy(self)
         clone.zero_grads()
@@ -219,81 +237,134 @@ class ModelParams:
 def lstm_cell(z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One memory/state update from the stacked gate pre-activations.
 
-    ``z`` is W x + U h_prev + b with the gates stacked in i, f, o, c order.
-    Returns (h, c, acts), acts being the four activated gates as 4 x h rows.
+    ``z`` is W x + U h_prev + b for a batch (one row per episode), with the
+    gates stacked in i, f, o, c order along each row.  Returns (h, c, acts),
+    acts being the four activated gates, stacked as in ``z``.
     """
-    z = z.reshape(4, -1)
-    acts = np.vstack([sigmoid(z[:3]), np.tanh(z[3:])])
-    i, f, o, c_cand = acts
+    n = c_prev.shape[1]
+    acts = np.concatenate((sigmoid(z[:, :3 * n]), np.tanh(z[:, 3 * n:])), axis=1)
+    i, f, o, c_cand = _gates(acts)
     c = f * c_prev + i * c_cand
     return o * np.tanh(c), c, acts
 
 
-def run_lstm(tape: Tape, X: np.ndarray, d: LstmDirection, reverse: bool = False) -> Tensor:
-    """States of one direction for every interval, from zero states.
+def _gates(stacked: np.ndarray) -> np.ndarray:
+    """The i, f, o, c blocks of each row of a batch x 4h array, as a view
+    of shape 4 x batch x h."""
+    return stacked.reshape(len(stacked), 4, -1).transpose(1, 0, 2)
 
-    With ``reverse`` the rows are consumed last-to-first and the states
-    re-reversed, so state row t always belongs to input row t.  ``X`` is a
-    plain array: the entry's inputs are W, U and b, and no gradient flows
-    back into the episode's features.
+
+def _step_rows(lengths: np.ndarray, steps: int, reverse: bool) -> list[tuple]:
+    """Per step, the index of the padded row each episode reads.
+
+    Forward, step t reads row t.  In reverse each episode is read
+    last-to-first within its own length, and its padding rows keep their
+    place after it, so the padding never feeds a real state.
     """
-    steps = X.shape[0]
-    if steps < 1:
-        raise ValueError("run_lstm: need at least one interval")
+    if not reverse:
+        return [(slice(None), t) for t in range(steps)]
+    if (lengths == steps).all():  # no padding: one row for the whole batch
+        return [(slice(None), steps - 1 - t) for t in range(steps)]
+    t = np.arange(steps)
+    rows = np.where(t < lengths[:, None], lengths[:, None] - 1 - t, t)
+    batch = np.arange(len(lengths))
+    return [(batch, rows[:, k]) for k in range(steps)]
+
+
+def run_lstm(tape: Tape, X: np.ndarray, lengths: np.ndarray, d: LstmDirection,
+             reverse: bool = False) -> Tensor:
+    """States of one direction for every interval of a padded batch.
+
+    ``X`` is batch x intervals x features, each episode padded at the end
+    to the longest; ``lengths`` gives each episode's own interval count.
+    State row t always belongs to input row t.  With ``reverse`` each
+    episode is consumed last-to-first within its own length.  States at
+    padding rows are computed but feed no real state; their gradient must
+    be zero.  ``X`` is a plain array: the entry's inputs are W, U and b,
+    and no gradient flows back into the features.
+    """
+    batch, steps, _ = X.shape
+    if steps < 1 or lengths.min() < 1:
+        raise ValueError("run_lstm: need at least one interval per episode")
     W, U, b = d.W.data, d.U.data, d.b.data
     n = U.shape[1]
-    rows = X[::-1] if reverse else X
-    pre = rows @ W.T + b
-    H = np.zeros((steps + 1, n))  # row 0 holds the zero initial state,
-    C = np.zeros((steps + 1, n))  # row t + 1 the state after step t
-    acts = np.empty((steps, 4, n))
-    for t in range(steps):
-        H[t + 1], C[t + 1], acts[t] = lstm_cell(pre[t] + U @ H[t], C[t])
+    pre = (X.reshape(batch * steps, -1) @ W.T).reshape(batch, steps, 4 * n)
+    pre += b
+    rows = _step_rows(lengths, steps, reverse)
+    H = np.zeros((steps + 1, batch, n))  # in step order: H[0] is the zero initial
+    C = np.zeros((steps + 1, batch, n))  # state, H[t + 1] the state after step t
+    acts = np.empty((steps, batch, 4 * n))
+    states = np.empty((batch, steps, n))
+    UT = U.T
+    for t, row in enumerate(rows):
+        H[t + 1], C[t + 1], acts[t] = lstm_cell(pre[row] + H[t] @ UT, C[t])
+        states[row] = H[t + 1]
 
     def backward(g):  # backprop through time, last step first
-        G = g[::-1] if reverse else g
-        dZ = np.empty((steps, 4 * n))
-        gates = dZ.reshape(steps, 4, n)  # the same memory, one row per gate
-        dh, dc = np.zeros(n), np.zeros(n)  # carried back from step t + 1
+        dW, dU, db = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
+        dz = np.empty((batch, 4 * n))
+        di, df, do, dc_cand = _gates(dz)
+        dh, dc = np.zeros((batch, n)), np.zeros((batch, n))  # from step t + 1
         for t in reversed(range(steps)):
-            i, f, o, c_cand = acts[t]
+            i, f, o, c_cand = _gates(acts[t])
             tanh_c = np.tanh(C[t + 1])
-            dh = dh + G[t]
+            dh = dh + g[rows[t]]
             dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-            gates[t] = (dc * c_cand * i * (1.0 - i),
-                        dc * C[t] * f * (1.0 - f),
-                        dh * tanh_c * o * (1.0 - o),
-                        dc * i * (1.0 - c_cand * c_cand))
-            dh = U.T @ dZ[t]
+            di[...] = dc * c_cand * i * (1.0 - i)
+            df[...] = dc * C[t] * f * (1.0 - f)
+            do[...] = dh * tanh_c * o * (1.0 - o)
+            dc_cand[...] = dc * i * (1.0 - c_cand * c_cand)
+            dW += dz.T @ X[rows[t]]
+            dU += dz.T @ H[t]
+            db += dz.sum(axis=0)
+            dh = dz @ U
             dc = dc * f
-        return dZ.T @ rows, dZ.T @ H[:-1], dZ.sum(axis=0)
+        return dW, dU, db
 
-    states = H[:0:-1] if reverse else H[1:]
     return tape.record("lstm", (d.W, d.U, d.b), states, backward)
 
 
-def attend(tape: Tape, H: Tensor, head: AttentionHead) -> tuple[Tensor, np.ndarray]:
-    """One reading head over the states H (intervals x state_dim).
+def attend(tape: Tape, S: Tensor, lengths: np.ndarray,
+           head: AttentionHead) -> tuple[Tensor, np.ndarray]:
+    """One reading head over padded states (batch x intervals x state_dim).
 
-    Scores every state, softmax-normalizes the scores over time and returns
-    the convex combination of the states under those weights, with the
-    weights themselves.
+    Scores every state, softmax-normalizes each episode's scores over its
+    own intervals (padding scores are -inf, so their weight is 0), and
+    returns each episode's convex combination of its states under those
+    weights, with the weights themselves (batch x intervals).
     """
-    S = H.data
+    states = S.data
+    batch, steps, width = states.shape
     M, v = head.M.data, head.v.data[0]
-    hidden = np.tanh(S @ M.T + head.b.data)
-    weights = softmax(hidden @ v + head.c.data[0])
+    hidden = np.tanh((states.reshape(batch * steps, width) @ M.T).reshape(batch, steps, -1)
+                     + head.b.data)
+    scores = hidden @ v + head.c.data[0]
+    if (lengths < steps).any():
+        scores[np.arange(steps) >= lengths[:, None]] = -np.inf
+    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
+    weights = shifted / shifted.sum(axis=1, keepdims=True)
 
     def backward(g):
-        d_weights = S @ g
-        d_score = weights * (d_weights - weights @ d_weights)
-        d_pre = np.outer(d_score, v) * (1.0 - hidden * hidden)
-        return (np.outer(weights, g) + d_pre @ M, d_pre.T @ S, d_pre.sum(axis=0),
-                (d_score @ hidden)[None, :], np.array([d_score.sum()]))
+        d_weights = (states @ g[:, :, None])[..., 0]
+        d_score = weights * (d_weights - (weights * d_weights).sum(axis=1, keepdims=True))
+        d_pre = (d_score[..., None] * v * (1.0 - hidden * hidden)).reshape(batch * steps, -1)
+        d_states = (d_pre @ M).reshape(states.shape)
+        d_states += weights[..., None] * g[:, None, :]
+        return (d_states, d_pre.T @ states.reshape(batch * steps, width), d_pre.sum(axis=0),
+                (d_score.reshape(-1) @ hidden.reshape(batch * steps, -1))[None, :],
+                np.array([d_score.sum()]))
 
-    reading = tape.record("attention", (H, head.M, head.b, head.v, head.c),
-                          weights @ S, backward)
+    reading = tape.record("attention", (S, head.M, head.b, head.v, head.c),
+                          (weights[:, None, :] @ states)[:, 0], backward)
     return reading, weights
+
+
+def mean_rows(tape: Tape, S: Tensor, lengths: np.ndarray) -> Tensor:
+    """Each episode's mean over its own rows of padded S (batch x intervals x width)."""
+    real = (np.arange(S.data.shape[1]) < lengths[:, None])[..., None]
+    n = lengths[:, None].astype(np.float64)
+    return tape.record("mean", (S,), (S.data * real).sum(axis=1) / n,
+                       lambda g: ((g / n)[:, None, :] * real,))
 
 
 def pool_heads(tape: Tape, readings: list[Tensor]) -> Tensor:
@@ -307,65 +378,107 @@ def pool_heads(tape: Tape, readings: list[Tensor]) -> Tensor:
 
 
 def classify(tape: Tape, z: Tensor, classifier: Classifier) -> Tensor:
-    """Risk probability sigmoid(w . z + b), as a one-element tensor."""
-    return tape.sigmoid(tape.add(tape.matmul(classifier.w, z), classifier.b))
+    """Risk probabilities sigmoid(w . z + b), one per row of z (batch x width)."""
+    w, b = classifier.w.data[0], classifier.b.data[0]
+    p = sigmoid(z.data @ w + b)
+
+    def backward(g):
+        d_logit = g * p * (1.0 - p)
+        return np.outer(d_logit, w), (d_logit @ z.data)[None, :], np.array([d_logit.sum()])
+
+    return tape.record("classify", (z, classifier.w, classifier.b), p, backward)
+
+
+def _draw_dropout(X: np.ndarray, lengths: np.ndarray, cfg: ModelConfig,
+                  rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted dropout masks, drawn episode by episode: input, then output.
+
+    That is the order in which scoring the episodes one at a time draws
+    them.  The input mask multiplies ``X`` in place (no gradient flows into
+    the features, so it is not kept); the output masks are returned, one
+    row per episode, or None at rate 0.  A rate of 0 draws nothing.
+    """
+    if not (cfg.dropout_in or cfg.dropout_out):
+        return None
+    if rng is None:
+        raise ValueError("dropout in training mode needs a random generator")
+    out_mask = np.empty((len(lengths), cfg.state_dim)) if cfg.dropout_out else None
+    for row, steps in enumerate(lengths):
+        if cfg.dropout_in:
+            X[row, :steps] *= (rng.random((steps, X.shape[2])) >= cfg.dropout_in) / (
+                1.0 - cfg.dropout_in)
+        if cfg.dropout_out:
+            out_mask[row] = (rng.random(cfg.state_dim) >= cfg.dropout_out) / (
+                1.0 - cfg.dropout_out)
+    return out_mask
+
+
+def forward_batch(matrices, params: ModelParams, train: bool = False,
+                  rng: np.random.Generator | None = None) -> BatchResult:
+    """Score a batch of episodes' feature matrices in one pass.
+
+    The matrices are padded at the end to the longest and run as one
+    batch; each layer records one tape entry for the whole batch.  In
+    training mode, inverted dropout is applied to the inputs and to the
+    pooled features z, drawing from ``rng`` episode by episode.
+    Evaluation mode is fully deterministic.
+    """
+    cfg = params.config
+    for X in matrices:
+        if X.ndim != 2 or X.shape[1] != cfg.input_dim:
+            raise ShapeMismatchError(
+                f"episode matrix {X.shape} does not match input width {cfg.input_dim}"
+            )
+    lengths = np.array([X.shape[0] for X in matrices])
+    if len(lengths) == 0 or lengths.min() < 1:
+        raise ValueError("every episode must have at least one interval")
+    if not cfg.recurrent and lengths.max() != 1:
+        raise ValueError(
+            f"non-recurrent model expects a single interval, got {lengths.max()}"
+        )
+    batch = np.zeros((len(lengths), lengths.max(), cfg.input_dim))
+    for row, X in zip(batch, matrices):
+        row[:len(X)] = X
+    out_mask = _draw_dropout(batch, lengths, cfg, rng) if train else None
+
+    tape = Tape()
+    states, weights = None, None
+    if not cfg.recurrent:
+        z = mean_rows(tape, Tensor(batch), lengths)
+    else:
+        states = run_lstm(tape, batch, lengths, params.forward_lstm)
+        if cfg.bidirectional:
+            states = tape.concat(states, run_lstm(tape, batch, lengths, params.backward_lstm,
+                                                  reverse=True))
+        if cfg.pooling == "attention":
+            readings, weights = zip(*(attend(tape, states, lengths, head)
+                                      for head in params.heads))
+            z = pool_heads(tape, list(readings))
+            weights = np.stack(weights, axis=1)
+        else:
+            z = mean_rows(tape, states, lengths)
+
+    if out_mask is not None:
+        z = tape.record("dropout", (z,), z.data * out_mask, lambda g: (g * out_mask,))
+    p = classify(tape, z, params.classifier)
+    return BatchResult(risks=p.data, weights=weights,
+                       states=None if states is None else states.data, tape=tape, output=p)
 
 
 def forward_episode(X: np.ndarray, params: ModelParams, train: bool = False,
                     rng: np.random.Generator | None = None,
                     record_id: int | None = None) -> ForwardResult:
-    """Score one episode's feature matrix.
+    """Score one episode's feature matrix: :func:`forward_batch` on a batch of one.
 
-    In training mode, inverted dropout is applied to the input matrix and
-    to the pooled feature z, drawing from ``rng``.  Evaluation mode is fully
-    deterministic.  The attention trace is populated only for attention
-    pooling.
+    The attention trace is populated only for attention pooling.
     """
-    cfg = params.config
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != cfg.input_dim:
-        raise ShapeMismatchError(
-            f"episode matrix {X.shape} does not match input width {cfg.input_dim}"
-        )
-    if X.shape[0] < 1:
-        raise ValueError("episode must have at least one interval")
-    if not cfg.recurrent and X.shape[0] != 1:
-        raise ValueError(
-            f"non-recurrent model expects a single interval, got {X.shape[0]}"
-        )
-
-    tape = Tape()
-    x = Tensor(X)
-    if train:
-        x = tape.dropout(x, cfg.dropout_in, rng)
-
-    weights = []
-    if not cfg.recurrent:
-        z = tape.mean(x)
-    else:
-        states = run_lstm(tape, x.data, params.forward_lstm)
-        if cfg.bidirectional:
-            states = tape.concat(states, run_lstm(tape, x.data, params.backward_lstm,
-                                                  reverse=True))
-        if cfg.pooling == "attention":
-            readings, weights = zip(*(attend(tape, states, head) for head in params.heads))
-            z = pool_heads(tape, list(readings))
-        else:
-            z = tape.mean(states)
-
-    if train:
-        z = tape.dropout(z, cfg.dropout_out, rng)
-    p = classify(tape, z, params.classifier)
-
+    batch = forward_batch([np.asarray(X, dtype=np.float64)], params, train, rng)
+    risk = float(batch.risks[0])
     trace = None
-    if weights:
-        trace = AttentionTrace(
-            record_id=record_id,
-            weights=np.stack(weights),
-            states=states.data.copy(),
-            risk=float(p.data[0]),
-        )
-    return ForwardResult(risk=float(p.data[0]), trace=trace, tape=tape, output=p)
+    if batch.weights is not None:
+        trace = AttentionTrace(record_id=record_id, weights=batch.weights[0],
+                               states=batch.states[0].copy(), risk=risk)
+    return ForwardResult(risk=risk, trace=trace, tape=batch.tape, output=batch.output)
 
 
 def grad_check(config: ModelConfig, seed: int, intervals: int = 4,
@@ -436,7 +549,15 @@ def load_model(path) -> tuple[ModelParams, PipelineStats | None]:
     the file and the field or parameter at fault.  NaN values load: they are
     caught where risks come out."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise ModelFormatError(f"{path}: not a JSON model file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ModelFormatError(
+            f"{path}: not a model file: top level is a JSON {type(doc).__name__}, "
+            "expected an object"
+        )
     if doc.get("magic") != MODEL_MAGIC:
         raise ModelFormatError(f"{path}: not a model file: magic {doc.get('magic')!r}")
     if doc.get("version") != MODEL_FORMAT_VERSION:
@@ -451,7 +572,7 @@ def load_model(path) -> tuple[ModelParams, PipelineStats | None]:
         config = ModelConfig(**doc["config"])
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: config: {exc}") from exc
-    params = ModelParams.init(config, np.random.default_rng(0))
+    params = ModelParams.zeros(config)
     saved, arrays = doc["params"], v1_arrays(params)
     odd = sorted(set(saved) ^ {name for name, _ in arrays})
     if odd:
@@ -469,4 +590,11 @@ def load_model(path) -> tuple[ModelParams, PipelineStats | None]:
             array[...] = np.reshape(data, array.shape)
             continue
         raise ModelFormatError(f"{path}: parameter {name}: {problem}")
-    return params, PipelineStats.from_dict(doc["preprocess"]) if doc.get("preprocess") else None
+    if not doc.get("preprocess"):
+        return params, None
+    try:
+        return params, PipelineStats.from_dict(doc["preprocess"])
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: preprocess: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: preprocess: {exc}") from exc

@@ -5,6 +5,8 @@ preprocessing pipeline (truncation bounds, imputation means, normalization)
 on its training episodes only, then transforms both splits with those
 statistics.  Training itself is mini-batch Adam on the mean log-loss, with
 the best-validation-AUC checkpoint kept and patience-based early stopping.
+Each training batch is one padded forward pass, one backward sweep and one
+Adam step; validation is scored in batches of the same size.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from icurisk.ingest import MAX_MINUTES, RawEpisode
-from icurisk.model import ModelConfig, ModelParams, forward_episode
+# forward_episode is bound here by name as well: benchmark/selftest.py checks
+# that the tracer patches by-name imports through this binding.
+from icurisk.model import ModelConfig, ModelParams, forward_batch, forward_episode  # noqa: F401
 from icurisk.preprocess import EpisodeFeatures, PipelineStats, build_features, fit_pipeline
 
 
@@ -152,8 +156,26 @@ class Adam:
                                     self.t, self.lr, self.beta1, self.beta2, self.eps)
 
 
-def _score_all(features: list[EpisodeFeatures], params: ModelParams) -> np.ndarray:
-    return np.array([forward_episode(f.matrix, params).risk for f in features])
+def _score_all(features: list[EpisodeFeatures], params: ModelParams,
+               batch_size: int) -> np.ndarray:
+    """Evaluation-mode risks, scored in batches of ``batch_size`` episodes."""
+    risks = np.empty(len(features))
+    for start in range(0, len(features), batch_size):
+        chunk = features[start:start + batch_size]
+        risks[start:start + len(chunk)] = forward_batch([f.matrix for f in chunk], params).risks
+    return risks
+
+
+def _batch_gradient(chunk: list[EpisodeFeatures], params: ModelParams,
+                    rng: np.random.Generator) -> float:
+    """Leave the batch's mean log-loss gradient in the parameters' ``grad``;
+    returns the mean loss.  The batch's tape is freed on return, so two
+    batches' activations are never held at once."""
+    params.zero_grads()
+    result = forward_batch([f.matrix for f in chunk], params, train=True, rng=rng)
+    loss = result.tape.binary_cross_entropy(result.output, [f.label for f in chunk])
+    result.tape.backward(loss)
+    return float(loss.data[0])
 
 
 def train_fold(train_features: list[EpisodeFeatures],
@@ -180,20 +202,11 @@ def train_fold(train_features: list[EpisodeFeatures],
 
     for epoch in range(cfg.max_epochs):
         perm = rng.permutation(len(train_features))
-        epoch_losses = []
+        loss_sum = 0.0
         for batch, start in enumerate(range(0, len(perm), cfg.batch_size)):
-            chunk = perm[start:start + cfg.batch_size]
-            params.zero_grads()
-            batch_losses = []
-            for idx in chunk:
-                feat = train_features[idx]
-                result = forward_episode(feat.matrix, params, train=True, rng=rng)
-                loss = result.tape.binary_cross_entropy(result.output, feat.label)
-                result.tape.backward(loss)
-                batch_losses.append(float(loss.data[0]))
-            params.scale_grads(1.0 / len(chunk))  # mean gradient over the batch
+            chunk = [train_features[i] for i in perm[start:start + cfg.batch_size]]
+            batch_loss = _batch_gradient(chunk, params, rng)
             # Checked before the step, so a NaN never reaches Adam's moments.
-            batch_loss = float(np.mean(batch_losses))
             grad_norm = math.sqrt(sum(float(np.sum(t.grad * t.grad))
                                       for t in optimizer.tensors if t.grad is not None))
             if not (math.isfinite(batch_loss) and math.isfinite(grad_norm)):
@@ -202,11 +215,11 @@ def train_fold(train_features: list[EpisodeFeatures],
                     f"norm {grad_norm} at epoch {epoch}, batch {batch}"
                 )
             optimizer.step()
-            epoch_losses += batch_losses
+            loss_sum += batch_loss * len(chunk)
 
-        train_losses.append(float(np.mean(epoch_losses)))
+        train_losses.append(loss_sum / len(train_features))
 
-        epoch_auc = auc(_score_all(val_features, params), val_labels)
+        epoch_auc = auc(_score_all(val_features, params, cfg.batch_size), val_labels)
         if epoch_auc > best_auc:
             best_auc = epoch_auc
             best_epoch = epoch
@@ -217,7 +230,7 @@ def train_fold(train_features: list[EpisodeFeatures],
             if epochs_since_best >= cfg.patience:
                 break
 
-    final_scores = _score_all(val_features, best_params)
+    final_scores = _score_all(val_features, best_params, cfg.batch_size)
     return FoldResult(
         fold=fold,
         train_losses=train_losses,

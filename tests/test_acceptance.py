@@ -18,17 +18,19 @@ import pytest
 from icurisk.autodiff import Tape, Tensor
 from icurisk.cli import main as cli_main
 from icurisk.ingest import join_labels, parse_outcomes, parse_record
-from icurisk.model import AttentionHead, ModelConfig, attend, grad_check, pool_heads
+from icurisk.model import AttentionHead, ModelConfig, grad_check, pool_heads
 from icurisk.preprocess import build_features, fit_pipeline
 from icurisk.train import TrainConfig, apply_variant, auc, cross_validate, train_fold
 
 from conftest import separable_features, synth_record_text, write_corpus
 from test_model import (
+    attention_weights,
     candidate_memory,
     cell,
     lstm_cell_oracle,
     lstm_states,
     random_direction,
+    reading,
     run_lstm_oracle,
     set_gate_biases,
     zero_head,
@@ -120,17 +122,16 @@ def test_criterion_4_attention_normalization():
         rng = np.random.default_rng(3)
         for _ in range(1000):
             t = int(rng.integers(1, 13))
-            states = Tensor(rng.normal(size=(t, 4)))
+            states = rng.normal(size=(t, 4))
             head = AttentionHead(
                 M=Tensor(rng.normal(size=(3, 4))), b=Tensor(rng.normal(size=3)),
                 v=Tensor(rng.normal(size=(1, 3))), c=Tensor(rng.normal(size=1)),
             )
-            _, weights = attend(Tape(), states, head)
+            weights = attention_weights(states, head)
             assert (weights >= 0).all()
             assert abs(weights.sum() - 1.0) <= 1e-6
         for t in (1, 2, 7, 16):
-            states = Tensor(rng.normal(size=(t, 4)))
-            _, weights = attend(Tape(), states, zero_head(3, 4))
+            weights = attention_weights(rng.normal(size=(t, 4)), zero_head(3, 4))
             assert np.array_equal(weights, np.full(t, 1.0 / t))
 
 
@@ -140,9 +141,9 @@ def test_criterion_5_pooling_identities():
         rng = np.random.default_rng(4)
         for _ in range(100):
             t = int(rng.integers(1, 10))
-            states = Tensor(rng.normal(size=(t, 6)))
-            averaged = Tape().mean(states).data
-            uniform = attend(Tape(), states, zero_head(2, 6))[0].data
+            states = rng.normal(size=(t, 6))
+            averaged = Tape().mean(Tensor(states)).data
+            uniform = reading(states, zero_head(2, 6))
             assert np.abs(averaged - uniform).max() <= 1e-12
 
             readings = [Tensor(rng.normal(size=6)) for _ in range(int(rng.integers(1, 5)))]

@@ -17,6 +17,7 @@ from icurisk.model import (
     ModelParams,
     attend,
     classify,
+    forward_batch,
     forward_episode,
     grad_check,
     load_model,
@@ -30,7 +31,9 @@ from icurisk.preprocess import PipelineStats, fit_pipeline
 from icurisk.ingest import parse_record
 from icurisk.train import TrainConfig, VARIANTS, apply_variant
 
+import model_oracle as oracle
 from conftest import synth_record_text
+from test_golden import ARCHITECTURES
 
 
 # -- independent per-scalar oracle, pure Python loops ------------------------
@@ -105,13 +108,16 @@ def candidate_memory(x, h_prev, d):
 
 
 def cell(x, h_prev, c_prev, d):
-    """One cell update from raw input and previous states; returns (h, c)."""
-    h, c, _ = lstm_cell(d.W.data @ x + d.U.data @ h_prev + d.b.data, c_prev)
-    return h, c
+    """One cell update from raw input and previous states, run as a batch
+    of one; returns (h, c)."""
+    z = d.W.data @ x + d.U.data @ h_prev + d.b.data
+    h, c, _ = lstm_cell(z[None], c_prev[None])
+    return h[0], c[0]
 
 
 def lstm_states(X, d, reverse=False):
-    return run_lstm(Tape(), X, d, reverse=reverse).data
+    """One episode's states, run as a batch of one."""
+    return run_lstm(Tape(), X[None], np.array([len(X)]), d, reverse=reverse).data[0]
 
 
 class TestLstmCell:
@@ -167,7 +173,7 @@ class TestRunLstm:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="interval"):
-            run_lstm(Tape(), np.zeros((0, 3)), zero_direction(2, 3))
+            run_lstm(Tape(), np.zeros((1, 0, 3)), np.array([0]), zero_direction(2, 3))
 
     def test_reverse_on_palindrome_reverses_states(self):
         rng = np.random.default_rng(4)
@@ -237,11 +243,12 @@ def zero_head(attn_hidden, width):
 
 
 def attention_weights(states, head):
-    return attend(Tape(), Tensor(states), head)[1]
+    """One episode's weights over its states, run as a batch of one."""
+    return attend(Tape(), Tensor(states[None]), np.array([len(states)]), head)[1][0]
 
 
 def reading(states, head):
-    return attend(Tape(), Tensor(states), head)[0].data
+    return attend(Tape(), Tensor(states[None]), np.array([len(states)]), head)[0].data[0]
 
 
 class TestAttention:
@@ -328,15 +335,15 @@ class TestPooling:
 class TestClassifier:
     def test_zero_weights_give_half(self):
         cls = Classifier(w=Tensor(np.zeros((1, 4))), b=Tensor(np.zeros(1)))
-        assert classify(Tape(), Tensor(np.ones(4)), cls).data[0] == 0.5
+        assert classify(Tape(), Tensor(np.ones((1, 4))), cls).data[0] == 0.5
 
     def test_log3_bias_gives_three_quarters(self):
         cls = Classifier(w=Tensor(np.zeros((1, 2))), b=Tensor([math.log(3)]))
-        assert classify(Tape(), Tensor(np.zeros(2)), cls).data[0] == pytest.approx(0.75)
+        assert classify(Tape(), Tensor(np.zeros((1, 2))), cls).data[0] == pytest.approx(0.75)
 
     def test_monotone_in_score(self):
         cls = Classifier(w=Tensor(np.ones((1, 1))), b=Tensor(np.zeros(1)))
-        probs = [classify(Tape(), Tensor([z]), cls).data[0] for z in np.linspace(-3, 3, 25)]
+        probs = [classify(Tape(), Tensor([[z]]), cls).data[0] for z in np.linspace(-3, 3, 25)]
         assert all(a < b for a, b in zip(probs, probs[1:]))
 
     def test_log_loss_values(self):
@@ -420,8 +427,8 @@ class TestForwardEpisode:
         X = np.random.default_rng(29).normal(size=(16, 6))
         result = forward_episode(X, params, train=True, rng=np.random.default_rng(0))
         assert [e.op for e in result.tape.entries] == [
-            "dropout", "lstm", "lstm", "concat", "attention", "attention",
-            "maximum", "dropout", "matmul", "add", "sigmoid"]
+            "lstm", "lstm", "concat", "attention", "attention", "maximum", "dropout",
+            "classify"]
 
     def test_train_mode_same_rng_same_output(self):
         cfg, params = self._model(dropout_in=0.4, dropout_out=0.4)
@@ -440,6 +447,71 @@ class TestForwardEpisode:
         for _, tensor in params.named_parameters():
             if tensor.grad is not None:
                 assert np.isfinite(tensor.grad).all()
+
+
+ORACLE_TOLERANCE = 1e-12
+
+
+def batch_against_oracle(arch, lengths, train, seed):
+    """One padded batch against the per-episode oracle, on the same model,
+    episodes, labels and generator seed: risks, attention weights and
+    states, the mean loss, every parameter gradient and the generator state
+    afterwards must agree."""
+    cfg = ModelConfig(input_dim=4, hidden=3, heads=2, attn_hidden=3,
+                      dropout_in=0.3, dropout_out=0.4, **ARCHITECTURES[arch])
+    rng = np.random.default_rng(seed)
+    params = ModelParams.init(cfg, rng)
+    for _, tensor in params.named_parameters():  # no zero biases
+        tensor.data = rng.normal(0.0, 0.7, size=tensor.shape)
+    matrices = [rng.normal(0.0, 1.5, size=(t, cfg.input_dim)) for t in lengths]
+    labels = rng.integers(0, 2, size=len(lengths))
+
+    reference_rng, batch_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    reference, reference_loss, reference_grads = oracle.batch_gradients(
+        matrices, labels, params, train, reference_rng)
+    batch = forward_batch(matrices, params, train=train, rng=batch_rng)
+    loss = batch.tape.binary_cross_entropy(batch.output, labels)
+    batch.tape.backward(loss)
+
+    assert batch_rng.bit_generator.state == reference_rng.bit_generator.state
+    np.testing.assert_allclose(batch.risks, [r.risk for r in reference],
+                               rtol=0, atol=ORACLE_TOLERANCE)
+    assert abs(loss.data[0] - reference_loss) <= ORACLE_TOLERANCE
+    for row, (t, r) in enumerate(zip(lengths, reference)):
+        if r.trace is None:
+            assert batch.weights is None
+            continue
+        np.testing.assert_allclose(batch.weights[row, :, :t], r.trace.weights,
+                                   rtol=0, atol=ORACLE_TOLERANCE)
+        assert not batch.weights[row, :, t:].any()  # padding gets no weight
+        np.testing.assert_allclose(batch.states[row, :t], r.trace.states,
+                                   rtol=0, atol=ORACLE_TOLERANCE)
+    for name, tensor in params.named_parameters():
+        np.testing.assert_allclose(tensor.grad, reference_grads[name],
+                                   rtol=0, atol=ORACLE_TOLERANCE, err_msg=name)
+
+
+class TestForwardBatch:
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("arch", list(ARCHITECTURES))
+    def test_matches_per_episode_oracle(self, arch, mode):
+        # Lengths 1 to 16 in one batch, the longest neither first nor last.
+        lengths = [1] * 5 if arch == "lr-baseline" else [7, 1, 16, 2, 16, 11, 4]
+        batch_against_oracle(arch, lengths, mode == "train", seed=sum(map(ord, arch + mode)))
+
+    def test_one_tape_entry_per_layer_whatever_the_batch(self):
+        cfg = ModelConfig(input_dim=6, hidden=3, heads=2, bidirectional=True)
+        params = ModelParams.init(cfg, np.random.default_rng(30))
+        rng = np.random.default_rng(31)
+        one = forward_batch([rng.normal(size=(16, 6))], params, train=True, rng=rng)
+        many = forward_batch([rng.normal(size=(t, 6)) for t in (3, 16, 1, 9)], params,
+                             train=True, rng=rng)
+        assert [e.op for e in many.tape.entries] == [e.op for e in one.tape.entries]
+
+    def test_empty_batch_rejected(self):
+        params = ModelParams.init(ModelConfig(input_dim=6, hidden=3), np.random.default_rng(32))
+        with pytest.raises(ValueError, match="interval"):
+            forward_batch([], params)
 
 
 class TestGradCheck:
@@ -498,6 +570,15 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="version"):
             load_model(path)
 
+    def test_zeros_has_the_shapes_init_draws(self):
+        cfg = ModelConfig(input_dim=5, hidden=3, heads=2, bidirectional=True)
+        drawn = ModelParams.init(cfg, np.random.default_rng(0))
+        blank = ModelParams.zeros(cfg)
+        assert [(n, t.shape) for n, t in blank.named_parameters()] == [
+            (n, t.shape) for n, t in drawn.named_parameters()]
+        assert not any(t.data.any() for n, t in blank.named_parameters()
+                       if n.endswith((".W", ".U", ".M", ".v", ".w")))
+
     def test_copy_is_independent(self):
         cfg = ModelConfig(input_dim=4, hidden=2)
         params = ModelParams.init(cfg, np.random.default_rng(25))
@@ -539,6 +620,30 @@ class TestMalformedModelFile:
     def test_rejected_naming_file_and_field(self, tmp_path, edit, names):
         path = _edit_saved_model(tmp_path, edit)
         with pytest.raises(ModelFormatError, match=names) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("text, names", [
+        ("[1, 2, 3]", "top level is a JSON list"),
+        ('{"magic": "icurisk-model", "version": 1, "config": {', "not a JSON model file"),
+    ], ids=["json-array", "truncated"])
+    def test_unreadable_file_rejected_naming_file(self, tmp_path, text, names):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ModelFormatError, match=names) as info:
+            load_model(path)
+        assert str(path) in str(info.value)
+
+    def test_preprocess_block_without_truncation_rejected(self, tmp_path):
+        rng = np.random.default_rng(33)
+        stats = fit_pipeline([parse_record(synth_record_text(i + 1, rng)) for i in range(3)], 180)
+        cfg = ModelConfig(input_dim=185, hidden=2, heads=1)
+        path = tmp_path / "model.json"
+        save_model(path, ModelParams.init(cfg, rng), stats)
+        doc = json.loads(path.read_text())
+        del doc["preprocess"]["truncation"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="preprocess: missing field 'truncation'") as info:
             load_model(path)
         assert str(path) in str(info.value)
 

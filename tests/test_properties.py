@@ -1,5 +1,6 @@
-"""Property tests: file round trip, feature-matrix invariants, and the array
-preprocess against the loop oracle on generated episodes."""
+"""Property tests: file round trip, feature-matrix invariants, the array
+preprocess against the loop oracle on generated episodes, and the batched
+model against the per-episode oracle on generated batches."""
 
 from functools import lru_cache
 
@@ -28,6 +29,8 @@ from icurisk.preprocess import (
 
 import preprocess_oracle as oracle
 from conftest import synth_record_text
+from test_golden import ARCHITECTURES
+from test_model import batch_against_oracle
 
 # Ties, both sides of a 3-hour edge, and the 48:00 endpoint come up often.
 minutes_st = st.one_of(st.integers(0, MAX_MINUTES), st.sampled_from([0, 179, 180, 2879, 2880]))
@@ -121,3 +124,12 @@ def test_fitted_bounds_and_means_match_oracle(eps):
     np.testing.assert_allclose(imputation.series_means, reference.series_means, rtol=1e-12, atol=0)
     np.testing.assert_allclose(imputation.static_means, reference.static_means, rtol=1e-12, atol=0)
     assert imputation.unobserved == reference.unobserved
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(ARCHITECTURES)), st.lists(st.integers(1, 16), min_size=1, max_size=8),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_batch_matches_per_episode_oracle(arch, lengths, train, seed):
+    if arch == "lr-baseline":  # one interval per episode, the whole stay
+        lengths = [1] * len(lengths)
+    batch_against_oracle(arch, lengths, train, seed)

@@ -235,6 +235,11 @@ class TestTrainFold:
         relabeled = np.array([f.label for f in feats])
         assert auc(rescored, relabeled) == result.val_auc
 
+    def test_empty_validation_split_names_the_auc_problem(self):
+        feats = separable_features(n=8, intervals=3, dim=8, seed=4)
+        with pytest.raises(ValueError, match="AUC needs at least one positive"):
+            train_fold(feats, [], _quick_cfg(max_epochs=1), _small_model())
+
     def test_divergence_aborts_with_diagnostic(self):
         bad = [EpisodeFeatures(1, np.full((2, 8), np.inf), 1),
                EpisodeFeatures(2, np.full((2, 8), -np.inf), 0)]
