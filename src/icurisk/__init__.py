@@ -4,9 +4,11 @@ The package parses raw per-patient records into episodes whose
 measurements are one numpy structured array of (minutes, parameter, value)
 rows, turns them into equal-length interval feature matrices, runs a
 (bidirectional) LSTM over them, pools the hidden states with soft attention
-reading heads, and scores mortality risk with a logistic classifier.  Gradients come from a small reverse-mode
-autodiff engine in :mod:`icurisk.autodiff`, so the whole chain is trainable
-with Adam and verifiable against finite differences.
+reading heads, and scores mortality risk with a logistic classifier.  The
+parameters are plain numpy arrays.  Each layer records its own hand-written
+backward rule on a tape (:mod:`icurisk.autodiff`), whose one reverse sweep
+gives one gradient per named parameter, so the whole chain trains with Adam
+and is checked against finite differences.
 """
 
 __version__ = "0.1.0"

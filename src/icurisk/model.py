@@ -17,12 +17,14 @@ into the classifier feature z, and the risk is sigmoid(w . z + b).
 
 The model runs on a batch of episodes at once: their feature matrices are
 padded at the end to the longest (batch x intervals x features) and each
-episode's length is kept.  An LSTM direction, an attention head and each
-other layer work on the whole batch and record one tape entry with a
-hand-written backward rule, so a forward pass records about ten entries
-whatever the batch size and episode lengths.  Padding never reaches a
-real state, weight or reading, and gets zero gradient.  Scoring one
-episode is the batch of one.
+episode's length is kept.  The parameters are plain arrays.  An LSTM
+direction, an attention head and each other layer work on the whole batch,
+return their output array and record one hand-written backward rule on the
+tape, so a forward pass records about ten entries whatever the batch size
+and episode lengths.  :func:`loss_and_grads` adds the mean log-loss and
+sweeps those rules back, last layer first, to one gradient per named
+parameter.  Padding never reaches a real state, weight or reading, and gets
+zero gradient.  Scoring one episode is the batch of one.
 """
 
 from __future__ import annotations
@@ -30,16 +32,11 @@ from __future__ import annotations
 import json
 from copy import deepcopy
 from dataclasses import dataclass, asdict
+from functools import reduce
 
 import numpy as np
 
-from icurisk.autodiff import (
-    ShapeMismatchError,
-    Tape,
-    Tensor,
-    check_gradients,
-    sigmoid,
-)
+from icurisk.autodiff import ShapeMismatchError, Tape, check_gradients, sigmoid
 from icurisk.preprocess import PipelineStats
 
 
@@ -91,27 +88,27 @@ class LstmDirection:
     """One direction's four gates as one affine map: W (4h x d), U (4h x h)
     and b (4h), each with the gate blocks stacked in i, f, o, c order."""
 
-    W: Tensor
-    U: Tensor
-    b: Tensor
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
 
 
 @dataclass
 class AttentionHead:
     """One reading head's scoring net: score = v . tanh(M s + b) + c."""
 
-    M: Tensor
-    b: Tensor
-    v: Tensor
-    c: Tensor
+    M: np.ndarray
+    b: np.ndarray
+    v: np.ndarray
+    c: np.ndarray
 
     FIELDS = ("M", "b", "v", "c")
 
 
 @dataclass
 class Classifier:
-    w: Tensor
-    b: Tensor
+    w: np.ndarray
+    b: np.ndarray
 
 
 @dataclass
@@ -129,7 +126,6 @@ class ForwardResult:
     risk: float
     trace: AttentionTrace | None
     tape: Tape
-    output: Tensor  # probability node, for attaching a loss
 
 
 @dataclass
@@ -140,7 +136,6 @@ class BatchResult:
     weights: np.ndarray | None  # batch x heads x intervals, 0 past each length
     states: np.ndarray | None  # batch x intervals x state_dim
     tape: Tape
-    output: Tensor  # the probabilities, for attaching a loss
 
 
 def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -154,21 +149,16 @@ def _init_direction(cfg: ModelConfig, weight) -> LstmDirection:
     W, U = zip(*((weight(h, d), weight(h, h)) for _ in range(4)))
     b = np.zeros(4 * h)
     b[h:2 * h] = 1.0  # forget gate at +1 favors memory retention early on
-    return LstmDirection(Tensor(np.vstack(W)), Tensor(np.vstack(U)), Tensor(b))
+    return LstmDirection(np.vstack(W), np.vstack(U), b)
 
 
 def _init_head(cfg: ModelConfig, weight) -> AttentionHead:
     a, s = cfg.attn_hidden, cfg.state_dim
-    return AttentionHead(
-        M=Tensor(weight(a, s)),
-        b=Tensor(np.zeros(a)),
-        v=Tensor(weight(1, a)),
-        c=Tensor(np.zeros(1)),
-    )
+    return AttentionHead(M=weight(a, s), b=np.zeros(a), v=weight(1, a), c=np.zeros(1))
 
 
 class ModelParams:
-    """All learnable tensors plus the configuration that shaped them."""
+    """All learnable arrays plus the configuration that shaped them."""
 
     def __init__(self, config: ModelConfig,
                  forward_lstm: LstmDirection | None,
@@ -193,7 +183,7 @@ class ModelParams:
 
     @classmethod
     def _build(cls, config: ModelConfig, weight) -> "ModelParams":
-        """Every tensor the configuration needs; ``weight(rows, cols)`` makes
+        """Every array the configuration needs; ``weight(rows, cols)`` makes
         each weight matrix, in a fixed order."""
         forward_lstm = _init_direction(config, weight) if config.recurrent else None
         backward_lstm = (
@@ -204,12 +194,12 @@ class ModelParams:
             [_init_head(config, weight) for _ in range(config.heads)]
             if config.recurrent and config.pooling == "attention" else []
         )
-        classifier = Classifier(w=Tensor(weight(1, config.state_dim)), b=Tensor(np.zeros(1)))
+        classifier = Classifier(w=weight(1, config.state_dim), b=np.zeros(1))
         return cls(config, forward_lstm, backward_lstm, heads, classifier)
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        """All tensors in a fixed order (also the serialization order)."""
-        out: list[tuple[str, Tensor]] = []
+    def named_parameters(self) -> list[tuple[str, np.ndarray]]:
+        """All arrays in a fixed order (also the serialization order)."""
+        out: list[tuple[str, np.ndarray]] = []
         for prefix, direction in (("fw", self.forward_lstm), ("bw", self.backward_lstm)):
             if direction is not None:
                 out += [(f"{prefix}.W", direction.W), (f"{prefix}.U", direction.U),
@@ -221,14 +211,8 @@ class ModelParams:
         out.append(("out.b", self.classifier.b))
         return out
 
-    def zero_grads(self) -> None:
-        for _, tensor in self.named_parameters():
-            tensor.zero_grad()
-
     def copy(self) -> "ModelParams":
-        clone = deepcopy(self)
-        clone.zero_grads()
-        return clone
+        return deepcopy(self)
 
 
 # -- forward operations -----------------------------------------------------
@@ -272,7 +256,7 @@ def _step_rows(lengths: np.ndarray, steps: int, reverse: bool) -> list[tuple]:
 
 
 def run_lstm(tape: Tape, X: np.ndarray, lengths: np.ndarray, d: LstmDirection,
-             reverse: bool = False) -> Tensor:
+             reverse: bool = False) -> np.ndarray:
     """States of one direction for every interval of a padded batch.
 
     ``X`` is batch x intervals x features, each episode padded at the end
@@ -280,13 +264,14 @@ def run_lstm(tape: Tape, X: np.ndarray, lengths: np.ndarray, d: LstmDirection,
     State row t always belongs to input row t.  With ``reverse`` each
     episode is consumed last-to-first within its own length.  States at
     padding rows are computed but feed no real state; their gradient must
-    be zero.  ``X`` is a plain array: the entry's inputs are W, U and b,
-    and no gradient flows back into the features.
+    be zero.  The entry writes ``states`` (``bw`` in reverse) and reads the
+    direction's W, U and b (``fw.*`` or ``bw.*``); no gradient flows back
+    into the features.
     """
     batch, steps, _ = X.shape
     if steps < 1 or lengths.min() < 1:
         raise ValueError("run_lstm: need at least one interval per episode")
-    W, U, b = d.W.data, d.U.data, d.b.data
+    W, U, b = d.W, d.U, d.b
     n = U.shape[1]
     pre = (X.reshape(batch * steps, -1) @ W.T).reshape(batch, steps, 4 * n)
     pre += b
@@ -321,24 +306,27 @@ def run_lstm(tape: Tape, X: np.ndarray, lengths: np.ndarray, d: LstmDirection,
             dc = dc * f
         return dW, dU, db
 
-    return tape.record("lstm", (d.W, d.U, d.b), states, backward)
+    prefix = "bw" if reverse else "fw"
+    tape.record("lstm", "bw" if reverse else "states",
+                (f"{prefix}.W", f"{prefix}.U", f"{prefix}.b"), backward)
+    return states
 
 
-def attend(tape: Tape, S: Tensor, lengths: np.ndarray,
-           head: AttentionHead) -> tuple[Tensor, np.ndarray]:
-    """One reading head over padded states (batch x intervals x state_dim).
+def attend(tape: Tape, states: np.ndarray, lengths: np.ndarray, head: AttentionHead,
+           index: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Reading head ``index`` over padded states (batch x intervals x state_dim).
 
     Scores every state, softmax-normalizes each episode's scores over its
     own intervals (padding scores are -inf, so their weight is 0), and
     returns each episode's convex combination of its states under those
-    weights, with the weights themselves (batch x intervals).
+    weights, with the weights themselves (batch x intervals).  The entry
+    writes ``head{index}`` and reads ``states`` and the head's parameters.
     """
-    states = S.data
     batch, steps, width = states.shape
-    M, v = head.M.data, head.v.data[0]
+    M, v = head.M, head.v[0]
     hidden = np.tanh((states.reshape(batch * steps, width) @ M.T).reshape(batch, steps, -1)
-                     + head.b.data)
-    scores = hidden @ v + head.c.data[0]
+                     + head.b)
+    scores = hidden @ v + head.c[0]
     if (lengths < steps).any():
         scores[np.arange(steps) >= lengths[:, None]] = -np.inf
     shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -354,39 +342,48 @@ def attend(tape: Tape, S: Tensor, lengths: np.ndarray,
                 (d_score.reshape(-1) @ hidden.reshape(batch * steps, -1))[None, :],
                 np.array([d_score.sum()]))
 
-    reading = tape.record("attention", (S, head.M, head.b, head.v, head.c),
-                          (weights[:, None, :] @ states)[:, 0], backward)
-    return reading, weights
+    name = f"head{index}"
+    tape.record("attention", name, ("states",) + tuple(f"{name}.{field}" for field in head.FIELDS),
+                backward)
+    return (weights[:, None, :] @ states)[:, 0], weights
 
 
-def mean_rows(tape: Tape, S: Tensor, lengths: np.ndarray) -> Tensor:
-    """Each episode's mean over its own rows of padded S (batch x intervals x width)."""
-    real = (np.arange(S.data.shape[1]) < lengths[:, None])[..., None]
+def mean_rows(tape: Tape, states: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each episode's mean over its own rows of padded states (batch x
+    intervals x width); the entry writes ``z`` and reads ``states``."""
+    real = (np.arange(states.shape[1]) < lengths[:, None])[..., None]
     n = lengths[:, None].astype(np.float64)
-    return tape.record("mean", (S,), (S.data * real).sum(axis=1) / n,
-                       lambda g: ((g / n)[:, None, :] * real,))
+    tape.record("mean", "z", ("states",), lambda g: ((g / n)[:, None, :] * real,))
+    return (states * real).sum(axis=1) / n
 
 
-def pool_heads(tape: Tape, readings: list[Tensor]) -> Tensor:
-    """Elementwise maximum across head readings."""
+def pool_heads(tape: Tape, readings) -> np.ndarray:
+    """Elementwise maximum across head readings, written as ``z``; each
+    element's gradient goes to the first head holding its maximum."""
     if not readings:
         raise ValueError("pool_heads: need at least one reading")
-    pooled = readings[0]
-    for reading in readings[1:]:
-        pooled = tape.maximum(pooled, reading)
-    return pooled
+    heads = range(len(readings))
+
+    def backward(g):
+        winner = np.stack(readings).argmax(axis=0)
+        return tuple(g * (winner == r) for r in heads)
+
+    tape.record("maximum", "z", tuple(f"head{r}" for r in heads), backward)
+    return reduce(np.maximum, readings)
 
 
-def classify(tape: Tape, z: Tensor, classifier: Classifier) -> Tensor:
-    """Risk probabilities sigmoid(w . z + b), one per row of z (batch x width)."""
-    w, b = classifier.w.data[0], classifier.b.data[0]
-    p = sigmoid(z.data @ w + b)
+def classify(tape: Tape, z: np.ndarray, classifier: Classifier) -> np.ndarray:
+    """Risk probabilities sigmoid(w . z + b), one per row of z (batch x
+    width); the entry writes ``p`` and reads ``z``, ``out.w`` and ``out.b``."""
+    w, b = classifier.w[0], classifier.b[0]
+    p = sigmoid(z @ w + b)
 
     def backward(g):
         d_logit = g * p * (1.0 - p)
-        return np.outer(d_logit, w), (d_logit @ z.data)[None, :], np.array([d_logit.sum()])
+        return np.outer(d_logit, w), (d_logit @ z)[None, :], np.array([d_logit.sum()])
 
-    return tape.record("classify", (z, classifier.w, classifier.b), p, backward)
+    tape.record("classify", "p", ("z", "out.w", "out.b"), backward)
+    return p
 
 
 def _draw_dropout(X: np.ndarray, lengths: np.ndarray, cfg: ModelConfig,
@@ -444,25 +441,28 @@ def forward_batch(matrices, params: ModelParams, train: bool = False,
     tape = Tape()
     states, weights = None, None
     if not cfg.recurrent:
-        z = mean_rows(tape, Tensor(batch), lengths)
+        z = batch[:, 0]  # the single interval, classified directly
     else:
         states = run_lstm(tape, batch, lengths, params.forward_lstm)
         if cfg.bidirectional:
-            states = tape.concat(states, run_lstm(tape, batch, lengths, params.backward_lstm,
-                                                  reverse=True))
+            bw = run_lstm(tape, batch, lengths, params.backward_lstm, reverse=True)
+            split = states.shape[-1]
+            tape.record("concat", "states", ("states", "bw"),
+                        lambda g: (g[..., :split], g[..., split:]))
+            states = np.concatenate([states, bw], axis=-1)
         if cfg.pooling == "attention":
-            readings, weights = zip(*(attend(tape, states, lengths, head)
-                                      for head in params.heads))
-            z = pool_heads(tape, list(readings))
+            readings, weights = zip(*(attend(tape, states, lengths, head, r)
+                                      for r, head in enumerate(params.heads)))
+            z = pool_heads(tape, readings)
             weights = np.stack(weights, axis=1)
         else:
             z = mean_rows(tape, states, lengths)
 
     if out_mask is not None:
-        z = tape.record("dropout", (z,), z.data * out_mask, lambda g: (g * out_mask,))
+        tape.record("dropout", "z", ("z",), lambda g: (g * out_mask,))
+        z = z * out_mask
     p = classify(tape, z, params.classifier)
-    return BatchResult(risks=p.data, weights=weights,
-                       states=None if states is None else states.data, tape=tape, output=p)
+    return BatchResult(risks=p, weights=weights, states=states, tape=tape)
 
 
 def forward_episode(X: np.ndarray, params: ModelParams, train: bool = False,
@@ -478,12 +478,36 @@ def forward_episode(X: np.ndarray, params: ModelParams, train: bool = False,
     if batch.weights is not None:
         trace = AttentionTrace(record_id=record_id, weights=batch.weights[0],
                                states=batch.states[0].copy(), risk=risk)
-    return ForwardResult(risk=risk, trace=trace, tape=batch.tape, output=batch.output)
+    return ForwardResult(risk=risk, trace=trace, tape=batch.tape)
+
+
+def loss_and_grads(params: ModelParams, matrices, labels,
+                   rng: np.random.Generator | None = None) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean log-loss of a batch and its gradient, one array per named parameter.
+
+    The loss of an episode is -[y log p + (1-y) log(1-p)], p clipped to
+    [1e-12, 1-1e-12].  With a generator the pass is in training mode and
+    draws its dropout masks from ``rng`` as :func:`forward_batch` does;
+    without one it is in evaluation mode.
+    """
+    labels = np.asarray(labels, dtype=np.float64)
+    n = len(matrices)
+    if labels.shape != (n,):
+        raise ShapeMismatchError(f"{labels.size} labels for {n} episodes")
+    if not np.isin(labels, (0.0, 1.0)).all():
+        raise ValueError(f"labels must be 0 or 1, got {labels}")
+    result = forward_batch(matrices, params, train=rng is not None, rng=rng)
+    p = result.risks
+    clipped = np.clip(p, 1e-12, 1.0 - 1e-12)
+    losses = -(labels * np.log(clipped) + (1.0 - labels) * np.log(1.0 - clipped))
+    inside = (p > 1e-12) & (p < 1.0 - 1e-12)
+    d_p = 1.0 / n * inside * (clipped - labels) / (clipped * (1.0 - clipped))
+    return float(losses.sum() / n), result.tape.backward(d_p, params.named_parameters())
 
 
 def grad_check(config: ModelConfig, seed: int, intervals: int = 4,
                step: float = 1e-5) -> float:
-    """Max relative error of tape gradients vs central finite differences.
+    """Max relative error of the model's gradients vs central finite differences.
 
     Builds a randomly initialized model and episode from ``seed`` and checks
     every parameter entry.  Dropout must be disabled: the check needs a
@@ -495,13 +519,8 @@ def grad_check(config: ModelConfig, seed: int, intervals: int = 4,
     params = ModelParams.init(config, rng)
     t = intervals if config.recurrent else 1
     X = rng.standard_normal((t, config.input_dim))
-    y = 1
-
-    def build() -> tuple[Tape, Tensor]:
-        result = forward_episode(X, params, train=False)
-        return result.tape, result.tape.binary_cross_entropy(result.output, y)
-
-    return check_gradients(build, [t for _, t in params.named_parameters()], step)
+    return check_gradients(lambda: loss_and_grads(params, [X], [1]),
+                           params.named_parameters(), step)
 
 
 # -- persistence ------------------------------------------------------------
@@ -518,9 +537,9 @@ def v1_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     out: list[tuple[str, np.ndarray]] = []
     for prefix, d in (("fw", params.forward_lstm), ("bw", params.backward_lstm)):
         if d is not None:
-            for g, W, U, b in zip("ifoc", *(np.split(t.data, 4) for t in (d.W, d.U, d.b))):
+            for g, W, U, b in zip("ifoc", *(np.split(a, 4) for a in (d.W, d.U, d.b))):
                 out += [(f"{prefix}.W{g}", W), (f"{prefix}.U{g}", U), (f"{prefix}.b{g}", b)]
-    return out + [(name, tensor.data) for name, tensor in params.named_parameters()
+    return out + [(name, array) for name, array in params.named_parameters()
                   if not name.startswith(("fw.", "bw."))]
 
 

@@ -5,8 +5,10 @@ preprocessing pipeline (truncation bounds, imputation means, normalization)
 on its training episodes only, then transforms both splits with those
 statistics.  Training itself is mini-batch Adam on the mean log-loss, with
 the best-validation-AUC checkpoint kept and patience-based early stopping.
-Each training batch is one padded forward pass, one backward sweep and one
-Adam step; validation is scored in batches of the same size.
+Each training batch is one :func:`~icurisk.model.loss_and_grads` call (a
+padded forward pass and one backward sweep, giving one gradient per named
+parameter) and one Adam step, which updates the parameter arrays in place;
+validation is scored in batches of the same size.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 from icurisk.ingest import MAX_MINUTES, RawEpisode
 # forward_episode is bound here by name as well: benchmark/selftest.py checks
 # that the tracer patches by-name imports through this binding.
-from icurisk.model import ModelConfig, ModelParams, forward_batch, forward_episode  # noqa: F401
+from icurisk.model import (  # noqa: F401
+    ModelConfig, ModelParams, forward_batch, forward_episode, loss_and_grads)
 from icurisk.preprocess import EpisodeFeatures, PipelineStats, build_features, fit_pipeline
 
 
@@ -135,25 +138,26 @@ def adam_step(values: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndarra
 
 
 class Adam:
-    """Adam over a list of tensors, reading each tensor's ``grad``."""
+    """Adam over named parameter arrays, updating each one in place, so
+    views into them (such as :func:`~icurisk.model.v1_arrays`) stay valid."""
 
-    def __init__(self, tensors, lr: float, beta1: float = 0.9,
+    def __init__(self, named_arrays, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        self.tensors = list(tensors)
+        self.named_arrays = list(named_arrays)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(t.data) for t in self.tensors]
-        self.v = [np.zeros_like(t.data) for t in self.tensors]
+        self.m = [np.zeros_like(a) for _, a in self.named_arrays]
+        self.v = [np.zeros_like(a) for _, a in self.named_arrays]
 
-    def step(self) -> None:
+    def step(self, grads: dict[str, np.ndarray]) -> None:
+        """One update from ``grads``, which holds one gradient per name."""
         self.t += 1
-        for i, tensor in enumerate(self.tensors):
-            grad = tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
-            tensor.data = adam_step(tensor.data, grad, self.m[i], self.v[i],
-                                    self.t, self.lr, self.beta1, self.beta2, self.eps)
+        for (name, array), m, v in zip(self.named_arrays, self.m, self.v):
+            array[...] = adam_step(array, grads[name], m, v, self.t, self.lr,
+                                   self.beta1, self.beta2, self.eps)
 
 
 def _score_all(features: list[EpisodeFeatures], params: ModelParams,
@@ -166,18 +170,6 @@ def _score_all(features: list[EpisodeFeatures], params: ModelParams,
     return risks
 
 
-def _batch_gradient(chunk: list[EpisodeFeatures], params: ModelParams,
-                    rng: np.random.Generator) -> float:
-    """Leave the batch's mean log-loss gradient in the parameters' ``grad``;
-    returns the mean loss.  The batch's tape is freed on return, so two
-    batches' activations are never held at once."""
-    params.zero_grads()
-    result = forward_batch([f.matrix for f in chunk], params, train=True, rng=rng)
-    loss = result.tape.binary_cross_entropy(result.output, [f.label for f in chunk])
-    result.tape.backward(loss)
-    return float(loss.data[0])
-
-
 def train_fold(train_features: list[EpisodeFeatures],
                val_features: list[EpisodeFeatures],
                cfg: TrainConfig, model_cfg: ModelConfig,
@@ -188,10 +180,12 @@ def train_fold(train_features: list[EpisodeFeatures],
     training split only.  One seeded generator drives initialization,
     shuffling, and dropout, so a fixed seed gives a bit-identical run.
     """
+    if not train_features:
+        raise ValueError(f"fold {fold}: the training split has no episodes")
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     params = ModelParams.init(model_cfg, rng)
-    optimizer = Adam([t for _, t in params.named_parameters()], cfg.learning_rate)
+    optimizer = Adam(params.named_parameters(), cfg.learning_rate)
     val_labels = np.asarray([f.label for f in val_features])
 
     best_auc = -math.inf
@@ -205,16 +199,16 @@ def train_fold(train_features: list[EpisodeFeatures],
         loss_sum = 0.0
         for batch, start in enumerate(range(0, len(perm), cfg.batch_size)):
             chunk = [train_features[i] for i in perm[start:start + cfg.batch_size]]
-            batch_loss = _batch_gradient(chunk, params, rng)
+            batch_loss, grads = loss_and_grads(params, [f.matrix for f in chunk],
+                                               [f.label for f in chunk], rng)
             # Checked before the step, so a NaN never reaches Adam's moments.
-            grad_norm = math.sqrt(sum(float(np.sum(t.grad * t.grad))
-                                      for t in optimizer.tensors if t.grad is not None))
+            grad_norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
             if not (math.isfinite(batch_loss) and math.isfinite(grad_norm)):
                 raise TrainingDiverged(
                     f"fold {fold}: non-finite training loss {batch_loss} or gradient "
                     f"norm {grad_norm} at epoch {epoch}, batch {batch}"
                 )
-            optimizer.step()
+            optimizer.step(grads)
             loss_sum += batch_loss * len(chunk)
 
         train_losses.append(loss_sum / len(train_features))
@@ -280,6 +274,9 @@ def cross_validate(episodes: list[RawEpisode], cfg: TrainConfig,
     labels = [ep.label for ep in episodes]
     if any(label is None for label in labels):
         raise ValueError("cross-validation needs labeled episodes")
+    if only_fold is not None and not 0 <= only_fold < cfg.folds:
+        raise ValueError(f"fold {only_fold} does not exist: k={cfg.folds} folds are "
+                         f"numbered 0 to {cfg.folds - 1}")
     folds = kfold_split(len(episodes), cfg.folds, cfg.seed, labels)
     # Validation AUC needs both classes; check every fold before any trains.
     for fold_idx, val_idx in enumerate(folds):

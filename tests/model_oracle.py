@@ -6,13 +6,37 @@ direction(s) with backprop through time, the attention heads, max pooling,
 output dropout and the logistic output.  A mini-batch's gradient is the
 mean of its episodes' gradients, each from its own backward sweep, and
 every episode draws its input mask and then its output mask from the one
-generator, episode by episode.
+generator, episode by episode.  Each layer records itself on the general
+engine in ``tape_oracle.py``, with the parameters wrapped as its tensors.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from icurisk.autodiff import Tape, Tensor, sigmoid, softmax
-from icurisk.model import AttentionTrace, ForwardResult
+from icurisk.model import AttentionHead, AttentionTrace, Classifier, LstmDirection, ModelParams
+from tape_oracle import Tape, Tensor, sigmoid, softmax
+
+
+@dataclass
+class EpisodeResult:
+    risk: float
+    trace: AttentionTrace | None
+    tape: Tape
+    output: Tensor  # probability node, for attaching a loss
+
+
+def as_tensors(params):
+    """The same parameter arrays, each wrapped in a tensor that collects
+    its gradient."""
+    def direction(d):
+        return None if d is None else LstmDirection(Tensor(d.W), Tensor(d.U), Tensor(d.b))
+
+    heads = [AttentionHead(*(Tensor(getattr(h, f)) for f in AttentionHead.FIELDS))
+             for h in params.heads]
+    return ModelParams(params.config, direction(params.forward_lstm),
+                       direction(params.backward_lstm), heads,
+                       Classifier(Tensor(params.classifier.w), Tensor(params.classifier.b)))
 
 
 def lstm_cell(z, c_prev):
@@ -79,7 +103,8 @@ def attend(tape, H, head):
 
 
 def forward_episode(X, params, train=False, rng=None, record_id=None):
-    """Score one episode with the per-episode layers above."""
+    """Score one episode with the per-episode layers above; ``params``
+    holds tensors (see :func:`as_tensors`)."""
     cfg = params.config
     tape = Tape()
     x = Tensor(np.asarray(X, dtype=np.float64))
@@ -111,7 +136,7 @@ def forward_episode(X, params, train=False, rng=None, record_id=None):
     if weights:
         trace = AttentionTrace(record_id, np.stack(weights), states.data.copy(),
                                float(p.data[0]))
-    return ForwardResult(risk=float(p.data[0]), trace=trace, tape=tape, output=p)
+    return EpisodeResult(risk=float(p.data[0]), trace=trace, tape=tape, output=p)
 
 
 def batch_gradients(matrices, labels, params, train=False, rng=None):
@@ -120,7 +145,7 @@ def batch_gradients(matrices, labels, params, train=False, rng=None):
     Returns (results, mean loss, {parameter name: gradient}); a parameter
     no episode reached gets a zero gradient.
     """
-    params.zero_grads()
+    params = as_tensors(params)
     results, losses = [], []
     for X, y in zip(matrices, labels):
         result = forward_episode(X, params, train=train, rng=rng)
@@ -130,5 +155,4 @@ def batch_gradients(matrices, labels, params, train=False, rng=None):
         losses.append(float(loss.data[0]))
     grads = {name: (np.zeros_like(t.data) if t.grad is None else t.grad / len(matrices))
              for name, t in params.named_parameters()}
-    params.zero_grads()
     return results, float(np.mean(losses)), grads

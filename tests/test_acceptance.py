@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icurisk.autodiff import Tape, Tensor
+from icurisk.autodiff import Tape
 from icurisk.cli import main as cli_main
 from icurisk.ingest import join_labels, parse_outcomes, parse_record
 from icurisk.model import AttentionHead, ModelConfig, grad_check, pool_heads
@@ -29,6 +29,7 @@ from test_model import (
     cell,
     lstm_cell_oracle,
     lstm_states,
+    mean_pool,
     random_direction,
     reading,
     run_lstm_oracle,
@@ -124,8 +125,8 @@ def test_criterion_4_attention_normalization():
             t = int(rng.integers(1, 13))
             states = rng.normal(size=(t, 4))
             head = AttentionHead(
-                M=Tensor(rng.normal(size=(3, 4))), b=Tensor(rng.normal(size=3)),
-                v=Tensor(rng.normal(size=(1, 3))), c=Tensor(rng.normal(size=1)),
+                M=rng.normal(size=(3, 4)), b=rng.normal(size=3),
+                v=rng.normal(size=(1, 3)), c=rng.normal(size=1),
             )
             weights = attention_weights(states, head)
             assert (weights >= 0).all()
@@ -142,14 +143,14 @@ def test_criterion_5_pooling_identities():
         for _ in range(100):
             t = int(rng.integers(1, 10))
             states = rng.normal(size=(t, 6))
-            averaged = Tape().mean(Tensor(states)).data
+            averaged = mean_pool(states)
             uniform = reading(states, zero_head(2, 6))
             assert np.abs(averaged - uniform).max() <= 1e-12
 
-            readings = [Tensor(rng.normal(size=6)) for _ in range(int(rng.integers(1, 5)))]
+            readings = [rng.normal(size=6) for _ in range(int(rng.integers(1, 5)))]
             perm = rng.permutation(len(readings))
-            pooled = pool_heads(Tape(), readings).data
-            shuffled = pool_heads(Tape(), [readings[i] for i in perm]).data
+            pooled = pool_heads(Tape(), readings)
+            shuffled = pool_heads(Tape(), [readings[i] for i in perm])
             assert np.array_equal(pooled, shuffled)
 
 

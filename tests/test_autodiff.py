@@ -1,18 +1,18 @@
-"""Forward-op values, shape errors, and gradient correctness of the tape."""
+"""The model's tape (named values, one gradient per parameter), the
+finite-difference checker, and the general reference engine in
+``tape_oracle.py``: its op values, shape errors and gradients."""
 
 import math
 
 import numpy as np
 import pytest
 
-from icurisk.autodiff import (
-    ShapeMismatchError,
-    Tape,
-    Tensor,
-    check_gradients,
-    max_relative_error,
-    softmax,
-)
+from icurisk import autodiff
+from icurisk.autodiff import ShapeMismatchError, check_gradients, max_relative_error
+from icurisk.model import ModelConfig, ModelParams, forward_batch
+
+from tape_oracle import Tape, Tensor, softmax
+from test_golden import ARCHITECTURES
 
 
 class TestForwardValues:
@@ -211,7 +211,16 @@ class TestBackward:
                 score = tape.add(tape.matmul(w2, pooled), tape.matmul(w3, joint))
                 return tape, tape.binary_cross_entropy(tape.sigmoid(score), 1)
 
-            err = check_gradients(build, [w1, w2, w3, b], step=1e-5)
+            named = list(zip(("w1", "w2", "w3", "b"), (w1, w2, w3, b)))
+
+            def loss_and_grads():
+                for _, t in named:
+                    t.zero_grad()
+                tape, loss = build()
+                tape.backward(loss)
+                return loss.data.item(), {name: t.grad for name, t in named}
+
+            err = check_gradients(loss_and_grads, [(n, t.data) for n, t in named], step=1e-5)
             assert err < 1e-4, f"trial {trial}: {err}"
 
     def test_dead_branch_leaves_grad_none(self):
@@ -230,3 +239,41 @@ class TestMaxRelativeError:
     def test_small_denominator_floor(self):
         # Both near zero: the 1e-8 floor keeps noise from exploding the ratio.
         assert max_relative_error(np.array([1e-12]), np.array([0.0])) == pytest.approx(1e-4)
+
+
+class TestModelTape:
+    @pytest.mark.parametrize("arch", list(ARCHITECTURES))
+    def test_backward_gives_one_gradient_per_named_parameter(self, arch):
+        cfg = ModelConfig(input_dim=4, hidden=3, heads=2, attn_hidden=3, **ARCHITECTURES[arch])
+        params = ModelParams.init(cfg, np.random.default_rng(0))
+        lengths = [1, 1] if arch == "lr-baseline" else [3, 1, 5]
+        rng = np.random.default_rng(1)
+        batch = forward_batch([rng.normal(size=(t, 4)) for t in lengths], params,
+                              train=True, rng=rng)
+        grads = batch.tape.backward(np.ones(len(lengths)), params.named_parameters())
+        assert list(grads) == [name for name, _ in params.named_parameters()]
+        for name, array in params.named_parameters():
+            assert grads[name].shape == array.shape, name
+
+    def test_backward_pops_every_entry(self):
+        tape = autodiff.Tape()
+        tape.record("double", "y", ("w",), lambda g: (2.0 * g,))
+        named = [("w", np.ones(2))]
+        np.testing.assert_array_equal(tape.backward(np.ones(2), named)["w"], [2.0, 2.0])
+        assert tape.entries == []
+        with pytest.raises(ValueError, match="no entries"):
+            tape.backward(np.ones(2), named)
+
+    def test_rewritten_names_and_shared_reads_route_by_name(self):
+        # x = 3 w; x = x * x (rewrites x); y = x + w: dy/dw = 18 w + 1.
+        w = np.array([0.5, -2.0])
+        tape = autodiff.Tape()
+        x = 3.0 * w
+        tape.record("scale", "x", ("w",), lambda g: (3.0 * g,))
+        tape.record("square", "x", ("x",), lambda g, x=x: (2.0 * x * g,))
+        tape.record("add", "y", ("x", "w"), lambda g: (g, g))
+        tape.record("dead", "other", ("w",), lambda g: pytest.fail("dead branch ran"))
+        tape.record("out", "y", ("y",), lambda g: (g,))
+        grads = tape.backward(np.ones(2), [("w", w), ("unused", np.zeros(3))])
+        np.testing.assert_allclose(grads["w"], 18.0 * w + 1.0, atol=1e-12)
+        np.testing.assert_array_equal(grads["unused"], np.zeros(3))

@@ -149,6 +149,12 @@ class TestTrain:
         folds = [l.split(",")[1] for l in lines[1:] if l.split(",")[1].isdigit()]
         assert folds == ["1"]
 
+    @pytest.mark.parametrize("fold", ["7", "-1"])
+    def test_fold_outside_the_split_fails(self, store, tmp_path, capsys, fold):
+        assert run("train", "--store", store, "--out", tmp_path / "out", *TRAIN_FAST,
+                   "--fold", fold) == 1
+        assert f"fold {fold} does not exist: k=2" in capsys.readouterr().err
+
     def test_rerun_results_byte_identical(self, store, tmp_path):
         outs = [tmp_path / "r1", tmp_path / "r2"]
         for out in outs:

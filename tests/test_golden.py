@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icurisk.model import ModelConfig, ModelParams, forward_episode, v1_arrays
+from icurisk.model import ModelConfig, ModelParams, forward_episode, loss_and_grads, v1_arrays
 
 GOLDEN = Path(__file__).with_name("forward_golden.json")
 TOLERANCE = 1e-12
@@ -54,11 +54,12 @@ def run_case(name: str) -> dict:
         array[...] = rng.normal(0.0, 0.7, size=array.shape)
     X = rng.normal(0.0, 1.5, size=(t, cfg.input_dim))
 
-    result = forward_episode(X, params, train=mode == "train",
-                             rng=np.random.default_rng(seed + 1))
-    result.tape.backward(result.tape.binary_cross_entropy(result.output, seed % 2))
-    for _, tensor in params.named_parameters():  # read the gradients under v1 names
-        tensor.data = tensor.grad
+    train = mode == "train"
+    result = forward_episode(X, params, train=train, rng=np.random.default_rng(seed + 1))
+    _, grads = loss_and_grads(params, [X], [seed % 2],
+                              np.random.default_rng(seed + 1) if train else None)
+    for name, array in params.named_parameters():  # read the gradients under v1 names
+        array[...] = grads[name]
     out = {
         "risk": result.risk,
         "grads": {n: grad.ravel().tolist() for n, grad in v1_arrays(params)},

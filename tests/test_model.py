@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icurisk.autodiff import ShapeMismatchError, Tape, Tensor
+from icurisk.autodiff import ShapeMismatchError, Tape
 from icurisk.model import (
     AttentionHead,
     Classifier,
@@ -21,7 +21,9 @@ from icurisk.model import (
     forward_episode,
     grad_check,
     load_model,
+    loss_and_grads,
     lstm_cell,
+    mean_rows,
     pool_heads,
     run_lstm,
     save_model,
@@ -50,9 +52,9 @@ def _dot_row(matrix, row, vector):
     return sum(matrix[row][k] * vector[k] for k in range(len(vector)))
 
 
-def gate_blocks(tensor):
-    """The i, f, o, c blocks of a stacked LSTM tensor, as views."""
-    return np.split(tensor.data, 4)
+def gate_blocks(array):
+    """The i, f, o, c blocks of a stacked LSTM array, as views."""
+    return np.split(array, 4)
 
 
 def lstm_cell_oracle(x, h_prev, c_prev, d):
@@ -88,12 +90,12 @@ def random_direction(rng, hidden, dim, scale=0.5):
     """Each gate's W, U and b drawn in turn (i, f, o, c), then stacked."""
     shapes = ((hidden, dim), (hidden, hidden), (hidden,))
     gates = [[rng.normal(0, scale, size=shape) for shape in shapes] for _ in range(4)]
-    return LstmDirection(*(Tensor(np.concatenate(blocks)) for blocks in zip(*gates)))
+    return LstmDirection(*(np.concatenate(blocks) for blocks in zip(*gates)))
 
 
 def zero_direction(hidden, dim):
-    return LstmDirection(Tensor(np.zeros((4 * hidden, dim))),
-                         Tensor(np.zeros((4 * hidden, hidden))), Tensor(np.zeros(4 * hidden)))
+    return LstmDirection(np.zeros((4 * hidden, dim)), np.zeros((4 * hidden, hidden)),
+                         np.zeros(4 * hidden))
 
 
 def set_gate_biases(d, input_gate, forget_gate):
@@ -110,14 +112,14 @@ def candidate_memory(x, h_prev, d):
 def cell(x, h_prev, c_prev, d):
     """One cell update from raw input and previous states, run as a batch
     of one; returns (h, c)."""
-    z = d.W.data @ x + d.U.data @ h_prev + d.b.data
+    z = d.W @ x + d.U @ h_prev + d.b
     h, c, _ = lstm_cell(z[None], c_prev[None])
     return h[0], c[0]
 
 
 def lstm_states(X, d, reverse=False):
     """One episode's states, run as a batch of one."""
-    return run_lstm(Tape(), X[None], np.array([len(X)]), d, reverse=reverse).data[0]
+    return run_lstm(Tape(), X[None], np.array([len(X)]), d, reverse=reverse)[0]
 
 
 class TestLstmCell:
@@ -234,7 +236,7 @@ class TestBiLstm:
 
 
 def make_head(M, b, v, c):
-    return AttentionHead(M=Tensor(M), b=Tensor(b), v=Tensor(v), c=Tensor(c))
+    return AttentionHead(*(np.asarray(a, dtype=np.float64) for a in (M, b, v, c)))
 
 
 def zero_head(attn_hidden, width):
@@ -244,11 +246,16 @@ def zero_head(attn_hidden, width):
 
 def attention_weights(states, head):
     """One episode's weights over its states, run as a batch of one."""
-    return attend(Tape(), Tensor(states[None]), np.array([len(states)]), head)[1][0]
+    return attend(Tape(), states[None], np.array([len(states)]), head)[1][0]
 
 
 def reading(states, head):
-    return attend(Tape(), Tensor(states[None]), np.array([len(states)]), head)[0].data[0]
+    return attend(Tape(), states[None], np.array([len(states)]), head)[0][0]
+
+
+def mean_pool(states):
+    """One episode's mean over its states, run as a batch of one."""
+    return mean_rows(Tape(), states[None], np.array([len(states)]))[0]
 
 
 class TestAttention:
@@ -300,56 +307,67 @@ class TestAttention:
 
 class TestPooling:
     def test_single_head_identity(self):
-        reading = Tensor([1.0, 2.0])
-        assert pool_heads(Tape(), [reading]) is reading
+        reading = np.array([1.0, 2.0])
+        np.testing.assert_array_equal(pool_heads(Tape(), [reading]), reading)
 
     def test_elementwise_max(self):
-        out = pool_heads(Tape(), [Tensor([1.0, -2.0]), Tensor([0.0, 5.0])]).data
+        out = pool_heads(Tape(), [np.array([1.0, -2.0]), np.array([0.0, 5.0])])
         np.testing.assert_array_equal(out, [1.0, 5.0])
 
     def test_identical_heads(self):
-        out = pool_heads(Tape(), [Tensor([3.0, 4.0]), Tensor([3.0, 4.0])]).data
+        out = pool_heads(Tape(), [np.array([3.0, 4.0]), np.array([3.0, 4.0])])
         np.testing.assert_array_equal(out, [3.0, 4.0])
 
     def test_head_permutation_invariance(self):
         rng = np.random.default_rng(11)
-        readings = [Tensor(rng.normal(size=6)) for _ in range(3)]
-        forward = pool_heads(Tape(), readings).data
-        shuffled = pool_heads(Tape(), readings[::-1]).data
+        readings = [rng.normal(size=6) for _ in range(3)]
+        forward = pool_heads(Tape(), readings)
+        shuffled = pool_heads(Tape(), readings[::-1])
         np.testing.assert_array_equal(forward, shuffled)
 
     def test_mean_pool_values(self):
-        np.testing.assert_array_equal(Tape().mean(Tensor([[2.0, 0.0], [0.0, 2.0]])).data,
-                                      [1.0, 1.0])
-        np.testing.assert_array_equal(Tape().mean(Tensor([[5.0, 6.0]])).data, [5.0, 6.0])
+        np.testing.assert_array_equal(mean_pool(np.array([[2.0, 0.0], [0.0, 2.0]])), [1.0, 1.0])
+        np.testing.assert_array_equal(mean_pool(np.array([[5.0, 6.0]])), [5.0, 6.0])
 
     def test_mean_pool_equals_uniform_read_head(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
             states = rng.normal(size=(int(rng.integers(1, 9)), 5))
-            averaged = Tape().mean(Tensor(states)).data
+            averaged = mean_pool(states)
             uniform = reading(states, zero_head(3, 5))
             assert np.abs(averaged - uniform).max() <= 1e-12
 
 
 class TestClassifier:
     def test_zero_weights_give_half(self):
-        cls = Classifier(w=Tensor(np.zeros((1, 4))), b=Tensor(np.zeros(1)))
-        assert classify(Tape(), Tensor(np.ones((1, 4))), cls).data[0] == 0.5
+        cls = Classifier(w=np.zeros((1, 4)), b=np.zeros(1))
+        assert classify(Tape(), np.ones((1, 4)), cls)[0] == 0.5
 
     def test_log3_bias_gives_three_quarters(self):
-        cls = Classifier(w=Tensor(np.zeros((1, 2))), b=Tensor([math.log(3)]))
-        assert classify(Tape(), Tensor(np.zeros((1, 2))), cls).data[0] == pytest.approx(0.75)
+        cls = Classifier(w=np.zeros((1, 2)), b=np.array([math.log(3)]))
+        assert classify(Tape(), np.zeros((1, 2)), cls)[0] == pytest.approx(0.75)
 
     def test_monotone_in_score(self):
-        cls = Classifier(w=Tensor(np.ones((1, 1))), b=Tensor(np.zeros(1)))
-        probs = [classify(Tape(), Tensor([[z]]), cls).data[0] for z in np.linspace(-3, 3, 25)]
+        cls = Classifier(w=np.ones((1, 1)), b=np.zeros(1))
+        probs = [classify(Tape(), np.array([[z]]), cls)[0] for z in np.linspace(-3, 3, 25)]
         assert all(a < b for a, b in zip(probs, probs[1:]))
 
     def test_log_loss_values(self):
-        tape = Tape()
-        assert tape.binary_cross_entropy(Tensor([0.5]), 1).data[0] == pytest.approx(math.log(2))
-        assert tape.binary_cross_entropy(Tensor([0.9]), 0).data[0] == pytest.approx(2.302585, abs=1e-6)
+        # A zero-weight logistic model scores sigmoid(b) whatever the input.
+        params = ModelParams.zeros(ModelConfig(input_dim=2, recurrent=False,
+                                               dropout_in=0.0, dropout_out=0.0))
+        X = np.ones((1, 2))
+        assert loss_and_grads(params, [X], [1])[0] == pytest.approx(math.log(2))
+        params.classifier.b[0] = math.log(9)  # p = 0.9
+        assert loss_and_grads(params, [X], [0])[0] == pytest.approx(2.302585, abs=1e-6)
+
+    def test_log_loss_rejects_bad_labels(self):
+        params = ModelParams.zeros(ModelConfig(input_dim=2, recurrent=False,
+                                               dropout_in=0.0, dropout_out=0.0))
+        with pytest.raises(ShapeMismatchError, match="1 labels for 2 episodes"):
+            loss_and_grads(params, [np.ones((1, 2))] * 2, [1])
+        with pytest.raises(ValueError, match="0 or 1"):
+            loss_and_grads(params, [np.ones((1, 2))], [2])
 
 
 class TestForwardEpisode:
@@ -439,14 +457,12 @@ class TestForwardEpisode:
 
     def test_zero_model_gradients_finite(self):
         cfg, params = self._model()
-        for _, tensor in params.named_parameters():
-            tensor.data = np.zeros_like(tensor.data)
+        for _, array in params.named_parameters():
+            array[...] = 0.0
         X = np.random.default_rng(22).normal(size=(4, 6))
-        result = forward_episode(X, params)
-        result.tape.backward(result.tape.binary_cross_entropy(result.output, 1))
-        for _, tensor in params.named_parameters():
-            if tensor.grad is not None:
-                assert np.isfinite(tensor.grad).all()
+        _, grads = loss_and_grads(params, [X], [1])
+        for grad in grads.values():
+            assert np.isfinite(grad).all()
 
 
 ORACLE_TOLERANCE = 1e-12
@@ -461,22 +477,21 @@ def batch_against_oracle(arch, lengths, train, seed):
                       dropout_in=0.3, dropout_out=0.4, **ARCHITECTURES[arch])
     rng = np.random.default_rng(seed)
     params = ModelParams.init(cfg, rng)
-    for _, tensor in params.named_parameters():  # no zero biases
-        tensor.data = rng.normal(0.0, 0.7, size=tensor.shape)
+    for _, array in params.named_parameters():  # no zero biases
+        array[...] = rng.normal(0.0, 0.7, size=array.shape)
     matrices = [rng.normal(0.0, 1.5, size=(t, cfg.input_dim)) for t in lengths]
     labels = rng.integers(0, 2, size=len(lengths))
 
     reference_rng, batch_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     reference, reference_loss, reference_grads = oracle.batch_gradients(
         matrices, labels, params, train, reference_rng)
-    batch = forward_batch(matrices, params, train=train, rng=batch_rng)
-    loss = batch.tape.binary_cross_entropy(batch.output, labels)
-    batch.tape.backward(loss)
+    batch = forward_batch(matrices, params, train=train, rng=np.random.default_rng(seed + 1))
+    loss, grads = loss_and_grads(params, matrices, labels, batch_rng if train else None)
 
     assert batch_rng.bit_generator.state == reference_rng.bit_generator.state
     np.testing.assert_allclose(batch.risks, [r.risk for r in reference],
                                rtol=0, atol=ORACLE_TOLERANCE)
-    assert abs(loss.data[0] - reference_loss) <= ORACLE_TOLERANCE
+    assert abs(loss - reference_loss) <= ORACLE_TOLERANCE
     for row, (t, r) in enumerate(zip(lengths, reference)):
         if r.trace is None:
             assert batch.weights is None
@@ -486,8 +501,9 @@ def batch_against_oracle(arch, lengths, train, seed):
         assert not batch.weights[row, :, t:].any()  # padding gets no weight
         np.testing.assert_allclose(batch.states[row, :t], r.trace.states,
                                    rtol=0, atol=ORACLE_TOLERANCE)
-    for name, tensor in params.named_parameters():
-        np.testing.assert_allclose(tensor.grad, reference_grads[name],
+    assert list(grads) == list(reference_grads)
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, reference_grads[name],
                                    rtol=0, atol=ORACLE_TOLERANCE, err_msg=name)
 
 
@@ -546,10 +562,10 @@ class TestPersistence:
         save_model(path, params, stats)
         loaded, loaded_stats = load_model(path)
         assert loaded.config == cfg
-        for (name_a, t_a), (name_b, t_b) in zip(params.named_parameters(),
-                                                loaded.named_parameters()):
+        for (name_a, a), (name_b, b) in zip(params.named_parameters(),
+                                            loaded.named_parameters()):
             assert name_a == name_b
-            np.testing.assert_array_equal(t_a.data, t_b.data)
+            np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(loaded_stats.normalization.mean,
                                       stats.normalization.mean)
 
@@ -574,17 +590,17 @@ class TestPersistence:
         cfg = ModelConfig(input_dim=5, hidden=3, heads=2, bidirectional=True)
         drawn = ModelParams.init(cfg, np.random.default_rng(0))
         blank = ModelParams.zeros(cfg)
-        assert [(n, t.shape) for n, t in blank.named_parameters()] == [
-            (n, t.shape) for n, t in drawn.named_parameters()]
-        assert not any(t.data.any() for n, t in blank.named_parameters()
+        assert [(n, a.shape) for n, a in blank.named_parameters()] == [
+            (n, a.shape) for n, a in drawn.named_parameters()]
+        assert not any(a.any() for n, a in blank.named_parameters()
                        if n.endswith((".W", ".U", ".M", ".v", ".w")))
 
     def test_copy_is_independent(self):
         cfg = ModelConfig(input_dim=4, hidden=2)
         params = ModelParams.init(cfg, np.random.default_rng(25))
         clone = params.copy()
-        clone.classifier.w.data[...] = 99.0
-        assert not (params.classifier.w.data == 99.0).any()
+        clone.classifier.w[...] = 99.0
+        assert not (params.classifier.w == 99.0).any()
 
 
 def _edit_saved_model(tmp_path, edit):
@@ -651,7 +667,7 @@ class TestMalformedModelFile:
         # Finiteness is checked where risks are produced, not at load.
         path = _edit_saved_model(tmp_path, _set("params", "out.w", "data", 0, float("nan")))
         params, _ = load_model(path)
-        assert np.isnan(params.classifier.w.data[0, 0])
+        assert np.isnan(params.classifier.w[0, 0])
 
 
 # Written with the per-gate implementation that introduced format v1; the
@@ -685,4 +701,4 @@ class TestFormatV1:
                                      "out.w", "out.b"]
         np.testing.assert_array_equal(arrays["fw.bf"], 1.0)  # forget gate starts at +1
         arrays["bw.Uo"][...] = 7.0
-        np.testing.assert_array_equal(params.backward_lstm.U.data[4:6], 7.0)
+        np.testing.assert_array_equal(params.backward_lstm.U[4:6], 7.0)

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from icurisk.autodiff import Tensor
 from icurisk.ingest import parse_record
-from icurisk.model import ModelConfig, ModelParams
+from icurisk.model import ModelConfig, ModelParams, load_model, save_model, v1_arrays
 from icurisk.preprocess import EpisodeFeatures
 from icurisk.train import (
     Adam,
@@ -154,15 +153,30 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), t=0, lr=1e-3)
 
-    def test_optimizer_class_reads_tensor_grads(self):
-        tensor = Tensor(np.array([1.0]))
-        tensor.grad = np.array([2.0])
-        opt = Adam([tensor], lr=1e-3)
-        opt.step()
-        assert tensor.data[0] == pytest.approx(1.0 - 1e-3, abs=1e-9)
-        tensor.grad = None  # treated as zero gradient
-        opt.step()
-        assert np.isfinite(tensor.data).all()
+    def test_optimizer_class_steps_named_arrays_in_place(self):
+        array = np.array([1.0])
+        opt = Adam([("x", array)], lr=1e-3)
+        opt.step({"x": np.array([2.0])})
+        assert array[0] == pytest.approx(1.0 - 1e-3, abs=1e-9)
+        opt.step({"x": np.zeros(1)})
+        assert np.isfinite(array).all()
+
+    def test_step_keeps_v1_views_valid(self, tmp_path):
+        feats = separable_features(n=8, intervals=3, dim=8, seed=6)
+        params = train_fold(feats, feats, _quick_cfg(max_epochs=2, patience=2),
+                            _small_model(bidirectional=True), seed=0).params
+        views = v1_arrays(params)
+        before = [view.copy() for _, view in views]
+        Adam(params.named_parameters(), lr=1e-2).step(
+            {name: np.ones_like(array) for name, array in params.named_parameters()})
+        for (name, view), (_, fresh), old in zip(views, v1_arrays(params), before):
+            np.testing.assert_array_equal(view, fresh, err_msg=name)
+            assert not np.array_equal(view, old), name
+        save_model(tmp_path / "model.json", params)
+        loaded, _ = load_model(tmp_path / "model.json")
+        for (name, array), (_, again) in zip(params.named_parameters(),
+                                             loaded.named_parameters()):
+            np.testing.assert_array_equal(array, again, err_msg=name)
 
 
 class TestAuc:
@@ -234,6 +248,11 @@ class TestTrainFold:
                              for f in feats])
         relabeled = np.array([f.label for f in feats])
         assert auc(rescored, relabeled) == result.val_auc
+
+    def test_empty_training_split_names_the_fold(self):
+        feats = separable_features(n=8, intervals=3, dim=8, seed=4)
+        with pytest.raises(ValueError, match="fold 4: the training split has no episodes"):
+            train_fold([], feats, _quick_cfg(max_epochs=1), _small_model(), fold=4)
 
     def test_empty_validation_split_names_the_auc_problem(self):
         feats = separable_features(n=8, intervals=3, dim=8, seed=4)
@@ -334,6 +353,13 @@ class TestCrossValidate:
         result = cross_validate(episodes, cfg, _small_model(input_dim=185, hidden=3),
                                 only_fold=1)
         assert [f.fold for f in result.folds] == [1]
+
+    @pytest.mark.parametrize("fold", [2, 7, -1])
+    def test_fold_outside_the_split_rejected_before_training(self, fold, monkeypatch):
+        monkeypatch.setattr("icurisk.train.fit_pipeline", lambda *a: pytest.fail("fitted"))
+        with pytest.raises(ValueError, match=rf"fold {fold} does not exist: k=2"):
+            cross_validate(_toy_episodes(), TrainConfig(folds=2), _small_model(input_dim=185),
+                           only_fold=fold)
 
     def test_single_class_fold_rejected_before_training(self):
         episodes = _toy_episodes(n=10)
