@@ -218,41 +218,32 @@ class ModelParams:
 # -- forward operations -----------------------------------------------------
 
 
-def lstm_cell(z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One memory/state update from the stacked gate pre-activations.
+def lstm_cell(z: np.ndarray, c_prev: np.ndarray, c: np.ndarray, h: np.ndarray,
+              tanh_c: np.ndarray) -> None:
+    """One memory/state update, written in place.
 
     ``z`` is W x + U h_prev + b for a batch (one row per episode), with the
-    gates stacked in i, f, o, c order along each row.  Returns (h, c, acts),
-    acts being the four activated gates, stacked as in ``z``.
+    gates stacked in i, f, o, c order along each row; it is overwritten
+    with the four activated gates.  One tanh activates all four, as
+    sigmoid(x) = (1 + tanh(x / 2)) / 2.  The new memory goes to ``c``, its
+    tanh to ``tanh_c`` and the new state to ``h``.
     """
-    n = c_prev.shape[1]
-    acts = np.concatenate((sigmoid(z[:, :3 * n]), np.tanh(z[:, 3 * n:])), axis=1)
-    i, f, o, c_cand = _gates(acts)
-    c = f * c_prev + i * c_cand
-    return o * np.tanh(c), c, acts
+    ifo = z[:, :3 * c_prev.shape[1]]
+    ifo *= 0.5
+    np.tanh(z, out=z)
+    ifo *= 0.5
+    ifo += 0.5
+    i, f, o, c_cand = _gates(z)
+    np.multiply(f, c_prev, out=c)
+    c += i * c_cand
+    np.tanh(c, out=tanh_c)
+    np.multiply(o, tanh_c, out=h)
 
 
-def _gates(stacked: np.ndarray) -> np.ndarray:
-    """The i, f, o, c blocks of each row of a batch x 4h array, as a view
-    of shape 4 x batch x h."""
-    return stacked.reshape(len(stacked), 4, -1).transpose(1, 0, 2)
-
-
-def _step_rows(lengths: np.ndarray, steps: int, reverse: bool) -> list[tuple]:
-    """Per step, the index of the padded row each episode reads.
-
-    Forward, step t reads row t.  In reverse each episode is read
-    last-to-first within its own length, and its padding rows keep their
-    place after it, so the padding never feeds a real state.
-    """
-    if not reverse:
-        return [(slice(None), t) for t in range(steps)]
-    if (lengths == steps).all():  # no padding: one row for the whole batch
-        return [(slice(None), steps - 1 - t) for t in range(steps)]
-    t = np.arange(steps)
-    rows = np.where(t < lengths[:, None], lengths[:, None] - 1 - t, t)
-    batch = np.arange(len(lengths))
-    return [(batch, rows[:, k]) for k in range(steps)]
+def _gates(stacked: np.ndarray) -> list[np.ndarray]:
+    """The i, f, o, c blocks along the last axis of a ... x 4h array, as views."""
+    n = stacked.shape[-1] // 4
+    return [stacked[..., k * n:(k + 1) * n] for k in range(4)]
 
 
 def run_lstm(tape: Tape, X: np.ndarray, lengths: np.ndarray, d: LstmDirection,
@@ -273,38 +264,53 @@ def run_lstm(tape: Tape, X: np.ndarray, lengths: np.ndarray, d: LstmDirection,
         raise ValueError("run_lstm: need at least one interval per episode")
     W, U, b = d.W, d.U, d.b
     n = U.shape[1]
-    pre = (X.reshape(batch * steps, -1) @ W.T).reshape(batch, steps, 4 * n)
-    pre += b
-    rows = _step_rows(lengths, steps, reverse)
-    H = np.zeros((steps + 1, batch, n))  # in step order: H[0] is the zero initial
-    C = np.zeros((steps + 1, batch, n))  # state, H[t + 1] the state after step t
-    acts = np.empty((steps, batch, 4 * n))
-    states = np.empty((batch, steps, n))
+    # Step t of episode e reads input row rows[t, e]: row t, or in reverse
+    # row lengths[e] - 1 - t within its own length; padding rows keep their
+    # place after it, so the padding never feeds a real state.  The arrays
+    # below are in step order (steps x batch x ...), gathered once.
+    step = np.arange(steps)[:, None]
+    rows = np.where((step < lengths) & reverse, lengths - 1 - step, step)
+    cols = np.arange(batch)
+    acts = (X.reshape(batch * steps, -1) @ W.T).reshape(batch, steps, 4 * n)[cols, rows]
+    acts += b  # each step adds U h_prev, then activates in place
+    H = np.zeros((steps + 1, batch, n))  # H[0] is the zero initial state,
+    C = np.zeros((steps + 1, batch, n))  # H[t + 1] the state after step t
+    tanh_C = np.empty((steps, batch, n))
     UT = U.T
-    for t, row in enumerate(rows):
-        H[t + 1], C[t + 1], acts[t] = lstm_cell(pre[row] + H[t] @ UT, C[t])
-        states[row] = H[t + 1]
+    for t in range(steps):
+        acts[t] += H[t] @ UT
+        lstm_cell(acts[t], C[t], C[t + 1], H[t + 1], tanh_C[t])
+    states = np.empty((batch, steps, n))
+    states[cols, rows] = H[1:]
 
     def backward(g):  # backprop through time, last step first
-        dW, dU, db = np.zeros_like(W), np.zeros_like(U), np.zeros_like(b)
-        dz = np.empty((batch, 4 * n))
-        di, df, do, dc_cand = _gates(dz)
+        i, f, o, c_cand = _gates(acts)
+        # dZ starts as each gate's local derivative; step t scales it by the
+        # gradient reaching the gate, dc for i, f and c_cand, dh for o.
+        dZ = np.empty_like(acts)
+        di, df, do, dc_cand = _gates(dZ)
+        np.multiply(c_cand * i, 1.0 - i, out=di)
+        np.multiply(C[:-1] * f, 1.0 - f, out=df)
+        np.multiply(tanh_C * o, 1.0 - o, out=do)
+        np.multiply(i, 1.0 - c_cand * c_cand, out=dc_cand)
+        d_tanh = o * (1.0 - tanh_C * tanh_C)
+        g = g[cols, rows]  # the states' gradient, in step order
         dh, dc = np.zeros((batch, n)), np.zeros((batch, n))  # from step t + 1
         for t in reversed(range(steps)):
-            i, f, o, c_cand = _gates(acts[t])
-            tanh_c = np.tanh(C[t + 1])
-            dh = dh + g[rows[t]]
-            dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-            di[...] = dc * c_cand * i * (1.0 - i)
-            df[...] = dc * C[t] * f * (1.0 - f)
-            do[...] = dh * tanh_c * o * (1.0 - o)
-            dc_cand[...] = dc * i * (1.0 - c_cand * c_cand)
-            dW += dz.T @ X[rows[t]]
-            dU += dz.T @ H[t]
-            db += dz.sum(axis=0)
-            dh = dz @ U
-            dc = dc * f
-        return dW, dU, db
+            dh += g[t]
+            dc += dh * d_tanh[t]
+            di[t] *= dc
+            df[t] *= dc
+            do[t] *= dh
+            dc_cand[t] *= dc
+            dh = dZ[t] @ U
+            dc *= f[t]
+        dz = dZ.reshape(steps * batch, 4 * n)
+        dU = dz.T @ H[:-1].reshape(steps * batch, n)
+        db = dz.sum(axis=0)
+        dZ_rows = np.empty((batch, steps, 4 * n))  # back to input order, against X
+        dZ_rows[cols, rows] = dZ
+        return dZ_rows.reshape(batch * steps, 4 * n).T @ X.reshape(batch * steps, -1), dU, db
 
     prefix = "bw" if reverse else "fw"
     tape.record("lstm", "bw" if reverse else "states",
@@ -388,26 +394,28 @@ def classify(tape: Tape, z: np.ndarray, classifier: Classifier) -> np.ndarray:
 
 def _draw_dropout(X: np.ndarray, lengths: np.ndarray, cfg: ModelConfig,
                   rng: np.random.Generator | None) -> np.ndarray | None:
-    """Inverted dropout masks, drawn episode by episode: input, then output.
-
-    That is the order in which scoring the episodes one at a time draws
-    them.  The input mask multiplies ``X`` in place (no gradient flows into
-    the features, so it is not kept); the output masks are returned, one
-    row per episode, or None at rate 0.  A rate of 0 draws nothing.
+    """Inverted dropout masks from one draw for the whole batch, laid out
+    episode by episode, input mask then output mask: the numbers that scoring
+    the episodes one at a time draws, as ``rng.random(a + b)`` gives those of
+    ``rng.random(a)`` and then ``rng.random(b)``.  The input mask multiplies
+    ``X`` in place (no gradient flows into the features, so it is not kept);
+    the output masks are returned, one row per episode, or None at rate 0.
+    A rate of 0 draws nothing.
     """
     if not (cfg.dropout_in or cfg.dropout_out):
         return None
     if rng is None:
         raise ValueError("dropout in training mode needs a random generator")
-    out_mask = np.empty((len(lengths), cfg.state_dim)) if cfg.dropout_out else None
-    for row, steps in enumerate(lengths):
-        if cfg.dropout_in:
-            X[row, :steps] *= (rng.random((steps, X.shape[2])) >= cfg.dropout_in) / (
-                1.0 - cfg.dropout_in)
-        if cfg.dropout_out:
-            out_mask[row] = (rng.random(cfg.state_dim) >= cfg.dropout_out) / (
-                1.0 - cfg.dropout_out)
-    return out_mask
+    width, out_width = X.shape[2], cfg.state_dim if cfg.dropout_out else 0
+    sizes = lengths * width * bool(cfg.dropout_in) + out_width
+    ends = np.cumsum(sizes)
+    u = rng.random(ends[-1])
+    if cfg.dropout_in:
+        keep = (u >= cfg.dropout_in) / (1.0 - cfg.dropout_in)
+        for row, (steps, start) in enumerate(zip(lengths, ends - sizes)):
+            X[row, :steps] *= keep[start:start + steps * width].reshape(steps, width)
+    last = ends[:, None] - out_width + np.arange(out_width)  # each episode's final draws
+    return (u[last] >= cfg.dropout_out) / (1.0 - cfg.dropout_out) if out_width else None
 
 
 def forward_batch(matrices, params: ModelParams, train: bool = False,
@@ -417,7 +425,7 @@ def forward_batch(matrices, params: ModelParams, train: bool = False,
     The matrices are padded at the end to the longest and run as one
     batch; each layer records one tape entry for the whole batch.  In
     training mode, inverted dropout is applied to the inputs and to the
-    pooled features z, drawing from ``rng`` episode by episode.
+    pooled features z, from one draw of ``rng`` laid out episode by episode.
     Evaluation mode is fully deterministic.
     """
     cfg = params.config

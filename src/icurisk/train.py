@@ -139,7 +139,10 @@ def adam_step(values: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndarra
 
 class Adam:
     """Adam over named parameter arrays, updating each one in place, so
-    views into them (such as :func:`~icurisk.model.v1_arrays`) stay valid."""
+    views into them (such as :func:`~icurisk.model.v1_arrays`) stay valid.
+    The moments are one flat vector each, and a step runs the operations of
+    :func:`adam_step`, in its order, once over all of them: bit for bit the
+    same values."""
 
     def __init__(self, named_arrays, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -149,15 +152,23 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(a) for _, a in self.named_arrays]
-        self.v = [np.zeros_like(a) for _, a in self.named_arrays]
+        self.m = np.zeros(sum(a.size for _, a in self.named_arrays))
+        self.v = np.zeros_like(self.m)
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         """One update from ``grads``, which holds one gradient per name."""
         self.t += 1
-        for (name, array), m, v in zip(self.named_arrays, self.m, self.v):
-            array[...] = adam_step(array, grads[name], m, v, self.t, self.lr,
-                                   self.beta1, self.beta2, self.eps)
+        g = np.concatenate([grads[name] for name, _ in self.named_arrays], axis=None)
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        self.m *= self.beta1
+        self.m += np.multiply(1.0 - self.beta1, g, out=g)
+        step = np.multiply(self.lr, self.m / (1.0 - self.beta1 ** self.t), out=g)
+        step /= np.sqrt(self.v / (1.0 - self.beta2 ** self.t)) + self.eps
+        start = 0
+        for _, array in self.named_arrays:
+            array -= step[start:start + array.size].reshape(array.shape)
+            start += array.size
 
 
 def _score_all(features: list[EpisodeFeatures], params: ModelParams,
@@ -190,7 +201,7 @@ def train_fold(train_features: list[EpisodeFeatures],
 
     best_auc = -math.inf
     best_epoch = -1
-    best_params = params.copy()
+    best_params, best_scores = params.copy(), None
     epochs_since_best = 0
     train_losses: list[float] = []
 
@@ -213,26 +224,26 @@ def train_fold(train_features: list[EpisodeFeatures],
 
         train_losses.append(loss_sum / len(train_features))
 
-        epoch_auc = auc(_score_all(val_features, params, cfg.batch_size), val_labels)
+        scores = _score_all(val_features, params, cfg.batch_size)
+        epoch_auc = auc(scores, val_labels)
         if epoch_auc > best_auc:
             best_auc = epoch_auc
             best_epoch = epoch
-            best_params = params.copy()
+            best_params, best_scores = params.copy(), scores
             epochs_since_best = 0
         else:
             epochs_since_best += 1
             if epochs_since_best >= cfg.patience:
                 break
 
-    final_scores = _score_all(val_features, best_params, cfg.batch_size)
     return FoldResult(
         fold=fold,
         train_losses=train_losses,
-        val_auc=auc(final_scores, val_labels),
+        val_auc=best_auc,
         best_epoch=best_epoch,
         params=best_params,
         val_ids=[f.record_id for f in val_features],
-        val_scores=final_scores,
+        val_scores=best_scores,
         val_labels=val_labels,
     )
 

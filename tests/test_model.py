@@ -113,7 +113,8 @@ def cell(x, h_prev, c_prev, d):
     """One cell update from raw input and previous states, run as a batch
     of one; returns (h, c)."""
     z = d.W @ x + d.U @ h_prev + d.b
-    h, c, _ = lstm_cell(z[None], c_prev[None])
+    h, c, tanh_c = np.empty((3, 1, len(c_prev)))
+    lstm_cell(z[None], c_prev[None], c, h, tanh_c)
     return h[0], c[0]
 
 
@@ -468,13 +469,13 @@ class TestForwardEpisode:
 ORACLE_TOLERANCE = 1e-12
 
 
-def batch_against_oracle(arch, lengths, train, seed):
+def batch_against_oracle(arch, lengths, train, seed, rates=(0.3, 0.4)):
     """One padded batch against the per-episode oracle, on the same model,
     episodes, labels and generator seed: risks, attention weights and
     states, the mean loss, every parameter gradient and the generator state
-    afterwards must agree."""
+    afterwards must agree.  ``rates`` are the input and output dropout."""
     cfg = ModelConfig(input_dim=4, hidden=3, heads=2, attn_hidden=3,
-                      dropout_in=0.3, dropout_out=0.4, **ARCHITECTURES[arch])
+                      dropout_in=rates[0], dropout_out=rates[1], **ARCHITECTURES[arch])
     rng = np.random.default_rng(seed)
     params = ModelParams.init(cfg, rng)
     for _, array in params.named_parameters():  # no zero biases
@@ -507,13 +508,20 @@ def batch_against_oracle(arch, lengths, train, seed):
                                    rtol=0, atol=ORACLE_TOLERANCE, err_msg=name)
 
 
+# Input and output dropout rates per mode; the batch's one dropout draw is
+# laid out by which of the two masks are drawn.
+MODE_RATES = {"eval": (0.3, 0.4), "train": (0.3, 0.4),
+              "train-output-only": (0.0, 0.4), "train-input-only": (0.3, 0.0)}
+
+
 class TestForwardBatch:
-    @pytest.mark.parametrize("mode", ["eval", "train"])
+    @pytest.mark.parametrize("mode", list(MODE_RATES))
     @pytest.mark.parametrize("arch", list(ARCHITECTURES))
     def test_matches_per_episode_oracle(self, arch, mode):
         # Lengths 1 to 16 in one batch, the longest neither first nor last.
         lengths = [1] * 5 if arch == "lr-baseline" else [7, 1, 16, 2, 16, 11, 4]
-        batch_against_oracle(arch, lengths, mode == "train", seed=sum(map(ord, arch + mode)))
+        batch_against_oracle(arch, lengths, mode != "eval", seed=sum(map(ord, arch + mode)),
+                             rates=MODE_RATES[mode])
 
     def test_one_tape_entry_per_layer_whatever_the_batch(self):
         cfg = ModelConfig(input_dim=6, hidden=3, heads=2, bidirectional=True)

@@ -10,6 +10,7 @@ from icurisk.train import (
     Adam,
     TrainConfig,
     TrainingDiverged,
+    _score_all,
     adam_step,
     apply_variant,
     auc,
@@ -161,6 +162,20 @@ class TestAdam:
         opt.step({"x": np.zeros(1)})
         assert np.isfinite(array).all()
 
+    def test_step_matches_per_array_adam_step_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        shapes = {"W": (4, 3), "b": (4,), "c": (1,), "M": (2, 5)}
+        arrays = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        reference = {name: array.copy() for name, array in arrays.items()}
+        moments = {name: (np.zeros(shape), np.zeros(shape)) for name, shape in shapes.items()}
+        opt = Adam(list(arrays.items()), lr=3e-2)
+        for t in range(1, 4):
+            grads = {name: rng.normal(size=shape) * 10.0 ** -t for name, shape in shapes.items()}
+            opt.step(grads)
+            for name, grad in grads.items():
+                reference[name] = adam_step(reference[name], grad, *moments[name], t=t, lr=3e-2)
+                assert arrays[name].tobytes() == reference[name].tobytes(), (name, t)
+
     def test_step_keeps_v1_views_valid(self, tmp_path):
         feats = separable_features(n=8, intervals=3, dim=8, seed=6)
         params = train_fold(feats, feats, _quick_cfg(max_epochs=2, patience=2),
@@ -248,6 +263,8 @@ class TestTrainFold:
                              for f in feats])
         relabeled = np.array([f.label for f in feats])
         assert auc(rescored, relabeled) == result.val_auc
+        # The kept best-epoch scores are what scoring the kept parameters gives.
+        np.testing.assert_array_equal(result.val_scores, _score_all(feats, result.params, 8))
 
     def test_empty_training_split_names_the_fold(self):
         feats = separable_features(n=8, intervals=3, dim=8, seed=4)
