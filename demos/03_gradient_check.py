@@ -1,10 +1,12 @@
 """The model's backward pass, and proof its gradients match finite differences.
 
 Every layer computes a plain array and records one hand-written backward
-rule on the tape.  The demo lists the layers one forward pass records, for
-one episode and for a mixed batch (the same list), then sweeps one batch
-back to one gradient per named parameter, and finally runs the full-model
-gradient check used by the acceptance suite.
+rule on the tape, with the names of the parameters it reads; the layers
+form a chain, each taking the previous one's output.  The demo lists the
+layers one forward pass records, for one episode and for a mixed batch (the
+same list), then sweeps one batch back to one gradient per named
+parameter, and finally runs the full-model gradient check used by the
+acceptance suite.
 """
 
 import numpy as np
@@ -19,11 +21,11 @@ params = ModelParams.init(config, rng)
 
 
 def layers(tape):
-    return [f"{e.op}: {', '.join(e.reads)} -> {e.writes}" for e in tape.entries]
+    return [f"{e.op}: {', '.join(e.params)}" for e in tape.entries]
 
 
-# Each LSTM direction and each attention head is one entry, however many
-# intervals and episodes it covers.
+# The LSTM (both directions) and the attention (both heads and their max)
+# are one entry each, however many intervals and episodes they cover.
 episode = forward_episode(rng.normal(size=(16, 5)), params)
 print(f"a 16-interval forward pass recorded {len(episode.tape.entries)} layers:")
 print("\n".join("  " + line for line in layers(episode.tape)))

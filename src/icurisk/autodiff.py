@@ -1,18 +1,16 @@
 """The tape that carries the model's gradient back through its layers.
 
-The model's layers compute plain numpy arrays.  Each layer also records one
-:class:`TapeEntry` on a :class:`Tape`: the name of the value it writes, the
-names of the values and parameters it reads, and a hand-written backward
-rule that maps the gradient of what it wrote to one gradient per name it
-read.  Values are named as the variables of the forward pass are, so a
-layer may rewrite a name it read (``z = dropout(z)``).
+The model's layers compute plain numpy arrays and run as one chain: each
+takes the previous layer's output.  Each layer also records one
+:class:`TapeEntry` on a :class:`Tape`: the names of the parameters it
+reads and a hand-written backward rule that maps the gradient of its output
+to the gradient of its input (None where none flows, as into the features)
+followed by one gradient per parameter name.
 
-:meth:`Tape.backward` sweeps the entries last to first, popping each one as
-its rule runs, and keeps only the gradients still waiting for their
-producer plus the parameter gradients summed so far.  It returns one
-gradient per parameter the caller names.  A mini-batch is one tape:
-the layers work on the whole padded batch, so one sweep gives the batch's
-gradient.
+:meth:`Tape.backward` pops the entries last to first, handing each rule
+the input gradient of the layer after it, and returns one gradient per
+parameter the caller names.  A mini-batch is one tape: the layers work on
+the whole padded batch, so one sweep gives the batch's gradient.
 """
 
 from __future__ import annotations
@@ -33,51 +31,47 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-# A backward rule maps the gradient of the value an entry wrote to one
-# gradient per name it read (None for a name that gets no gradient).
+# A backward rule maps the gradient of a layer's output to the gradient of
+# its input (None if none flows) followed by one gradient per parameter.
 BackwardRule = Callable[[np.ndarray], tuple]
 
 
 @dataclass
 class TapeEntry:
     op: str
-    writes: str
-    reads: tuple[str, ...]
+    params: tuple[str, ...]
     backward: BackwardRule
 
 
 class Tape:
-    """The layers of one forward pass, in the order they ran."""
+    """The layers of one forward pass, in the order they ran, each taking
+    the previous one's output."""
 
     def __init__(self):
         self.entries: list[TapeEntry] = []
 
-    def record(self, op: str, writes: str, reads: Sequence[str],
-               backward: BackwardRule) -> None:
-        """Append one layer; ``backward`` returns one gradient per name in ``reads``."""
-        self.entries.append(TapeEntry(op, writes, tuple(reads), backward))
+    def record(self, op: str, params: Sequence[str], backward: BackwardRule) -> None:
+        """Append one layer reading the named parameters; ``backward``
+        returns its input's gradient, then one gradient per name."""
+        self.entries.append(TapeEntry(op, tuple(params), backward))
 
     def backward(self, grad: np.ndarray,
                  parameters: Sequence[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
         """Gradients of a loss whose gradient with respect to the last
-        entry's value is ``grad``: one per named parameter array, zero where
-        none flowed.
+        entry's output is ``grad``: one per named parameter array, zero
+        where none flowed.
 
         Empties the tape: each entry, and the activations its rule keeps,
         goes as soon as the rule has run.
         """
         if not self.entries:
             raise ValueError("backward: the tape has no entries (already swept?)")
-        pending = {self.entries[-1].writes: grad}
+        grads: dict[str, np.ndarray] = {}
         while self.entries:
             entry = self.entries.pop()
-            g = pending.pop(entry.writes, None)
-            if g is None:  # nothing downstream read this value
-                continue
-            for name, grad_in in zip(entry.reads, entry.backward(g)):
-                if grad_in is not None:
-                    pending[name] = pending[name] + grad_in if name in pending else grad_in
-        return {name: pending[name] if name in pending else np.zeros_like(array)
+            grad, *param_grads = entry.backward(grad)
+            grads.update(zip(entry.params, param_grads))
+        return {name: grads[name] if name in grads else np.zeros_like(array)
                 for name, array in parameters}
 
 

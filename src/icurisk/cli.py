@@ -68,14 +68,16 @@ def _write_manifest(path: Path, command: str, options: dict, seed: int,
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _parse_file(path: Path, parse):
+    """``parse`` of a file's text; an ingest error names the file."""
+    try:
+        return parse(path.read_text())
+    except ingest.IngestError as exc:
+        raise ingest.IngestError(f"{path}: {exc}") from exc
+
+
 def _read_records(paths: list[Path]) -> list[ingest.RawEpisode]:
-    episodes = []
-    for path in paths:
-        try:
-            episodes.append(ingest.parse_record(path.read_text()))
-        except ingest.IngestError as exc:
-            raise ingest.IngestError(f"{path}: {exc}") from exc
-    return episodes
+    return [_parse_file(path, ingest.parse_record) for path in paths]
 
 
 def _load_store(store: Path) -> list[ingest.RawEpisode]:
@@ -83,7 +85,7 @@ def _load_store(store: Path) -> list[ingest.RawEpisode]:
     if not episode_files:
         raise FileNotFoundError(f"no episodes found under {store / 'episodes'}")
     episodes = _read_records(episode_files)
-    labels = ingest.parse_outcomes((store / "labels.csv").read_text())
+    labels = _parse_file(store / "labels.csv", ingest.parse_outcomes)
     return ingest.join_labels(episodes, labels)
 
 
@@ -98,7 +100,7 @@ def cmd_preprocess(args) -> int:
     outcomes_path = Path(args.outcomes)
 
     episodes = _read_records(record_files)
-    labels = ingest.parse_outcomes(outcomes_path.read_text())
+    labels = _parse_file(outcomes_path, ingest.parse_outcomes)
     episodes = ingest.join_labels(episodes, labels)
 
     interval_minutes = args.interval_hours * 60
@@ -212,7 +214,7 @@ def _load_scoring_model(path: Path) -> tuple[ModelParams, preprocess.PipelineSta
     width = len(stats.feature_names)
     if params.config.input_dim != width:
         raise ModelFormatError(
-            f"feature width mismatch: model expects {params.config.input_dim}, "
+            f"{path}: feature width mismatch: model expects {params.config.input_dim}, "
             f"statistics provide {width}"
         )
     return params, stats

@@ -17,22 +17,22 @@ into the classifier feature z, and the risk is sigmoid(w . z + b).
 
 The model runs on a batch of episodes at once: their feature matrices are
 padded at the end to the longest (batch x intervals x features) and each
-episode's length is kept.  The parameters are plain arrays.  An LSTM
-direction, an attention head and each other layer work on the whole batch,
-return their output array and record one hand-written backward rule on the
-tape, so a forward pass records about ten entries whatever the batch size
-and episode lengths.  :func:`loss_and_grads` adds the mean log-loss and
-sweeps those rules back, last layer first, to one gradient per named
-parameter.  Padding never reaches a real state, weight or reading, and gets
-zero gradient.  Scoring one episode is the batch of one.
+episode's length is kept.  The parameters are plain arrays, one set per
+layer with the directions and heads stacked on a leading axis.  Each layer
+works on the whole batch, every direction or head at once, returns its
+output array and records one hand-written backward rule on the tape, so a
+forward pass is a chain of at most four entries (LSTM, attention or mean,
+output dropout, classifier) whatever the batch size and episode lengths.
+:func:`loss_and_grads` adds the mean log-loss and sweeps those rules back,
+last layer first, to one gradient per named parameter.  Padding never
+reaches a real state, weight or reading, and gets zero gradient.  Scoring
+one episode is the batch of one.
 """
 
 from __future__ import annotations
 
 import json
-from copy import deepcopy
 from dataclasses import dataclass, asdict
-from functools import reduce
 
 import numpy as np
 
@@ -84,9 +84,11 @@ class ModelConfig:
 
 
 @dataclass
-class LstmDirection:
-    """One direction's four gates as one affine map: W (4h x d), U (4h x h)
-    and b (4h), each with the gate blocks stacked in i, f, o, c order."""
+class Lstm:
+    """Every direction's four gates as one affine map each: W (D x 4h x d),
+    U (D x 4h x h) and b (D x 4h), gate blocks stacked in i, f, o, c order.
+    Direction 0 reads forward; direction 1 (D = 2, bidirectional) reads
+    each episode last to first."""
 
     W: np.ndarray
     U: np.ndarray
@@ -94,15 +96,14 @@ class LstmDirection:
 
 
 @dataclass
-class AttentionHead:
-    """One reading head's scoring net: score = v . tanh(M s + b) + c."""
+class Attention:
+    """R reading heads' scoring nets, score_r = v_r . tanh(M_r s + b_r) + c_r:
+    M (R x a x s), b (R x a), v (R x a) and c (R)."""
 
     M: np.ndarray
     b: np.ndarray
     v: np.ndarray
     c: np.ndarray
-
-    FIELDS = ("M", "b", "v", "c")
 
 
 @dataclass
@@ -143,32 +144,15 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
-def _init_direction(cfg: ModelConfig, weight) -> LstmDirection:
-    d, h = cfg.input_dim, cfg.hidden
-    # One weight block per gate, drawn W then U for each of i, f, o, c.
-    W, U = zip(*((weight(h, d), weight(h, h)) for _ in range(4)))
-    b = np.zeros(4 * h)
-    b[h:2 * h] = 1.0  # forget gate at +1 favors memory retention early on
-    return LstmDirection(np.vstack(W), np.vstack(U), b)
-
-
-def _init_head(cfg: ModelConfig, weight) -> AttentionHead:
-    a, s = cfg.attn_hidden, cfg.state_dim
-    return AttentionHead(M=weight(a, s), b=np.zeros(a), v=weight(1, a), c=np.zeros(1))
-
-
 class ModelParams:
-    """All learnable arrays plus the configuration that shaped them."""
+    """All learnable arrays, one set per layer, plus the configuration that
+    shaped them; a layer the configuration does not use is None."""
 
-    def __init__(self, config: ModelConfig,
-                 forward_lstm: LstmDirection | None,
-                 backward_lstm: LstmDirection | None,
-                 heads: list[AttentionHead],
-                 classifier: Classifier):
+    def __init__(self, config: ModelConfig, lstm: Lstm | None,
+                 attention: Attention | None, classifier: Classifier):
         self.config = config
-        self.forward_lstm = forward_lstm
-        self.backward_lstm = backward_lstm
-        self.heads = heads
+        self.lstm = lstm
+        self.attention = attention
         self.classifier = classifier
 
     @classmethod
@@ -184,35 +168,36 @@ class ModelParams:
     @classmethod
     def _build(cls, config: ModelConfig, weight) -> "ModelParams":
         """Every array the configuration needs; ``weight(rows, cols)`` makes
-        each weight matrix, in a fixed order."""
-        forward_lstm = _init_direction(config, weight) if config.recurrent else None
-        backward_lstm = (
-            _init_direction(config, weight)
-            if config.recurrent and config.bidirectional else None
-        )
-        heads = (
-            [_init_head(config, weight) for _ in range(config.heads)]
-            if config.recurrent and config.pooling == "attention" else []
-        )
+        each weight block, in a fixed order: per direction, each gate's W
+        then U; per head, M then v; then the classifier's w."""
+        lstm = attention = None
+        if config.recurrent:
+            D, d, h = 2 if config.bidirectional else 1, config.input_dim, config.hidden
+            W, U = zip(*((weight(h, d), weight(h, h)) for _ in range(4 * D)))
+            b = np.zeros((D, 4 * h))
+            b[:, h:2 * h] = 1.0  # forget gate at +1 favors memory retention early on
+            lstm = Lstm(np.concatenate(W).reshape(D, 4 * h, d),
+                        np.concatenate(U).reshape(D, 4 * h, h), b)
+        if config.recurrent and config.pooling == "attention":
+            R, a = config.heads, config.attn_hidden
+            M, v = zip(*((weight(a, config.state_dim), weight(1, a)) for _ in range(R)))
+            attention = Attention(np.stack(M), np.zeros((R, a)), np.concatenate(v), np.zeros(R))
         classifier = Classifier(w=weight(1, config.state_dim), b=np.zeros(1))
-        return cls(config, forward_lstm, backward_lstm, heads, classifier)
+        return cls(config, lstm, attention, classifier)
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
-        """All arrays in a fixed order (also the serialization order)."""
-        out: list[tuple[str, np.ndarray]] = []
-        for prefix, direction in (("fw", self.forward_lstm), ("bw", self.backward_lstm)):
-            if direction is not None:
-                out += [(f"{prefix}.W", direction.W), (f"{prefix}.U", direction.U),
-                        (f"{prefix}.b", direction.b)]
-        for r, head in enumerate(self.heads):
-            out.extend((f"head{r}.{name}", getattr(head, name))
-                       for name in AttentionHead.FIELDS)
-        out.append(("out.w", self.classifier.w))
-        out.append(("out.b", self.classifier.b))
-        return out
+        """All arrays in a fixed order: ``lstm.W/U/b``, ``attn.M/b/v/c``,
+        ``out.w/b``."""
+        layers = (("lstm", self.lstm), ("attn", self.attention), ("out", self.classifier))
+        return [(f"{prefix}.{name}", array) for prefix, layer in layers if layer is not None
+                for name, array in vars(layer).items()]
 
     def copy(self) -> "ModelParams":
-        return deepcopy(self)
+        """An independent copy: every array copied, the configuration shared."""
+        lstm, attention, classifier = (
+            None if layer is None else type(layer)(*(a.copy() for a in vars(layer).values()))
+            for layer in (self.lstm, self.attention, self.classifier))
+        return ModelParams(self.config, lstm, attention, classifier)
 
 
 # -- forward operations -----------------------------------------------------
@@ -222,13 +207,13 @@ def lstm_cell(z: np.ndarray, c_prev: np.ndarray, c: np.ndarray, h: np.ndarray,
               tanh_c: np.ndarray) -> None:
     """One memory/state update, written in place.
 
-    ``z`` is W x + U h_prev + b for a batch (one row per episode), with the
-    gates stacked in i, f, o, c order along each row; it is overwritten
-    with the four activated gates.  One tanh activates all four, as
-    sigmoid(x) = (1 + tanh(x / 2)) / 2.  The new memory goes to ``c``, its
-    tanh to ``tanh_c`` and the new state to ``h``.
+    ``z`` is W x + U h_prev + b for a batch (one row per episode, any
+    leading axes), with the gates stacked in i, f, o, c order along the last
+    axis; it is overwritten with the four activated gates.  One tanh
+    activates all four, as sigmoid(x) = (1 + tanh(x / 2)) / 2.  The new
+    memory goes to ``c``, its tanh to ``tanh_c`` and the new state to ``h``.
     """
-    ifo = z[:, :3 * c_prev.shape[1]]
+    ifo = z[..., :3 * c_prev.shape[-1]]
     ifo *= 0.5
     np.tanh(z, out=z)
     ifo *= 0.5
@@ -246,141 +231,133 @@ def _gates(stacked: np.ndarray) -> list[np.ndarray]:
     return [stacked[..., k * n:(k + 1) * n] for k in range(4)]
 
 
-def run_lstm(tape: Tape, X: np.ndarray, lengths: np.ndarray, d: LstmDirection,
-             reverse: bool = False) -> np.ndarray:
-    """States of one direction for every interval of a padded batch.
+def run_lstm(tape: Tape, X: np.ndarray, lengths: np.ndarray, lstm: Lstm) -> np.ndarray:
+    """States of every direction for every interval of a padded batch.
 
     ``X`` is batch x intervals x features, each episode padded at the end
     to the longest; ``lengths`` gives each episode's own interval count.
-    State row t always belongs to input row t.  With ``reverse`` each
-    episode is consumed last-to-first within its own length.  States at
-    padding rows are computed but feed no real state; their gradient must
-    be zero.  The entry writes ``states`` (``bw`` in reverse) and reads the
-    direction's W, U and b (``fw.*`` or ``bw.*``); no gradient flows back
-    into the features.
+    Returns batch x intervals x Dh, each interval's direction states side
+    by side, forward first; state row t always belongs to input row t.
+    Direction 1 consumes each episode last-to-first within its own length.
+    States at padding rows are computed but feed no real state; their
+    gradient must be zero.  No gradient flows back into the features.
     """
     batch, steps, _ = X.shape
     if steps < 1 or lengths.min() < 1:
         raise ValueError("run_lstm: need at least one interval per episode")
-    W, U, b = d.W, d.U, d.b
-    n = U.shape[1]
-    # Step t of episode e reads input row rows[t, e]: row t, or in reverse
-    # row lengths[e] - 1 - t within its own length; padding rows keep their
-    # place after it, so the padding never feeds a real state.  The arrays
-    # below are in step order (steps x batch x ...), gathered once.
+    W, U, b = lstm.W, lstm.U, lstm.b
+    D, n = U.shape[0], U.shape[2]
+    # Step t of episode e in direction k reads input row rows[k, t, e]: row
+    # t, or in direction 1 row lengths[e] - 1 - t within its own length;
+    # padding rows keep their place after it, so the padding never feeds a
+    # real state.  The arrays below are direction-major and in step order
+    # (D x steps x batch x ...), gathered once.
     step = np.arange(steps)[:, None]
-    rows = np.where((step < lengths) & reverse, lengths - 1 - step, step)
+    dirs = np.arange(D)[:, None, None]
+    rows = np.where((step < lengths) & (dirs == 1), lengths - 1 - step, step)
     cols = np.arange(batch)
-    acts = (X.reshape(batch * steps, -1) @ W.T).reshape(batch, steps, 4 * n)[cols, rows]
-    acts += b  # each step adds U h_prev, then activates in place
-    H = np.zeros((steps + 1, batch, n))  # H[0] is the zero initial state,
-    C = np.zeros((steps + 1, batch, n))  # H[t + 1] the state after step t
-    tanh_C = np.empty((steps, batch, n))
-    UT = U.T
+    acts = (X.reshape(batch * steps, -1) @ W.reshape(D * 4 * n, -1).T).reshape(
+        batch, steps, D, 4 * n)[cols, rows, dirs]
+    acts += b[:, None, None]  # each step adds U h_prev, then activates in place
+    H = np.zeros((D, steps + 1, batch, n))  # H[:, 0] is the zero initial state,
+    C = np.zeros((D, steps + 1, batch, n))  # H[:, t + 1] the state after step t
+    tanh_C = np.empty((D, steps, batch, n))
+    UT = U.transpose(0, 2, 1)
     for t in range(steps):
-        acts[t] += H[t] @ UT
-        lstm_cell(acts[t], C[t], C[t + 1], H[t + 1], tanh_C[t])
-    states = np.empty((batch, steps, n))
-    states[cols, rows] = H[1:]
+        acts[:, t] += H[:, t] @ UT
+        lstm_cell(acts[:, t], C[:, t], C[:, t + 1], H[:, t + 1], tanh_C[:, t])
+    states = np.empty((batch, steps, D, n))
+    states[cols, rows, dirs] = H[:, 1:]
 
     def backward(g):  # backprop through time, last step first
         i, f, o, c_cand = _gates(acts)
-        # dZ starts as each gate's local derivative; step t scales it by the
-        # gradient reaching the gate, dc for i, f and c_cand, dh for o.
-        dZ = np.empty_like(acts)
+        f = f.copy()  # the loop still reads f; the other activations are dead
+        d_tanh = o * (1.0 - tanh_C * tanh_C)
+        ic = c_cand * i
+        # dZ starts as each gate's local derivative, written over its
+        # activation; step t scales it by the gradient reaching the gate, dc
+        # for i, f and c_cand, dh for o.
+        dZ = acts
         di, df, do, dc_cand = _gates(dZ)
-        np.multiply(c_cand * i, 1.0 - i, out=di)
-        np.multiply(C[:-1] * f, 1.0 - f, out=df)
         np.multiply(tanh_C * o, 1.0 - o, out=do)
         np.multiply(i, 1.0 - c_cand * c_cand, out=dc_cand)
-        d_tanh = o * (1.0 - tanh_C * tanh_C)
-        g = g[cols, rows]  # the states' gradient, in step order
-        dh, dc = np.zeros((batch, n)), np.zeros((batch, n))  # from step t + 1
+        np.multiply(ic, 1.0 - i, out=di)
+        np.multiply(C[:, :-1] * f, 1.0 - f, out=df)
+        g = g.reshape(batch, steps, D, n)[cols, rows, dirs]  # in step order
+        dh, dc = np.zeros((D, batch, n)), np.zeros((D, batch, n))  # from step t + 1
         for t in reversed(range(steps)):
-            dh += g[t]
-            dc += dh * d_tanh[t]
-            di[t] *= dc
-            df[t] *= dc
-            do[t] *= dh
-            dc_cand[t] *= dc
-            dh = dZ[t] @ U
-            dc *= f[t]
-        dz = dZ.reshape(steps * batch, 4 * n)
-        dU = dz.T @ H[:-1].reshape(steps * batch, n)
-        db = dz.sum(axis=0)
-        dZ_rows = np.empty((batch, steps, 4 * n))  # back to input order, against X
-        dZ_rows[cols, rows] = dZ
-        return dZ_rows.reshape(batch * steps, 4 * n).T @ X.reshape(batch * steps, -1), dU, db
+            dh += g[:, t]
+            dc += dh * d_tanh[:, t]
+            di[:, t] *= dc
+            df[:, t] *= dc
+            do[:, t] *= dh
+            dc_cand[:, t] *= dc
+            dh = dZ[:, t] @ U
+            dc *= f[:, t]
+        del f, d_tanh, ic, g  # before the input-order copy of dZ below
+        dz = dZ.reshape(D, steps * batch, 4 * n)
+        dU = dz.transpose(0, 2, 1) @ H[:, :-1].reshape(D, steps * batch, n)
+        db = dz.sum(axis=1)
+        dZ_rows = np.empty((batch, steps, D, 4 * n))  # back to input order, against X
+        dZ_rows[cols, rows, dirs] = dZ
+        dW = dZ_rows.reshape(batch * steps, D * 4 * n).T @ X.reshape(batch * steps, -1)
+        return None, dW.reshape(W.shape), dU, db
 
-    prefix = "bw" if reverse else "fw"
-    tape.record("lstm", "bw" if reverse else "states",
-                (f"{prefix}.W", f"{prefix}.U", f"{prefix}.b"), backward)
-    return states
+    tape.record("lstm", ("lstm.W", "lstm.U", "lstm.b"), backward)
+    return states.reshape(batch, steps, D * n)
 
 
-def attend(tape: Tape, states: np.ndarray, lengths: np.ndarray, head: AttentionHead,
-           index: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Reading head ``index`` over padded states (batch x intervals x state_dim).
+def attend(tape: Tape, states: np.ndarray, lengths: np.ndarray,
+           attention: Attention) -> tuple[np.ndarray, np.ndarray]:
+    """Every reading head over padded states (batch x intervals x width),
+    max-pooled.
 
-    Scores every state, softmax-normalizes each episode's scores over its
-    own intervals (padding scores are -inf, so their weight is 0), and
-    returns each episode's convex combination of its states under those
-    weights, with the weights themselves (batch x intervals).  The entry
-    writes ``head{index}`` and reads ``states`` and the head's parameters.
+    Each head scores every state, softmax-normalizes each episode's scores
+    over its own intervals (padding scores are -inf, so their weight is 0)
+    and reads each episode's convex combination of its states under those
+    weights.  Returns the elementwise maximum of the R readings (batch x
+    width) and the weights (batch x R x intervals).  An element's gradient
+    goes to the first head that holds its maximum.
     """
     batch, steps, width = states.shape
-    M, v = head.M, head.v[0]
-    hidden = np.tanh((states.reshape(batch * steps, width) @ M.T).reshape(batch, steps, -1)
-                     + head.b)
-    scores = hidden @ v + head.c[0]
+    M, v = attention.M, attention.v
+    R, a = v.shape
+    flat = states.reshape(batch * steps, width)
+    hidden = np.tanh((flat @ M.reshape(R * a, width).T).reshape(batch, steps, R, a)
+                     + attention.b)
+    scores = (hidden * v).sum(axis=-1) + attention.c  # batch x steps x R
     if (lengths < steps).any():
         scores[np.arange(steps) >= lengths[:, None]] = -np.inf
     shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
     weights = shifted / shifted.sum(axis=1, keepdims=True)
+    readings = weights.transpose(0, 2, 1) @ states  # batch x R x width
 
     def backward(g):
-        d_weights = (states @ g[:, :, None])[..., 0]
+        winner = readings.argmax(axis=1)[:, None, :]
+        g = g[:, None, :] * (winner == np.arange(R)[:, None])  # to each reading
+        d_weights = states @ g.transpose(0, 2, 1)
         d_score = weights * (d_weights - (weights * d_weights).sum(axis=1, keepdims=True))
-        d_pre = (d_score[..., None] * v * (1.0 - hidden * hidden)).reshape(batch * steps, -1)
-        d_states = (d_pre @ M).reshape(states.shape)
-        d_states += weights[..., None] * g[:, None, :]
-        return (d_states, d_pre.T @ states.reshape(batch * steps, width), d_pre.sum(axis=0),
-                (d_score.reshape(-1) @ hidden.reshape(batch * steps, -1))[None, :],
-                np.array([d_score.sum()]))
+        d_pre = (d_score[..., None] * v * (1.0 - hidden * hidden)).reshape(batch * steps, R * a)
+        d_states = (d_pre @ M.reshape(R * a, width)).reshape(states.shape)
+        d_states += weights @ g
+        return (d_states, (d_pre.T @ flat).reshape(M.shape), d_pre.sum(axis=0).reshape(R, a),
+                np.einsum("btr,btra->ra", d_score, hidden), d_score.sum(axis=(0, 1)))
 
-    name = f"head{index}"
-    tape.record("attention", name, ("states",) + tuple(f"{name}.{field}" for field in head.FIELDS),
-                backward)
-    return (weights[:, None, :] @ states)[:, 0], weights
+    tape.record("attention", ("attn.M", "attn.b", "attn.v", "attn.c"), backward)
+    return readings.max(axis=1), weights.transpose(0, 2, 1)
 
 
 def mean_rows(tape: Tape, states: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Each episode's mean over its own rows of padded states (batch x
-    intervals x width); the entry writes ``z`` and reads ``states``."""
+    intervals x width)."""
     real = (np.arange(states.shape[1]) < lengths[:, None])[..., None]
     n = lengths[:, None].astype(np.float64)
-    tape.record("mean", "z", ("states",), lambda g: ((g / n)[:, None, :] * real,))
+    tape.record("mean", (), lambda g: ((g / n)[:, None, :] * real,))
     return (states * real).sum(axis=1) / n
 
 
-def pool_heads(tape: Tape, readings) -> np.ndarray:
-    """Elementwise maximum across head readings, written as ``z``; each
-    element's gradient goes to the first head holding its maximum."""
-    if not readings:
-        raise ValueError("pool_heads: need at least one reading")
-    heads = range(len(readings))
-
-    def backward(g):
-        winner = np.stack(readings).argmax(axis=0)
-        return tuple(g * (winner == r) for r in heads)
-
-    tape.record("maximum", "z", tuple(f"head{r}" for r in heads), backward)
-    return reduce(np.maximum, readings)
-
-
 def classify(tape: Tape, z: np.ndarray, classifier: Classifier) -> np.ndarray:
-    """Risk probabilities sigmoid(w . z + b), one per row of z (batch x
-    width); the entry writes ``p`` and reads ``z``, ``out.w`` and ``out.b``."""
+    """Risk probabilities sigmoid(w . z + b), one per row of z (batch x width)."""
     w, b = classifier.w[0], classifier.b[0]
     p = sigmoid(z @ w + b)
 
@@ -388,7 +365,7 @@ def classify(tape: Tape, z: np.ndarray, classifier: Classifier) -> np.ndarray:
         d_logit = g * p * (1.0 - p)
         return np.outer(d_logit, w), (d_logit @ z)[None, :], np.array([d_logit.sum()])
 
-    tape.record("classify", "p", ("z", "out.w", "out.b"), backward)
+    tape.record("classify", ("out.w", "out.b"), backward)
     return p
 
 
@@ -451,23 +428,14 @@ def forward_batch(matrices, params: ModelParams, train: bool = False,
     if not cfg.recurrent:
         z = batch[:, 0]  # the single interval, classified directly
     else:
-        states = run_lstm(tape, batch, lengths, params.forward_lstm)
-        if cfg.bidirectional:
-            bw = run_lstm(tape, batch, lengths, params.backward_lstm, reverse=True)
-            split = states.shape[-1]
-            tape.record("concat", "states", ("states", "bw"),
-                        lambda g: (g[..., :split], g[..., split:]))
-            states = np.concatenate([states, bw], axis=-1)
+        states = run_lstm(tape, batch, lengths, params.lstm)
         if cfg.pooling == "attention":
-            readings, weights = zip(*(attend(tape, states, lengths, head, r)
-                                      for r, head in enumerate(params.heads)))
-            z = pool_heads(tape, readings)
-            weights = np.stack(weights, axis=1)
+            z, weights = attend(tape, states, lengths, params.attention)
         else:
             z = mean_rows(tape, states, lengths)
 
     if out_mask is not None:
-        tape.record("dropout", "z", ("z",), lambda g: (g * out_mask,))
+        tape.record("dropout", (), lambda g: (g * out_mask,))
         z = z * out_mask
     p = classify(tape, z, params.classifier)
     return BatchResult(risks=p, weights=weights, states=states, tape=tape)
@@ -537,18 +505,23 @@ def grad_check(config: ModelConfig, seed: int, intervals: int = 4,
 def v1_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     """The parameter arrays under format v1's names, in its key order.
 
-    Version 1 files keep each LSTM gate's blocks apart (``fw.Wi, fw.Ui,
-    fw.bi, fw.Wf, ...``, gates in i, f, o, c order); those entries are views
-    into the stacked W, U and b, so writing to them fills the model.  Heads
-    and classifier keep their own names.
+    Version 1 files keep each direction's LSTM gate blocks apart (``fw.Wi,
+    fw.Ui, fw.bi, fw.Wf, ...``, gates in i, f, o, c order, then ``bw.*``)
+    and each head's arrays apart (``head0.M``, ``head0.b``, ``head0.v`` as
+    1 x a, ``head0.c`` as 1, ``head1.M``, ...); every entry is a view into
+    the stacked arrays, so writing to it fills the model.
     """
     out: list[tuple[str, np.ndarray]] = []
-    for prefix, d in (("fw", params.forward_lstm), ("bw", params.backward_lstm)):
-        if d is not None:
-            for g, W, U, b in zip("ifoc", *(np.split(a, 4) for a in (d.W, d.U, d.b))):
+    if params.lstm is not None:
+        for prefix, *direction in zip(("fw", "bw"), params.lstm.W, params.lstm.U, params.lstm.b):
+            for g, W, U, b in zip("ifoc", *(np.split(a, 4) for a in direction)):
                 out += [(f"{prefix}.W{g}", W), (f"{prefix}.U{g}", U), (f"{prefix}.b{g}", b)]
-    return out + [(name, array) for name, array in params.named_parameters()
-                  if not name.startswith(("fw.", "bw."))]
+    heads = params.attention
+    if heads is not None:
+        for r in range(len(heads.c)):
+            out += [(f"head{r}.M", heads.M[r]), (f"head{r}.b", heads.b[r]),
+                    (f"head{r}.v", heads.v[r:r + 1]), (f"head{r}.c", heads.c[r:r + 1])]
+    return out + [("out.w", params.classifier.w), ("out.b", params.classifier.b)]
 
 
 def save_model(path, params: ModelParams, preprocess_stats: PipelineStats | None = None) -> None:

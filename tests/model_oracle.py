@@ -11,10 +11,11 @@ engine in ``tape_oracle.py``, with the parameters wrapped as its tensors.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from icurisk.model import AttentionHead, AttentionTrace, Classifier, LstmDirection, ModelParams
+from icurisk.model import AttentionTrace
 from tape_oracle import Tape, Tensor, sigmoid, softmax
 
 
@@ -27,16 +28,23 @@ class EpisodeResult:
 
 
 def as_tensors(params):
-    """The same parameter arrays, each wrapped in a tensor that collects
-    its gradient."""
-    def direction(d):
-        return None if d is None else LstmDirection(Tensor(d.W), Tensor(d.U), Tensor(d.b))
-
-    heads = [AttentionHead(*(Tensor(getattr(h, f)) for f in AttentionHead.FIELDS))
-             for h in params.heads]
-    return ModelParams(params.config, direction(params.forward_lstm),
-                       direction(params.backward_lstm), heads,
-                       Classifier(Tensor(params.classifier.w), Tensor(params.classifier.b)))
+    """The same parameter arrays, each direction and head apart as the
+    layers below read them, each wrapped in a tensor that collects its
+    gradient."""
+    lstm, attention, c = params.lstm, params.attention, params.classifier
+    directions = [] if lstm is None else [
+        SimpleNamespace(W=Tensor(W), U=Tensor(U), b=Tensor(b))
+        for W, U, b in zip(lstm.W, lstm.U, lstm.b)]
+    heads = [] if attention is None else [
+        SimpleNamespace(M=Tensor(attention.M[r]), b=Tensor(attention.b[r]),
+                        v=Tensor(attention.v[r:r + 1]), c=Tensor(attention.c[r:r + 1]))
+        for r in range(len(attention.c))]
+    classifier = SimpleNamespace(w=Tensor(c.w), b=Tensor(c.b))
+    forward_lstm, backward_lstm = (directions + [None, None])[:2]
+    return SimpleNamespace(config=params.config, forward_lstm=forward_lstm,
+                           backward_lstm=backward_lstm, heads=heads,
+                           classifier=classifier,
+                           layers={"lstm": directions, "attn": heads, "out": [classifier]})
 
 
 def lstm_cell(z, c_prev):
@@ -145,14 +153,20 @@ def batch_gradients(matrices, labels, params, train=False, rng=None):
     Returns (results, mean loss, {parameter name: gradient}); a parameter
     no episode reached gets a zero gradient.
     """
-    params = as_tensors(params)
+    tensors = as_tensors(params)
     results, losses = [], []
     for X, y in zip(matrices, labels):
-        result = forward_episode(X, params, train=train, rng=rng)
+        result = forward_episode(X, tensors, train=train, rng=rng)
         loss = result.tape.binary_cross_entropy(result.output, y)
         result.tape.backward(loss)
         results.append(result)
         losses.append(float(loss.data[0]))
-    grads = {name: (np.zeros_like(t.data) if t.grad is None else t.grad / len(matrices))
-             for name, t in params.named_parameters()}
+
+    def gradient(name, shape):  # the directions' or heads' gradients, stacked
+        layer, field = name.split(".")
+        parts = [getattr(part, field) for part in tensors.layers[layer]]
+        return np.concatenate([(np.zeros_like(t.data) if t.grad is None else t.grad).ravel()
+                               for t in parts]).reshape(shape) / len(matrices)
+
+    grads = {name: gradient(name, array.shape) for name, array in params.named_parameters()}
     return results, float(np.mean(losses)), grads

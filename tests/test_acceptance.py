@@ -15,10 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icurisk.autodiff import Tape
 from icurisk.cli import main as cli_main
 from icurisk.ingest import join_labels, parse_outcomes, parse_record
-from icurisk.model import AttentionHead, ModelConfig, grad_check, pool_heads
+from icurisk.model import ModelConfig, grad_check
 from icurisk.preprocess import build_features, fit_pipeline
 from icurisk.train import TrainConfig, apply_variant, auc, cross_validate, train_fold
 
@@ -29,7 +28,9 @@ from test_model import (
     cell,
     lstm_cell_oracle,
     lstm_states,
+    make_head,
     mean_pool,
+    pool,
     random_direction,
     reading,
     run_lstm_oracle,
@@ -124,7 +125,7 @@ def test_criterion_4_attention_normalization():
         for _ in range(1000):
             t = int(rng.integers(1, 13))
             states = rng.normal(size=(t, 4))
-            head = AttentionHead(
+            head = make_head(
                 M=rng.normal(size=(3, 4)), b=rng.normal(size=3),
                 v=rng.normal(size=(1, 3)), c=rng.normal(size=1),
             )
@@ -149,8 +150,8 @@ def test_criterion_5_pooling_identities():
 
             readings = [rng.normal(size=6) for _ in range(int(rng.integers(1, 5)))]
             perm = rng.permutation(len(readings))
-            pooled = pool_heads(Tape(), readings)
-            shuffled = pool_heads(Tape(), [readings[i] for i in perm])
+            pooled = pool(readings)
+            shuffled = pool([readings[i] for i in perm])
             assert np.array_equal(pooled, shuffled)
 
 

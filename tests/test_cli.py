@@ -88,6 +88,15 @@ class TestPreprocess:
         assert run("preprocess", "--data-dir", tmp_path / "nope",
                    "--outcomes", tmp_path / "o.csv", "--out", tmp_path / "s") == 1
 
+    def test_bad_outcomes_row_names_the_file(self, tiny_corpus, tmp_path, capsys):
+        data_dir, outcomes = tiny_corpus
+        lines = outcomes.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",x"
+        outcomes.write_text("\n".join(lines) + "\n")
+        assert run("preprocess", "--data-dir", data_dir, "--outcomes", outcomes,
+                   "--out", tmp_path / "s") == 1
+        assert f"error: {outcomes}: line 6: bad label 'x'" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_outputs(self, trained):
@@ -162,6 +171,15 @@ class TestTrain:
         assert (outs[0] / "results.csv").read_bytes() == \
                (outs[1] / "results.csv").read_bytes()
 
+    def test_bad_store_labels_name_the_file(self, store, tmp_path, capsys):
+        labels = store / "labels.csv"
+        lines = labels.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",2"
+        labels.write_text("\n".join(lines) + "\n")
+        assert run("train", "--store", store, "--out", tmp_path / "out", *TRAIN_FAST) == 1
+        assert (f"error: {labels}: line 3: label must be 0 or 1, got 2"
+                in capsys.readouterr().err)
+
     def test_missing_store_fails(self, tmp_path):
         assert run("train", "--store", tmp_path / "nope",
                    "--out", tmp_path / "out", *TRAIN_FAST) == 1
@@ -202,6 +220,18 @@ class TestPredict:
         data_dir, _ = tiny_corpus
         record = sorted(data_dir.glob("*.txt"))[0]
         assert run("predict", "--model", bad, "--out", tmp_path / "r.csv", record) == 1
+
+    def test_statistics_width_mismatch_names_the_file(self, model_path, tiny_corpus,
+                                                      tmp_path, capsys):
+        doc = json.loads(model_path.read_text())
+        doc["preprocess"]["feature_names"].pop()
+        bad = tmp_path / "narrow-stats.json"
+        bad.write_text(json.dumps(doc))
+        data_dir, _ = tiny_corpus
+        record = sorted(data_dir.glob("*.txt"))[0]
+        assert run("predict", "--model", bad, "--out", tmp_path / "r.csv", record) == 1
+        assert (f"error: {bad}: feature width mismatch: model expects 185, "
+                "statistics provide 184" in capsys.readouterr().err)
 
     def _predict_with_nan(self, model_path, tiny_corpus, tmp_path, capsys, poison):
         doc = json.loads(model_path.read_text())

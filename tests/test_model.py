@@ -9,9 +9,9 @@ import pytest
 
 from icurisk.autodiff import ShapeMismatchError, Tape
 from icurisk.model import (
-    AttentionHead,
+    Attention,
     Classifier,
-    LstmDirection,
+    Lstm,
     ModelConfig,
     ModelFormatError,
     ModelParams,
@@ -24,7 +24,6 @@ from icurisk.model import (
     loss_and_grads,
     lstm_cell,
     mean_rows,
-    pool_heads,
     run_lstm,
     save_model,
     v1_arrays,
@@ -53,8 +52,8 @@ def _dot_row(matrix, row, vector):
 
 
 def gate_blocks(array):
-    """The i, f, o, c blocks of a stacked LSTM array, as views."""
-    return np.split(array, 4)
+    """The i, f, o, c blocks of a one-direction Lstm array, as views."""
+    return np.split(array[0], 4)
 
 
 def lstm_cell_oracle(x, h_prev, c_prev, d):
@@ -76,7 +75,7 @@ def lstm_cell_oracle(x, h_prev, c_prev, d):
 
 
 def run_lstm_oracle(X, d, reverse=False):
-    hidden = d.U.shape[1]
+    hidden = d.U.shape[-1]
     h, c = [0.0] * hidden, [0.0] * hidden
     states = []
     rows = list(X)[::-1] if reverse else list(X)
@@ -87,15 +86,21 @@ def run_lstm_oracle(X, d, reverse=False):
 
 
 def random_direction(rng, hidden, dim, scale=0.5):
-    """Each gate's W, U and b drawn in turn (i, f, o, c), then stacked."""
+    """A one-direction Lstm: each gate's W, U and b drawn in turn (i, f, o,
+    c), then stacked."""
     shapes = ((hidden, dim), (hidden, hidden), (hidden,))
     gates = [[rng.normal(0, scale, size=shape) for shape in shapes] for _ in range(4)]
-    return LstmDirection(*(np.concatenate(blocks) for blocks in zip(*gates)))
+    return Lstm(*(np.concatenate(blocks)[None] for blocks in zip(*gates)))
 
 
 def zero_direction(hidden, dim):
-    return LstmDirection(np.zeros((4 * hidden, dim)), np.zeros((4 * hidden, hidden)),
-                         np.zeros(4 * hidden))
+    return Lstm(np.zeros((1, 4 * hidden, dim)), np.zeros((1, 4 * hidden, hidden)),
+                np.zeros((1, 4 * hidden)))
+
+
+def direction(lstm, k):
+    """Direction k of an Lstm, as a one-direction Lstm of views."""
+    return Lstm(lstm.W[k:k + 1], lstm.U[k:k + 1], lstm.b[k:k + 1])
 
 
 def set_gate_biases(d, input_gate, forget_gate):
@@ -112,15 +117,18 @@ def candidate_memory(x, h_prev, d):
 def cell(x, h_prev, c_prev, d):
     """One cell update from raw input and previous states, run as a batch
     of one; returns (h, c)."""
-    z = d.W @ x + d.U @ h_prev + d.b
+    z = d.W[0] @ x + d.U[0] @ h_prev + d.b[0]
     h, c, tanh_c = np.empty((3, 1, len(c_prev)))
     lstm_cell(z[None], c_prev[None], c, h, tanh_c)
     return h[0], c[0]
 
 
 def lstm_states(X, d, reverse=False):
-    """One episode's states, run as a batch of one."""
-    return run_lstm(Tape(), X[None], np.array([len(X)]), d, reverse=reverse)[0]
+    """One episode's states from a one-direction Lstm, run as a batch of
+    one; in reverse, as direction 1 of a two-direction Lstm."""
+    if reverse:
+        d = Lstm(*(np.concatenate([a, a]) for a in (d.W, d.U, d.b)))
+    return run_lstm(Tape(), X[None], np.array([len(X)]), d)[0, :, -d.U.shape[-1]:]
 
 
 class TestLstmCell:
@@ -215,29 +223,32 @@ class TestBiLstm:
         X = rng.normal(size=(5, 4))
         joint = forward_episode(X, params).trace.states
         assert joint.shape == (5, 6)
-        np.testing.assert_array_equal(joint[:, :3], lstm_states(X, params.forward_lstm))
+        np.testing.assert_array_equal(joint[:, :3], lstm_states(X, direction(params.lstm, 0)))
 
     def test_single_interval_uses_same_input_both_ways(self):
         rng = np.random.default_rng(7)
         params = bilstm_model(rng, dim=3, hidden=2)
         X = rng.normal(size=(1, 3))
         joint = forward_episode(X, params).trace.states
-        f = lstm_states(X, params.forward_lstm)
-        b = lstm_states(X, params.backward_lstm)
+        f = lstm_states(X, direction(params.lstm, 0))
+        b = lstm_states(X, direction(params.lstm, 1))
         np.testing.assert_array_equal(joint, np.hstack([f, b]))
 
     def test_zeroed_backward_reproduces_unidirectional(self):
         rng = np.random.default_rng(8)
         params = bilstm_model(rng)
-        params.backward_lstm = zero_direction(3, 4)
+        for array in (params.lstm.W, params.lstm.U, params.lstm.b):
+            array[1] = 0.0
         X = rng.normal(size=(4, 4))
         joint = forward_episode(X, params).trace.states
-        np.testing.assert_array_equal(joint[:, :3], lstm_states(X, params.forward_lstm))
+        np.testing.assert_array_equal(joint[:, :3], lstm_states(X, direction(params.lstm, 0)))
         np.testing.assert_array_equal(joint[:, 3:], np.zeros((4, 3)))
 
 
 def make_head(M, b, v, c):
-    return AttentionHead(*(np.asarray(a, dtype=np.float64) for a in (M, b, v, c)))
+    """A one-head Attention from the head's M (a x s), b (a), v (1 x a) and c (1)."""
+    M, b, v, c = (np.asarray(a, dtype=np.float64) for a in (M, b, v, c))
+    return Attention(M[None], b[None], v.reshape(1, -1), c.reshape(1))
 
 
 def zero_head(attn_hidden, width):
@@ -247,11 +258,26 @@ def zero_head(attn_hidden, width):
 
 def attention_weights(states, head):
     """One episode's weights over its states, run as a batch of one."""
-    return attend(Tape(), states[None], np.array([len(states)]), head)[1][0]
+    return attend(Tape(), states[None], np.array([len(states)]), head)[1][0, 0]
 
 
 def reading(states, head):
     return attend(Tape(), states[None], np.array([len(states)]), head)[0][0]
+
+
+def pool(readings):
+    """The elementwise max of ``readings`` as attend pools its heads: over
+    states ``[reading r, unit vector r]``, head r scores the unit vector and
+    reads state r alone."""
+    readings = np.asarray(readings, dtype=np.float64)
+    R, width = readings.shape
+    M = np.zeros((R, 1, width + R))
+    M[np.arange(R), 0, width + np.arange(R)] = 1.0
+    heads = Attention(M, np.zeros((R, 1)), np.full((R, 1), 1e4), np.zeros(R))
+    states = np.hstack([readings, np.eye(R)])
+    z, weights = attend(Tape(), states[None], np.array([R]), heads)
+    np.testing.assert_array_equal(weights[0], np.eye(R))  # one-hot heads
+    return z[0, :width]
 
 
 def mean_pool(states):
@@ -309,22 +335,41 @@ class TestAttention:
 class TestPooling:
     def test_single_head_identity(self):
         reading = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(pool_heads(Tape(), [reading]), reading)
+        np.testing.assert_array_equal(pool([reading]), reading)
 
     def test_elementwise_max(self):
-        out = pool_heads(Tape(), [np.array([1.0, -2.0]), np.array([0.0, 5.0])])
+        out = pool([np.array([1.0, -2.0]), np.array([0.0, 5.0])])
         np.testing.assert_array_equal(out, [1.0, 5.0])
 
     def test_identical_heads(self):
-        out = pool_heads(Tape(), [np.array([3.0, 4.0]), np.array([3.0, 4.0])])
+        out = pool([np.array([3.0, 4.0]), np.array([3.0, 4.0])])
         np.testing.assert_array_equal(out, [3.0, 4.0])
 
     def test_head_permutation_invariance(self):
         rng = np.random.default_rng(11)
         readings = [rng.normal(size=6) for _ in range(3)]
-        forward = pool_heads(Tape(), readings)
-        shuffled = pool_heads(Tape(), readings[::-1])
+        forward = pool(readings)
+        shuffled = pool(readings[::-1])
         np.testing.assert_array_equal(forward, shuffled)
+
+    def test_tied_heads_send_the_whole_gradient_to_the_first(self):
+        rng = np.random.default_rng(34)
+        states = rng.normal(size=(1, 5, 3))
+        one = make_head(rng.normal(size=(2, 3)), rng.normal(size=2),
+                        rng.normal(size=(1, 2)), rng.normal(size=1))
+        tied = Attention(*(np.concatenate([a, a]) for a in vars(one).values()))
+        g = rng.normal(size=(1, 3))
+
+        def backward(heads):  # the gradients of the states and of M, b, v, c
+            tape = Tape()
+            attend(tape, states, np.array([5]), heads)
+            return tape.entries[0].backward(g)
+
+        (d_single, *single), (d_tied, *both) = backward(one), backward(tied)
+        np.testing.assert_allclose(d_tied, d_single, rtol=0, atol=ORACLE_TOLERANCE)
+        for alone, pair in zip(single, both):
+            np.testing.assert_allclose(pair[0], alone[0], rtol=0, atol=ORACLE_TOLERANCE)
+            assert not pair[1].any()  # exactly 0 to head 1
 
     def test_mean_pool_values(self):
         np.testing.assert_array_equal(mean_pool(np.array([[2.0, 0.0], [0.0, 2.0]])), [1.0, 1.0])
@@ -416,7 +461,7 @@ class TestForwardEpisode:
         cfg, params = self._model()
         X = np.random.default_rng(18).normal(size=(4, 6))
         before = forward_episode(X, params).risk
-        params.heads = params.heads[::-1]
+        params.attention = Attention(*(a[::-1] for a in vars(params.attention).values()))
         assert forward_episode(X, params).risk == before
 
     def test_mean_pooling_has_no_trace(self):
@@ -446,8 +491,7 @@ class TestForwardEpisode:
         X = np.random.default_rng(29).normal(size=(16, 6))
         result = forward_episode(X, params, train=True, rng=np.random.default_rng(0))
         assert [e.op for e in result.tape.entries] == [
-            "lstm", "lstm", "concat", "attention", "attention", "maximum", "dropout",
-            "classify"]
+            "lstm", "attention", "dropout", "classify"]
 
     def test_train_mode_same_rng_same_output(self):
         cfg, params = self._model(dropout_in=0.4, dropout_out=0.4)
@@ -604,11 +648,16 @@ class TestPersistence:
                        if n.endswith((".W", ".U", ".M", ".v", ".w")))
 
     def test_copy_is_independent(self):
-        cfg = ModelConfig(input_dim=4, hidden=2)
+        cfg = ModelConfig(input_dim=4, hidden=2, bidirectional=True)
         params = ModelParams.init(cfg, np.random.default_rng(25))
         clone = params.copy()
-        clone.classifier.w[...] = 99.0
-        assert not (params.classifier.w == 99.0).any()
+        assert clone.config == cfg
+        for (name, copied), (original_name, original) in zip(clone.named_parameters(),
+                                                             params.named_parameters()):
+            assert name == original_name
+            np.testing.assert_array_equal(copied, original)
+            copied[...] = 99.0
+            assert not (original == 99.0).any(), name
 
 
 def _edit_saved_model(tmp_path, edit):
@@ -701,12 +750,17 @@ class TestFormatV1:
         assert (tmp_path / "again.json").read_bytes() == MODEL_V1.read_bytes()
 
     def test_gate_entries_are_views_in_v1_order(self):
-        cfg = ModelConfig(input_dim=4, hidden=2, heads=1, bidirectional=True)
+        cfg = ModelConfig(input_dim=4, hidden=2, heads=2, bidirectional=True)
         params = ModelParams.init(cfg, np.random.default_rng(0))
         arrays = dict(v1_arrays(params))
         assert list(arrays)[:6] == ["fw.Wi", "fw.Ui", "fw.bi", "fw.Wf", "fw.Uf", "fw.bf"]
         assert list(arrays)[24:] == ["head0.M", "head0.b", "head0.v", "head0.c",
+                                     "head1.M", "head1.b", "head1.v", "head1.c",
                                      "out.w", "out.b"]
         np.testing.assert_array_equal(arrays["fw.bf"], 1.0)  # forget gate starts at +1
         arrays["bw.Uo"][...] = 7.0
-        np.testing.assert_array_equal(params.backward_lstm.U[4:6], 7.0)
+        np.testing.assert_array_equal(params.lstm.U[1, 4:6], 7.0)
+        assert arrays["head1.v"].shape == (1, cfg.attn_hidden)
+        arrays["head1.v"][...] = 5.0
+        np.testing.assert_array_equal(params.attention.v[1], 5.0)
+        assert not (params.attention.v[0] == 5.0).any()
