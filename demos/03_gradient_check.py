@@ -34,6 +34,8 @@ batch = forward_batch(matrices, params)
 print(f"a batch of 4 episodes of 1 to 16 intervals, padded to 16, recorded the same "
       f"{len(batch.tape.entries)}: {layers(batch.tape) == layers(episode.tape)}")
 
+# attn.c's gradient is zero: a head's softmax is unchanged when all its
+# scores shift by the same constant, so the scoring net's bias cannot learn.
 loss, grads = loss_and_grads(params, matrices, [1, 0, 0, 1])
 print(f"\nthat batch's mean log-loss {loss:.4f}, one gradient per named parameter:")
 for name, grad in grads.items():
@@ -41,6 +43,6 @@ for name, grad in grads.items():
 
 # Every parameter of the model, checked against central finite differences
 # with step 1e-5.
-error = grad_check(config, seed=0, intervals=4)
+error = grad_check(config, seed=0)
 print(f"\nfull-model gradient check, max relative error: {error:.2e}")
 print("under the 1e-4 acceptance threshold:", error < 1e-4)

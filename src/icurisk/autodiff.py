@@ -8,9 +8,10 @@ to the gradient of its input (None where none flows, as into the features)
 followed by one gradient per parameter name.
 
 :meth:`Tape.backward` pops the entries last to first, handing each rule
-the input gradient of the layer after it, and returns one gradient per
-parameter the caller names.  A mini-batch is one tape: the layers work on
-the whole padded batch, so one sweep gives the batch's gradient.
+the input gradient of the layer after it, and returns the gradients the
+rules produce, keyed by the parameter names the entries recorded.  A
+mini-batch is one tape: the layers work on the whole padded batch, so one
+sweep gives the batch's gradient.
 """
 
 from __future__ import annotations
@@ -55,24 +56,22 @@ class Tape:
         returns its input's gradient, then one gradient per name."""
         self.entries.append(TapeEntry(op, tuple(params), backward))
 
-    def backward(self, grad: np.ndarray,
-                 parameters: Sequence[tuple[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    def backward(self, grad: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a loss whose gradient with respect to the last
-        entry's output is ``grad``: one per named parameter array, zero
-        where none flowed.
+        entry's output is ``grad``: one per parameter name the entries
+        recorded, in the order they recorded them.
 
         Empties the tape: each entry, and the activations its rule keeps,
         goes as soon as the rule has run.
         """
         if not self.entries:
             raise ValueError("backward: the tape has no entries (already swept?)")
-        grads: dict[str, np.ndarray] = {}
+        grads: list[tuple[str, np.ndarray]] = []
         while self.entries:
             entry = self.entries.pop()
             grad, *param_grads = entry.backward(grad)
-            grads.update(zip(entry.params, param_grads))
-        return {name: grads[name] if name in grads else np.zeros_like(array)
-                for name, array in parameters}
+            grads[:0] = zip(entry.params, param_grads)
+        return dict(grads)
 
 
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -82,15 +81,16 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def check_gradients(loss_and_grads: Callable[[], tuple[float, dict[str, np.ndarray]]],
-                    parameters: Sequence[tuple[str, np.ndarray]],
-                    step: float = 1e-5) -> float:
+                    parameters: Sequence[tuple[str, np.ndarray]]) -> float:
     """Compare analytic gradients with central finite differences.
 
     ``loss_and_grads`` returns the loss and one gradient per parameter name
     for the parameters' current values; it must be deterministic, so
     dropout must be off.  Each named array is perturbed in place, one entry
-    at a time.  Returns the max relative error over every entry.
+    at a time, by 1e-5 each way.  Returns the max relative error over every
+    entry.
     """
+    step = 1e-5
     _, analytic = loss_and_grads()
     worst = 0.0
     for name, array in parameters:

@@ -2,12 +2,15 @@
 
 Every command resolves its flags into a run manifest (JSON) written next to
 its outputs, including a content digest of the inputs; rerunning a command
-with the same flags and seed reproduces its outputs byte for byte.
+with the same flags reproduces its outputs byte for byte.  Only ``train``
+draws random numbers, all from its ``--seed``, and only ``--variant``
+chooses its architecture.
 
-The preprocess command builds a feature store::
+The preprocess command builds a feature store that holds exactly the
+records of one run::
 
     store/
-      manifest.json     resolved flags, seed, input digest
+      manifest.json     resolved flags, input digest
       stats.json        fitted truncation/imputation/normalization statistics
       labels.csv        RecordID,In-hospital_death rows
       features/<id>.csv final interval-by-feature matrices (fit on all episodes)
@@ -31,20 +34,8 @@ import numpy as np
 import icurisk
 from icurisk import ingest, preprocess
 from icurisk.model import (
-    ModelConfig,
-    ModelFormatError,
-    ModelParams,
-    forward_episode,
-    load_model,
-    save_model,
-)
-from icurisk.train import (
-    TrainConfig,
-    VARIANTS,
-    apply_variant,
-    cross_validate,
-    describe_variant,
-)
+    ModelConfig, ModelFormatError, ModelParams, forward_episode, load_model, save_model)
+from icurisk.train import TrainConfig, VARIANTS, apply_variant, cross_validate
 
 
 def _digest_files(paths: list[Path]) -> str:
@@ -56,15 +47,16 @@ def _digest_files(paths: list[Path]) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
-def _write_manifest(path: Path, command: str, options: dict, seed: int,
-                    dataset_digest: str) -> None:
+def _write_manifest(path: Path, command: str, options: dict, dataset_digest: str,
+                    seed: int | None = None) -> None:
     manifest = {
         "command": command,
         "options": options,
-        "seed": seed,
         "dataset_digest": dataset_digest,
         "artifact_version": icurisk.__version__,
     }
+    if seed is not None:
+        manifest["seed"] = seed
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -80,13 +72,18 @@ def _read_records(paths: list[Path]) -> list[ingest.RawEpisode]:
     return [_parse_file(path, ingest.parse_record) for path in paths]
 
 
+def _labeled(episodes: list[ingest.RawEpisode], labels_path: Path) -> list[ingest.RawEpisode]:
+    """``episodes`` with their outcome labels from ``labels_path``; a bad
+    or missing label names that file."""
+    return _parse_file(labels_path,
+                       lambda text: ingest.join_labels(episodes, ingest.parse_outcomes(text)))
+
+
 def _load_store(store: Path) -> list[ingest.RawEpisode]:
     episode_files = sorted((store / "episodes").glob("*.txt"))
     if not episode_files:
         raise FileNotFoundError(f"no episodes found under {store / 'episodes'}")
-    episodes = _read_records(episode_files)
-    labels = _parse_file(store / "labels.csv", ingest.parse_outcomes)
-    return ingest.join_labels(episodes, labels)
+    return _labeled(_read_records(episode_files), store / "labels.csv")
 
 
 # -- preprocess ---------------------------------------------------------------
@@ -100,13 +97,27 @@ def cmd_preprocess(args) -> int:
     outcomes_path = Path(args.outcomes)
 
     episodes = _read_records(record_files)
-    labels = _parse_file(outcomes_path, ingest.parse_outcomes)
-    episodes = ingest.join_labels(episodes, labels)
+    first_file: dict[int, Path] = {}
+    for path, ep in zip(record_files, episodes):
+        other = first_file.setdefault(ep.record_id, path)
+        if other != path:
+            raise ValueError(f"{path}: record id {ep.record_id} is also the id of {other}")
+    episodes = _labeled(episodes, outcomes_path)
+
+    # A store holds one run's records: refuse one that holds others, which
+    # train would read as if this run had written them.
+    out = Path(args.out)
+    ours = {f"{folder}/{record_id}{suffix}" for record_id in first_file
+            for folder, suffix in (("features", ".csv"), ("episodes", ".txt"))}
+    for folder in ("features", "episodes"):
+        for path in sorted((out / folder).glob("*")):
+            if f"{folder}/{path.name}" not in ours:
+                raise ValueError(f"{path}: --out {out} holds a file this run does "
+                                 "not write; preprocess into a new directory")
 
     interval_minutes = args.interval_hours * 60
     stats = preprocess.fit_pipeline(episodes, interval_minutes)
 
-    out = Path(args.out)
     (out / "features").mkdir(parents=True, exist_ok=True)
     (out / "episodes").mkdir(parents=True, exist_ok=True)
 
@@ -130,7 +141,6 @@ def cmd_preprocess(args) -> int:
         out / "manifest.json", "preprocess",
         {"data_dir": str(data_dir), "outcomes": str(outcomes_path),
          "interval_hours": args.interval_hours, "out": str(out)},
-        seed=args.seed,
         dataset_digest=_digest_files(record_files + [outcomes_path]),
     )
     for name in stats.truncation.unobserved:
@@ -142,35 +152,18 @@ def cmd_preprocess(args) -> int:
 # -- train --------------------------------------------------------------------
 
 
-def _model_config_from_args(args) -> ModelConfig:
-    return ModelConfig(
-        input_dim=preprocess.feature_width(),
-        hidden=args.hidden,
-        heads=args.heads,
-        bidirectional=args.bidirectional,
-        pooling=args.pooling,
-        dropout_in=args.dropout_in,
-        dropout_out=args.dropout_out,
-    )
-
-
 def cmd_train(args) -> int:
     store = Path(args.store)
     episodes = _load_store(store)
 
-    cfg = TrainConfig(
-        learning_rate=args.lr,
-        batch_size=args.batch,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        seed=args.seed,
-        folds=args.folds,
-        interval_minutes=args.interval_hours * 60,
-    )
-    model_cfg = _model_config_from_args(args)
-    if args.variant:
-        cfg, model_cfg = apply_variant(args.variant, cfg, model_cfg)
-    variant = args.variant or describe_variant(model_cfg)
+    variant = args.variant
+    cfg, model_cfg = apply_variant(
+        variant,
+        TrainConfig(learning_rate=args.lr, batch_size=args.batch, max_epochs=args.epochs,
+                    patience=args.patience, seed=args.seed, folds=args.folds,
+                    interval_minutes=args.interval_hours * 60),
+        ModelConfig(input_dim=preprocess.feature_width(), hidden=args.hidden,
+                    heads=args.heads, dropout_in=args.dropout_in, dropout_out=args.dropout_out))
 
     result = cross_validate(episodes, cfg, model_cfg, only_fold=args.fold)
 
@@ -194,8 +187,8 @@ def cmd_train(args) -> int:
         out / "manifest.json", "train",
         {"store": str(store), "out": str(out), "variant": variant, "fold": args.fold,
          "train": asdict(cfg), "model": asdict(model_cfg)},
-        seed=args.seed,
         dataset_digest=_digest_files(store_files),
+        seed=args.seed,
     )
     print(f"{variant}: mean AUC {result.mean_auc:.4f} "
           f"(+/- {result.std_auc:.4f}) over {len(result.folds)} fold(s)")
@@ -210,12 +203,6 @@ def _load_scoring_model(path: Path) -> tuple[ModelParams, preprocess.PipelineSta
     if stats is None:
         raise ModelFormatError(
             f"{path}: model carries no preprocessing statistics; cannot score raw records"
-        )
-    width = len(stats.feature_names)
-    if params.config.input_dim != width:
-        raise ModelFormatError(
-            f"{path}: feature width mismatch: model expects {params.config.input_dim}, "
-            f"statistics provide {width}"
         )
     return params, stats
 
@@ -245,7 +232,6 @@ def cmd_predict(args) -> int:
         Path(str(out) + ".manifest.json"), "predict",
         {"model": str(model_path), "records": [str(p) for p in record_paths],
          "out": str(out)},
-        seed=args.seed,
         dataset_digest=_digest_files(record_paths + [model_path]),
     )
     print(f"scored {len(features)} episode(s) into {out}")
@@ -286,7 +272,6 @@ def cmd_attention(args) -> int:
         Path(str(out) + ".manifest.json"), "attention",
         {"model": str(model_path), "records": [str(p) for p in record_paths],
          "out": str(out), "states": args.states},
-        seed=args.seed,
         dataset_digest=_digest_files(record_paths + [model_path]),
     )
     print(f"exported attention for {len(features)} episode(s) into {out}")
@@ -308,19 +293,17 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--outcomes", required=True, help="outcomes file with labels")
     pre.add_argument("--out", required=True, help="feature store directory to create")
     pre.add_argument("--interval-hours", type=int, default=3)
-    pre.add_argument("--seed", type=int, default=0)
     pre.set_defaults(func=cmd_preprocess)
 
     tr = sub.add_parser("train", help="cross-validated training from a feature store")
     tr.add_argument("--store", required=True, help="feature store from 'preprocess'")
     tr.add_argument("--out", required=True, help="output directory for models and results")
-    tr.add_argument("--variant", choices=VARIANTS, default=None,
-                    help="named configuration; overrides architecture flags")
+    tr.add_argument("--variant", choices=VARIANTS, default="lstm-attn",
+                    help="the architecture; lr-baseline also pins a 48-hour "
+                         "interval and zero dropout")
     tr.add_argument("--interval-hours", type=int, default=3)
     tr.add_argument("--hidden", type=int, default=32)
     tr.add_argument("--heads", type=int, default=2)
-    tr.add_argument("--bidirectional", action="store_true")
-    tr.add_argument("--pooling", choices=("attention", "mean"), default="attention")
     tr.add_argument("--dropout-in", type=float, default=0.5)
     tr.add_argument("--dropout-out", type=float, default=0.5)
     tr.add_argument("--lr", type=float, default=1e-3)
@@ -336,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("predict", help="score raw record files with a trained model")
     pr.add_argument("--model", required=True)
     pr.add_argument("--out", required=True)
-    pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("records", nargs="+", help="record files to score")
     pr.set_defaults(func=cmd_predict)
 
@@ -345,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--out", required=True)
     at.add_argument("--states", action="store_true",
                     help="append per-interval state vectors to each row")
-    at.add_argument("--seed", type=int, default=0)
     at.add_argument("records", nargs="+", help="record files to trace")
     at.set_defaults(func=cmd_attention)
 

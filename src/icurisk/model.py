@@ -52,9 +52,11 @@ POOLING_MODES = ("attention", "mean")
 
 @dataclass
 class ModelConfig:
-    """Architecture switches; a ``train`` flag sets each field except
-    ``input_dim`` (the feature width), ``recurrent`` (``--variant``) and
-    ``attn_hidden``."""
+    """Architecture switches.  In ``icurisk train``, ``--variant`` sets
+    ``recurrent``, ``bidirectional`` and ``pooling`` (and zero dropout for
+    ``lr-baseline``); ``--hidden``, ``--heads``, ``--dropout-in`` and
+    ``--dropout-out`` set the fields they name.  ``input_dim`` is the
+    feature width and ``attn_hidden`` keeps its default."""
 
     input_dim: int = 185
     hidden: int = 32
@@ -98,7 +100,8 @@ class Lstm:
 @dataclass
 class Attention:
     """R reading heads' scoring nets, score_r = v_r . tanh(M_r s + b_r) + c_r:
-    M (R x a x s), b (R x a), v (R x a) and c (R)."""
+    M (R x a x s), b (R x a), v (R x a) and c (R).  ``c`` gets a zero gradient,
+    as a softmax is unchanged by a shift; it is kept only for format v1."""
 
     M: np.ndarray
     b: np.ndarray
@@ -370,7 +373,7 @@ def classify(tape: Tape, z: np.ndarray, classifier: Classifier) -> np.ndarray:
 
 
 def _draw_dropout(X: np.ndarray, lengths: np.ndarray, cfg: ModelConfig,
-                  rng: np.random.Generator | None) -> np.ndarray | None:
+                  rng: np.random.Generator) -> np.ndarray | None:
     """Inverted dropout masks from one draw for the whole batch, laid out
     episode by episode, input mask then output mask: the numbers that scoring
     the episodes one at a time draws, as ``rng.random(a + b)`` gives those of
@@ -381,8 +384,6 @@ def _draw_dropout(X: np.ndarray, lengths: np.ndarray, cfg: ModelConfig,
     """
     if not (cfg.dropout_in or cfg.dropout_out):
         return None
-    if rng is None:
-        raise ValueError("dropout in training mode needs a random generator")
     width, out_width = X.shape[2], cfg.state_dim if cfg.dropout_out else 0
     sizes = lengths * width * bool(cfg.dropout_in) + out_width
     ends = np.cumsum(sizes)
@@ -395,15 +396,16 @@ def _draw_dropout(X: np.ndarray, lengths: np.ndarray, cfg: ModelConfig,
     return (u[last] >= cfg.dropout_out) / (1.0 - cfg.dropout_out) if out_width else None
 
 
-def forward_batch(matrices, params: ModelParams, train: bool = False,
+def forward_batch(matrices, params: ModelParams,
                   rng: np.random.Generator | None = None) -> BatchResult:
     """Score a batch of episodes' feature matrices in one pass.
 
     The matrices are padded at the end to the longest and run as one
-    batch; each layer records one tape entry for the whole batch.  In
-    training mode, inverted dropout is applied to the inputs and to the
-    pooled features z, from one draw of ``rng`` laid out episode by episode.
-    Evaluation mode is fully deterministic.
+    batch; each layer records one tape entry for the whole batch.  Given a
+    generator, the pass is in training mode: inverted dropout is applied to
+    the inputs and to the pooled features z, from one draw of ``rng`` laid
+    out episode by episode.  Without one it is in evaluation mode, fully
+    deterministic.
     """
     cfg = params.config
     for X in matrices:
@@ -421,7 +423,7 @@ def forward_batch(matrices, params: ModelParams, train: bool = False,
     batch = np.zeros((len(lengths), lengths.max(), cfg.input_dim))
     for row, X in zip(batch, matrices):
         row[:len(X)] = X
-    out_mask = _draw_dropout(batch, lengths, cfg, rng) if train else None
+    out_mask = None if rng is None else _draw_dropout(batch, lengths, cfg, rng)
 
     tape = Tape()
     states, weights = None, None
@@ -441,14 +443,15 @@ def forward_batch(matrices, params: ModelParams, train: bool = False,
     return BatchResult(risks=p, weights=weights, states=states, tape=tape)
 
 
-def forward_episode(X: np.ndarray, params: ModelParams, train: bool = False,
+def forward_episode(X: np.ndarray, params: ModelParams,
                     rng: np.random.Generator | None = None,
                     record_id: int | None = None) -> ForwardResult:
-    """Score one episode's feature matrix: :func:`forward_batch` on a batch of one.
+    """Score one episode's feature matrix: :func:`forward_batch` on a batch
+    of one, in training mode exactly when given a generator.
 
     The attention trace is populated only for attention pooling.
     """
-    batch = forward_batch([np.asarray(X, dtype=np.float64)], params, train, rng)
+    batch = forward_batch([np.asarray(X, dtype=np.float64)], params, rng)
     risk = float(batch.risks[0])
     trace = None
     if batch.weights is not None:
@@ -472,31 +475,29 @@ def loss_and_grads(params: ModelParams, matrices, labels,
         raise ShapeMismatchError(f"{labels.size} labels for {n} episodes")
     if not np.isin(labels, (0.0, 1.0)).all():
         raise ValueError(f"labels must be 0 or 1, got {labels}")
-    result = forward_batch(matrices, params, train=rng is not None, rng=rng)
+    result = forward_batch(matrices, params, rng)
     p = result.risks
     clipped = np.clip(p, 1e-12, 1.0 - 1e-12)
     losses = -(labels * np.log(clipped) + (1.0 - labels) * np.log(1.0 - clipped))
     inside = (p > 1e-12) & (p < 1.0 - 1e-12)
     d_p = 1.0 / n * inside * (clipped - labels) / (clipped * (1.0 - clipped))
-    return float(losses.sum() / n), result.tape.backward(d_p, params.named_parameters())
+    return float(losses.sum() / n), result.tape.backward(d_p)
 
 
-def grad_check(config: ModelConfig, seed: int, intervals: int = 4,
-               step: float = 1e-5) -> float:
+def grad_check(config: ModelConfig, seed: int) -> float:
     """Max relative error of the model's gradients vs central finite differences.
 
-    Builds a randomly initialized model and episode from ``seed`` and checks
-    every parameter entry.  Dropout must be disabled: the check needs a
-    deterministic forward pass.
+    Builds a randomly initialized model and a 4-interval episode (1 for a
+    non-recurrent model) from ``seed`` and checks every parameter entry.
+    Dropout must be disabled: the check needs a deterministic forward pass.
     """
     if config.dropout_in > 0 or config.dropout_out > 0:
         raise ValueError("gradient check requires dropout rates of 0")
     rng = np.random.default_rng(seed)
     params = ModelParams.init(config, rng)
-    t = intervals if config.recurrent else 1
-    X = rng.standard_normal((t, config.input_dim))
+    X = rng.standard_normal((4 if config.recurrent else 1, config.input_dim))
     return check_gradients(lambda: loss_and_grads(params, [X], [1]),
-                           params.named_parameters(), step)
+                           params.named_parameters())
 
 
 # -- persistence ------------------------------------------------------------
@@ -546,8 +547,9 @@ def save_model(path, params: ModelParams, preprocess_stats: PipelineStats | None
 
 def load_model(path) -> tuple[ModelParams, PipelineStats | None]:
     """Load a model file; a malformed one raises ``ModelFormatError`` naming
-    the file and the field or parameter at fault.  NaN values load: they are
-    caught where risks come out."""
+    the file and the field or parameter at fault, as does statistics whose
+    feature count differs from the model's ``input_dim``.  NaN values load:
+    they are caught where risks come out."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -593,8 +595,14 @@ def load_model(path) -> tuple[ModelParams, PipelineStats | None]:
     if not doc.get("preprocess"):
         return params, None
     try:
-        return params, PipelineStats.from_dict(doc["preprocess"])
+        stats = PipelineStats.from_dict(doc["preprocess"])
     except KeyError as exc:
         raise ModelFormatError(f"{path}: preprocess: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: preprocess: {exc}") from exc
+    if len(stats.feature_names) != config.input_dim:
+        raise ModelFormatError(
+            f"{path}: feature width mismatch: model expects {config.input_dim}, "
+            f"statistics provide {len(stats.feature_names)}"
+        )
+    return params, stats

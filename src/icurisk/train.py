@@ -69,27 +69,25 @@ class FoldResult:
 
 @dataclass
 class CVResult:
-    variant: str
     folds: list[FoldResult]
     mean_auc: float
     std_auc: float
     pooled_auc: float
 
 
-def kfold_split(n: int, k: int, seed: int, labels) -> list[np.ndarray]:
-    """Stratified k-fold indices: a disjoint partition of 0..n-1.
+def kfold_split(k: int, seed: int, labels) -> list[np.ndarray]:
+    """Stratified k-fold indices: a disjoint partition of 0..n-1, where n
+    is the number of labels.
 
     Positives and negatives are shuffled separately and dealt round-robin
     (positives first), so fold sizes differ by at most one and each fold's
     positive count is within one of an even share.
     """
+    labels = np.asarray(labels)
     if k < 2:
         raise ValueError("need at least 2 folds")
-    if k > n:
-        raise ValueError(f"cannot split {n} items into {k} folds")
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ValueError(f"expected {n} labels, got shape {labels.shape}")
+    if k > len(labels):
+        raise ValueError(f"cannot split {len(labels)} items into {k} folds")
     rng = np.random.default_rng(seed)
     positives = np.flatnonzero(labels == 1)
     negatives = np.flatnonzero(labels != 1)
@@ -120,9 +118,12 @@ def auc(scores, labels) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+# Adam's moment decay rates and denominator floor, as in Kingma and Ba.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 def adam_step(values: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndarray,
-              t: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> np.ndarray:
+              t: int, lr: float) -> np.ndarray:
     """One bias-corrected Adam update for a single array.
 
     Mutates the moment buffers in place and returns the updated values;
@@ -130,41 +131,41 @@ def adam_step(values: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndarra
     """
     if t < 1:
         raise ValueError("Adam step count starts at 1")
-    m[...] = beta1 * m + (1.0 - beta1) * grads
-    v[...] = beta2 * v + (1.0 - beta2) * grads * grads
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    return values - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m[...] = BETA1 * m + (1.0 - BETA1) * grads
+    v[...] = BETA2 * v + (1.0 - BETA2) * grads * grads
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    return values - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 class Adam:
     """Adam over named parameter arrays, updating each one in place, so
     views into them (such as :func:`~icurisk.model.v1_arrays`) stay valid.
-    The moments are one flat vector each, and a step runs the operations of
-    :func:`adam_step`, in its order, once over all of them: bit for bit the
-    same values."""
+    The gradient and the moments are one flat vector each, and a step runs
+    the operations of :func:`adam_step`, in its order, once over all of
+    them: bit for bit the same values."""
 
-    def __init__(self, named_arrays, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, named_arrays, lr: float):
         self.named_arrays = list(named_arrays)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros(sum(a.size for _, a in self.named_arrays))
         self.v = np.zeros_like(self.m)
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        """One update from ``grads``, which holds one gradient per name."""
+    def flatten(self, grads: dict[str, np.ndarray]) -> np.ndarray:
+        """One gradient per name, concatenated in ``named_arrays`` order."""
+        return np.concatenate([grads[name] for name, _ in self.named_arrays], axis=None)
+
+    def step(self, g: np.ndarray) -> None:
+        """One update from the flat gradient ``g`` (see :meth:`flatten`),
+        which it overwrites."""
         self.t += 1
-        g = np.concatenate([grads[name] for name, _ in self.named_arrays], axis=None)
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * g * g
-        self.m *= self.beta1
-        self.m += np.multiply(1.0 - self.beta1, g, out=g)
-        step = np.multiply(self.lr, self.m / (1.0 - self.beta1 ** self.t), out=g)
-        step /= np.sqrt(self.v / (1.0 - self.beta2 ** self.t)) + self.eps
+        self.v *= BETA2
+        self.v += (1.0 - BETA2) * g * g
+        self.m *= BETA1
+        self.m += np.multiply(1.0 - BETA1, g, out=g)
+        step = np.multiply(self.lr, self.m / (1.0 - BETA1 ** self.t), out=g)
+        step /= np.sqrt(self.v / (1.0 - BETA2 ** self.t)) + EPS
         start = 0
         for _, array in self.named_arrays:
             array -= step[start:start + array.size].reshape(array.shape)
@@ -212,14 +213,15 @@ def train_fold(train_features: list[EpisodeFeatures],
             chunk = [train_features[i] for i in perm[start:start + cfg.batch_size]]
             batch_loss, grads = loss_and_grads(params, [f.matrix for f in chunk],
                                                [f.label for f in chunk], rng)
+            g = optimizer.flatten(grads)
             # Checked before the step, so a NaN never reaches Adam's moments.
-            grad_norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            grad_norm = math.sqrt(g @ g)
             if not (math.isfinite(batch_loss) and math.isfinite(grad_norm)):
                 raise TrainingDiverged(
                     f"fold {fold}: non-finite training loss {batch_loss} or gradient "
                     f"norm {grad_norm} at epoch {epoch}, batch {batch}"
                 )
-            optimizer.step(grads)
+            optimizer.step(g)
             loss_sum += batch_loss * len(chunk)
 
         train_losses.append(loss_sum / len(train_features))
@@ -250,7 +252,10 @@ def train_fold(train_features: list[EpisodeFeatures],
 
 def apply_variant(variant: str, cfg: TrainConfig,
                   model_cfg: ModelConfig) -> tuple[TrainConfig, ModelConfig]:
-    """Pin the fields a named configuration requires; other flags pass through."""
+    """Pin the architecture a named configuration requires (``recurrent``,
+    and for a recurrent one ``bidirectional`` and ``pooling``), and for
+    ``lr-baseline`` the 48-hour interval and zero dropout.  Every other
+    field passes through."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if variant == "lr-baseline":
@@ -264,14 +269,6 @@ def apply_variant(variant: str, cfg: TrainConfig,
     else:  # bilstm-attn
         model_cfg = replace(model_cfg, recurrent=True, bidirectional=True, pooling="attention")
     return cfg, model_cfg
-
-
-def describe_variant(model_cfg: ModelConfig) -> str:
-    if not model_cfg.recurrent:
-        return "lr-baseline"
-    cell = "bilstm" if model_cfg.bidirectional else "lstm"
-    pool = "attn" if model_cfg.pooling == "attention" else "mean"
-    return f"{cell}-{pool}"
 
 
 def cross_validate(episodes: list[RawEpisode], cfg: TrainConfig,
@@ -288,7 +285,7 @@ def cross_validate(episodes: list[RawEpisode], cfg: TrainConfig,
     if only_fold is not None and not 0 <= only_fold < cfg.folds:
         raise ValueError(f"fold {only_fold} does not exist: k={cfg.folds} folds are "
                          f"numbered 0 to {cfg.folds - 1}")
-    folds = kfold_split(len(episodes), cfg.folds, cfg.seed, labels)
+    folds = kfold_split(cfg.folds, cfg.seed, labels)
     # Validation AUC needs both classes; check every fold before any trains.
     for fold_idx, val_idx in enumerate(folds):
         positives = sum(labels[int(j)] == 1 for j in val_idx)
@@ -320,7 +317,6 @@ def cross_validate(episodes: list[RawEpisode], cfg: TrainConfig,
     pooled_scores = np.concatenate([r.val_scores for r in results])
     pooled_labels = np.concatenate([r.val_labels for r in results])
     return CVResult(
-        variant=describe_variant(model_cfg),
         folds=results,
         mean_auc=float(aucs.mean()),
         std_auc=float(aucs.std()),

@@ -84,6 +84,31 @@ class TestPreprocess:
         for path in (out / "features").glob("*.csv"):
             assert len(path.read_text().splitlines()) == 2  # header + one row
 
+    def test_duplicate_record_id_names_both_files(self, tiny_corpus, tmp_path, capsys):
+        data_dir, outcomes = tiny_corpus
+        first = data_dir / "140005.txt"
+        copy = data_dir / "copy-of-140005.txt"
+        copy.write_text(first.read_text())
+        out = tmp_path / "s"
+        assert run("preprocess", "--data-dir", data_dir, "--outcomes", outcomes,
+                   "--out", out) == 1
+        assert (f"error: {copy}: record id 140005 is also the id of {first}"
+                in capsys.readouterr().err)
+        assert not out.exists()  # rejected before anything is written
+
+    def test_store_with_another_runs_record_refused(self, tiny_corpus, tmp_path, capsys):
+        data_dir, outcomes = tiny_corpus
+        out = tmp_path / "s"
+        args = ("preprocess", "--data-dir", data_dir, "--outcomes", outcomes, "--out", out)
+        assert run(*args) == 0
+        before = read_store_bytes(out)
+        (data_dir / "140005.txt").unlink()
+        assert run(*args) == 1
+        stale = out / "features" / "140005.csv"
+        assert (f"error: {stale}: --out {out} holds a file this run does not write"
+                in capsys.readouterr().err)
+        assert read_store_bytes(out) == before  # refused before anything is written
+
     def test_missing_data_dir_fails(self, tmp_path):
         assert run("preprocess", "--data-dir", tmp_path / "nope",
                    "--outcomes", tmp_path / "o.csv", "--out", tmp_path / "s") == 1
@@ -112,7 +137,7 @@ class TestTrain:
 
     def test_default_variant_name_matches_flags(self, trained):
         first = (trained / "results.csv").read_text().splitlines()[1]
-        assert first.startswith("lstm-attn,")  # no --bidirectional flag
+        assert first.startswith("lstm-attn,")  # --variant defaults to lstm-attn
 
     def test_models_reload(self, trained):
         for path in (trained / "models").glob("*.json"):
@@ -178,6 +203,15 @@ class TestTrain:
         labels.write_text("\n".join(lines) + "\n")
         assert run("train", "--store", store, "--out", tmp_path / "out", *TRAIN_FAST) == 1
         assert (f"error: {labels}: line 3: label must be 0 or 1, got 2"
+                in capsys.readouterr().err)
+
+    def test_missing_label_names_the_store(self, store, tmp_path, capsys):
+        labels = store / "labels.csv"
+        lines = labels.read_text().splitlines()
+        labels.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+        missing = lines[1].split(",")[0]
+        assert run("train", "--store", store, "--out", tmp_path / "out", *TRAIN_FAST) == 1
+        assert (f"error: {labels}: no outcome label for record ids: [{missing}]"
                 in capsys.readouterr().err)
 
     def test_missing_store_fails(self, tmp_path):
@@ -331,6 +365,18 @@ class TestArgumentErrors:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             run()
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--store", "s", "--out", "o", "--bidirectional"],
+        ["train", "--store", "s", "--out", "o", "--pooling", "mean"],
+        ["preprocess", "--data-dir", "d", "--outcomes", "o", "--out", "s", "--seed", "0"],
+        ["predict", "--model", "m", "--out", "o", "--seed", "0", "r.txt"],
+    ], ids=["bidirectional", "pooling", "preprocess-seed", "predict-seed"])
+    def test_removed_flags_rejected(self, argv):
+        # --variant alone picks the architecture; only train draws random numbers.
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
         assert exc.value.code == 2
 
     def test_unknown_variant(self, tmp_path):

@@ -55,7 +55,7 @@ def run_case(name: str) -> dict:
     X = rng.normal(0.0, 1.5, size=(t, cfg.input_dim))
 
     train = mode == "train"
-    result = forward_episode(X, params, train=train, rng=np.random.default_rng(seed + 1))
+    result = forward_episode(X, params, np.random.default_rng(seed + 1) if train else None)
     _, grads = loss_and_grads(params, [X], [seed % 2],
                               np.random.default_rng(seed + 1) if train else None)
     for name, array in params.named_parameters():  # read the gradients under v1 names

@@ -483,21 +483,21 @@ class TestForwardEpisode:
     def test_eval_mode_skips_dropout(self):
         cfg, params = self._model(dropout_in=0.5, dropout_out=0.5)
         X = np.random.default_rng(28).normal(size=(4, 6))
-        result = forward_episode(X, params, rng=np.random.default_rng(0))
+        result = forward_episode(X, params)  # no generator: evaluation mode
         assert "dropout" not in [e.op for e in result.tape.entries]
 
     def test_one_tape_entry_per_layer(self):
         cfg, params = self._model(dropout_in=0.5, dropout_out=0.5)
         X = np.random.default_rng(29).normal(size=(16, 6))
-        result = forward_episode(X, params, train=True, rng=np.random.default_rng(0))
+        result = forward_episode(X, params, np.random.default_rng(0))
         assert [e.op for e in result.tape.entries] == [
             "lstm", "attention", "dropout", "classify"]
 
     def test_train_mode_same_rng_same_output(self):
         cfg, params = self._model(dropout_in=0.4, dropout_out=0.4)
         X = np.random.default_rng(21).normal(size=(4, 6))
-        first = forward_episode(X, params, train=True, rng=np.random.default_rng(5)).risk
-        second = forward_episode(X, params, train=True, rng=np.random.default_rng(5)).risk
+        first = forward_episode(X, params, np.random.default_rng(5)).risk
+        second = forward_episode(X, params, np.random.default_rng(5)).risk
         assert first == second
 
     def test_zero_model_gradients_finite(self):
@@ -530,7 +530,7 @@ def batch_against_oracle(arch, lengths, train, seed, rates=(0.3, 0.4)):
     reference_rng, batch_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     reference, reference_loss, reference_grads = oracle.batch_gradients(
         matrices, labels, params, train, reference_rng)
-    batch = forward_batch(matrices, params, train=train, rng=np.random.default_rng(seed + 1))
+    batch = forward_batch(matrices, params, np.random.default_rng(seed + 1) if train else None)
     loss, grads = loss_and_grads(params, matrices, labels, batch_rng if train else None)
 
     assert batch_rng.bit_generator.state == reference_rng.bit_generator.state
@@ -571,9 +571,8 @@ class TestForwardBatch:
         cfg = ModelConfig(input_dim=6, hidden=3, heads=2, bidirectional=True)
         params = ModelParams.init(cfg, np.random.default_rng(30))
         rng = np.random.default_rng(31)
-        one = forward_batch([rng.normal(size=(16, 6))], params, train=True, rng=rng)
-        many = forward_batch([rng.normal(size=(t, 6)) for t in (3, 16, 1, 9)], params,
-                             train=True, rng=rng)
+        one = forward_batch([rng.normal(size=(16, 6))], params, rng)
+        many = forward_batch([rng.normal(size=(t, 6)) for t in (3, 16, 1, 9)], params, rng)
         assert [e.op for e in many.tape.entries] == [e.op for e in one.tape.entries]
 
     def test_empty_batch_rejected(self):
@@ -620,6 +619,15 @@ class TestPersistence:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(loaded_stats.normalization.mean,
                                       stats.normalization.mean)
+
+    def test_statistics_width_must_match_input_dim(self, tmp_path):
+        cfg = ModelConfig(input_dim=4, hidden=2)
+        path = tmp_path / "narrow.json"
+        save_model(path, ModelParams.init(cfg, np.random.default_rng(0)), self._fitted_stats())
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(path)
+        assert str(exc.value) == (f"{path}: feature width mismatch: model expects 4, "
+                                  "statistics provide 185")
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
