@@ -18,6 +18,9 @@ records of one run::
 
 The train command reads the canonical episodes (not the matrices) so each
 cross-validation fold can refit preprocessing on its own training split.
+It refuses ``--hidden`` or ``--heads`` where the variant has no use for it.
+Predict and attention share one scoring body, ``_score``, and differ only in
+their header and rows; neither writes anything unless every risk is finite.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 import icurisk
 from icurisk import ingest, preprocess
 from icurisk.model import (
-    ModelConfig, ModelFormatError, ModelParams, forward_episode, load_model, save_model)
+    ModelConfig, ModelFormatError, forward_episode, load_model, save_model)
 from icurisk.train import TrainConfig, VARIANTS, apply_variant, cross_validate
 
 
@@ -129,7 +132,7 @@ def cmd_preprocess(args) -> int:
     header = ",".join(stats.feature_names)
     for ep in episodes:
         features = preprocess.build_features(ep, stats)
-        rows = [",".join(repr(float(v)) for v in row) for row in features.matrix]
+        rows = [",".join(map(repr, row)) for row in features.matrix.tolist()]
         (out / "features" / f"{ep.record_id}.csv").write_text(
             header + "\n" + "\n".join(rows) + "\n"
         )
@@ -151,19 +154,27 @@ def cmd_preprocess(args) -> int:
 
 # -- train --------------------------------------------------------------------
 
+# The size flags a variant has no use for: lr-baseline has no LSTM, lstm-mean no heads.
+IGNORED_SIZES = {"lr-baseline": ("hidden", "heads"), "lstm-mean": ("heads",)}
+
 
 def cmd_train(args) -> int:
+    variant = args.variant
+    sizes = {name: value for name in ("hidden", "heads")
+             if (value := getattr(args, name)) is not None}
+    for name in sizes:
+        if name in IGNORED_SIZES.get(variant, ()):
+            raise ValueError(f"--{name} has no effect on --variant {variant}; leave it out")
+
     store = Path(args.store)
     episodes = _load_store(store)
-
-    variant = args.variant
     cfg, model_cfg = apply_variant(
         variant,
         TrainConfig(learning_rate=args.lr, batch_size=args.batch, max_epochs=args.epochs,
                     patience=args.patience, seed=args.seed, folds=args.folds,
                     interval_minutes=args.interval_hours * 60),
-        ModelConfig(input_dim=preprocess.feature_width(), hidden=args.hidden,
-                    heads=args.heads, dropout_in=args.dropout_in, dropout_out=args.dropout_out))
+        ModelConfig(input_dim=preprocess.feature_width(), dropout_in=args.dropout_in,
+                    dropout_out=args.dropout_out, **sizes))
 
     result = cross_validate(episodes, cfg, model_cfg, only_fold=args.fold)
 
@@ -198,84 +209,64 @@ def cmd_train(args) -> int:
 # -- predict / attention --------------------------------------------------------
 
 
-def _load_scoring_model(path: Path) -> tuple[ModelParams, preprocess.PipelineStats]:
-    params, stats = load_model(path)
+def _score(args, command: str, done: str, header, rows, **options) -> int:
+    """Write ``header(config)``, which may refuse the model, then ``rows(record_id,
+    result)`` for each record, scored alone.  A model without statistics or a
+    non-finite risk fails before anything is written; a NaN in any weight or
+    state reaches the risk through ``sigmoid(w . max(readings))``."""
+    model_path = Path(args.model)
+    params, stats = load_model(model_path)
     if stats is None:
         raise ModelFormatError(
-            f"{path}: model carries no preprocessing statistics; cannot score raw records"
+            f"{model_path}: model carries no preprocessing statistics; cannot score raw records"
         )
-    return params, stats
+    lines = [header(params.config)]
+    record_paths = [Path(p) for p in args.records]
+    for ep in _read_records(record_paths):
+        result = forward_episode(preprocess.build_features(ep, stats).matrix, params,
+                                 record_id=ep.record_id)
+        if not np.isfinite(result.risk):
+            raise ValueError(f"record {ep.record_id}: model {model_path} "
+                             f"gives a non-finite risk ({result.risk})")
+        lines += rows(ep.record_id, result)
+    out = Path(args.out)
+    out.write_text("\n".join(lines) + "\n")
 
-
-def _features_for(paths: list[Path], stats) -> list[preprocess.EpisodeFeatures]:
-    episodes = _read_records(paths)
-    return [preprocess.build_features(ep, stats) for ep in episodes]
+    _write_manifest(
+        Path(str(out) + ".manifest.json"), command,
+        {"model": str(model_path), "records": [str(p) for p in record_paths],
+         "out": str(out), **options},
+        dataset_digest=_digest_files(record_paths + [model_path]),
+    )
+    print(f"{done} {len(record_paths)} episode(s) into {out}")
+    return 0
 
 
 def cmd_predict(args) -> int:
-    model_path = Path(args.model)
-    params, stats = _load_scoring_model(model_path)
-    record_paths = [Path(p) for p in args.records]
-    features = _features_for(record_paths, stats)
-
-    lines = ["record_id,risk"]
-    for feat in features:
-        result = forward_episode(feat.matrix, params, record_id=feat.record_id)
-        if not np.isfinite(result.risk):
-            raise ValueError(f"record {feat.record_id}: model {model_path} "
-                             f"gives a non-finite risk ({result.risk})")
-        lines.append(f"{feat.record_id},{result.risk!r}")
-    out = Path(args.out)
-    out.write_text("\n".join(lines) + "\n")
-
-    _write_manifest(
-        Path(str(out) + ".manifest.json"), "predict",
-        {"model": str(model_path), "records": [str(p) for p in record_paths],
-         "out": str(out)},
-        dataset_digest=_digest_files(record_paths + [model_path]),
-    )
-    print(f"scored {len(features)} episode(s) into {out}")
-    return 0
+    return _score(args, "predict", "scored", lambda cfg: "record_id,risk",
+                  lambda record_id, result: [f"{record_id},{result.risk!r}"])
 
 
 def cmd_attention(args) -> int:
-    model_path = Path(args.model)
-    params, stats = _load_scoring_model(model_path)
-    cfg = params.config
-    if not cfg.recurrent or cfg.pooling != "attention":
-        raise ValueError(
-            "attention traces need an attention-pooling model; this model "
-            f"uses {'mean pooling' if cfg.recurrent else 'no recurrence'} "
-            "and has no attention weights to export"
-        )
-    record_paths = [Path(p) for p in args.records]
-    features = _features_for(record_paths, stats)
+    def header(cfg: ModelConfig) -> str:
+        if not cfg.recurrent or cfg.pooling != "attention":
+            raise ValueError(
+                "attention traces need an attention-pooling model; this model "
+                f"uses {'mean pooling' if cfg.recurrent else 'no recurrence'} "
+                "and has no attention weights to export"
+            )
+        states = [f"state_{i}" for i in range(cfg.state_dim)] if args.states else []
+        return ",".join(["record_id", "head", "interval", "probability", *states])
 
-    header = "record_id,head,interval,probability"
-    if args.states:
-        header += "," + ",".join(f"state_{i}" for i in range(cfg.state_dim))
-    lines = [header]
-    for feat in features:
-        result = forward_episode(feat.matrix, params, record_id=feat.record_id)
-        trace = result.trace
-        heads, intervals = trace.weights.shape
-        for head in range(heads):
-            for t in range(intervals):
-                row = f"{feat.record_id},{head},{t},{float(trace.weights[head, t])!r}"
-                if args.states:
-                    row += "," + ",".join(repr(float(v)) for v in trace.states[t])
-                lines.append(row)
-    out = Path(args.out)
-    out.write_text("\n".join(lines) + "\n")
+    def rows(record_id: int, result) -> list[str]:
+        weights = result.trace.weights.tolist()  # heads x intervals
+        states = result.trace.states.tolist() if args.states else [[]] * len(weights[0])
+        return [",".join(map(repr, [record_id, head, t, w, *states[t]]))
+                for head, head_weights in enumerate(weights)
+                for t, w in enumerate(head_weights)]
 
-    _write_manifest(
-        Path(str(out) + ".manifest.json"), "attention",
-        {"model": str(model_path), "records": [str(p) for p in record_paths],
-         "out": str(out), "states": args.states},
-        dataset_digest=_digest_files(record_paths + [model_path]),
-    )
-    print(f"exported attention for {len(features)} episode(s) into {out}")
-    return 0
+    return _score(args, "attention", "exported attention for", header, rows,
+                  states=args.states)
 
 
 # -- parser ---------------------------------------------------------------------
@@ -302,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="the architecture; lr-baseline also pins a 48-hour "
                          "interval and zero dropout")
     tr.add_argument("--interval-hours", type=int, default=3)
-    tr.add_argument("--hidden", type=int, default=32)
-    tr.add_argument("--heads", type=int, default=2)
+    tr.add_argument("--hidden", type=int)  # None: ModelConfig's default
+    tr.add_argument("--heads", type=int)
     tr.add_argument("--dropout-in", type=float, default=0.5)
     tr.add_argument("--dropout-out", type=float, default=0.5)
     tr.add_argument("--lr", type=float, default=1e-3)

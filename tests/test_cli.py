@@ -21,9 +21,10 @@ def read_store_bytes(store: Path) -> dict[str, bytes]:
             for p in sorted(store.rglob("*")) if p.is_file()}
 
 
-TRAIN_FAST = ["--folds", "2", "--epochs", "2", "--patience", "2",
-              "--hidden", "3", "--heads", "1", "--batch", "4",
+# TRAIN_FAST less the size flags: lr-baseline refuses both, lstm-mean --heads.
+TRAIN_BASE = ["--folds", "2", "--epochs", "2", "--patience", "2", "--batch", "4",
               "--interval-hours", "12", "--seed", "0"]
+TRAIN_FAST = TRAIN_BASE + ["--hidden", "3", "--heads", "1"]
 
 
 @pytest.fixture
@@ -148,23 +149,23 @@ class TestTrain:
     def test_variant_flag(self, store, tmp_path):
         out = tmp_path / "mean-run"
         assert run("train", "--store", store, "--out", out,
-                   "--variant", "lstm-mean", *TRAIN_FAST) == 0
+                   "--variant", "lstm-mean", *TRAIN_BASE, "--hidden", "3") == 0
         assert (out / "results.csv").read_text().startswith("variant")
         assert (out / "models" / "lstm-mean-fold0.json").exists()
 
     def test_lr_baseline_variant(self, store, tmp_path):
         out = tmp_path / "lr-run"
         assert run("train", "--store", store, "--out", out,
-                   "--variant", "lr-baseline", *TRAIN_FAST) == 0
+                   "--variant", "lr-baseline", *TRAIN_BASE) == 0
         params, stats = load_model(out / "models" / "lr-baseline-fold0.json")
         assert not params.config.recurrent
         assert stats.interval_minutes == 2880
 
     def test_manifest_records_resolved_configuration(self, store, tmp_path):
-        for variant in ("bilstm-attn", "lr-baseline"):
+        for variant, flags in (("bilstm-attn", TRAIN_FAST), ("lr-baseline", TRAIN_BASE)):
             out = tmp_path / variant
             assert run("train", "--store", store, "--out", out, "--variant", variant,
-                       *TRAIN_FAST, "--fold", "0") == 0
+                       *flags, "--fold", "0") == 0
             options = json.loads((out / "manifest.json").read_text())["options"]
             assert options["variant"] == variant
             if variant == "bilstm-attn":
@@ -214,6 +215,17 @@ class TestTrain:
         assert (f"error: {labels}: no outcome label for record ids: [{missing}]"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("variant,flag", [
+        ("lr-baseline", "--hidden"), ("lr-baseline", "--heads"), ("lstm-mean", "--heads"),
+    ])
+    def test_size_flag_the_variant_ignores_refused(self, store, tmp_path, capsys,
+                                                   variant, flag):
+        out = tmp_path / "out"
+        assert run("train", "--store", store, "--out", out, "--variant", variant,
+                   *TRAIN_BASE, flag, "3") == 1
+        assert f"error: {flag} has no effect on --variant {variant}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_store_fails(self, tmp_path):
         assert run("train", "--store", tmp_path / "nope",
                    "--out", tmp_path / "out", *TRAIN_FAST) == 1
@@ -222,6 +234,22 @@ class TestTrain:
 @pytest.fixture
 def model_path(trained):
     return sorted((trained / "models").glob("*.json"))[0]
+
+
+@pytest.mark.parametrize("command", ["predict", "attention"])
+def test_model_without_statistics_refused(command, model_path, tiny_corpus, tmp_path,
+                                          capsys):
+    doc = json.loads(model_path.read_text())
+    doc["preprocess"] = None
+    bare = tmp_path / "no-stats.json"
+    bare.write_text(json.dumps(doc))
+    record = sorted(tiny_corpus[0].glob("*.txt"))[0]
+    out = tmp_path / "out.csv"
+    assert run(command, "--model", bare, "--out", out, record) == 1
+    assert (f"error: {bare}: model carries no preprocessing statistics"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
 
 
 class TestPredict:
@@ -350,10 +378,25 @@ class TestAttention:
         params, _ = load_model(model_path)
         assert header[4:] == [f"state_{i}" for i in range(params.config.state_dim)]
 
+    @pytest.mark.parametrize("name", ["head0.M", "fw.Wi"])
+    def test_nan_weight_refused_before_writing(self, model_path, tiny_corpus, tmp_path,
+                                               capsys, name):
+        doc = json.loads(model_path.read_text())
+        doc["params"][name]["data"][0] = float("nan")
+        bad = tmp_path / "nan-model.json"
+        bad.write_text(json.dumps(doc))
+        records = sorted(tiny_corpus[0].glob("*.txt"))[:2]
+        out = tmp_path / "attn.csv"
+        assert run("attention", "--model", bad, "--out", out, "--states", *records) == 1
+        assert (f"error: record 140000: model {bad} gives a non-finite risk (nan)"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        assert not Path(str(out) + ".manifest.json").exists()
+
     def test_mean_pooling_model_rejected(self, store, tmp_path, capsys):
         out = tmp_path / "mean-run"
         assert run("train", "--store", store, "--out", out,
-                   "--variant", "lstm-mean", *TRAIN_FAST) == 0
+                   "--variant", "lstm-mean", *TRAIN_BASE, "--hidden", "3") == 0
         model = out / "models" / "lstm-mean-fold0.json"
         record = next((store / "episodes").glob("*.txt"))
         assert run("attention", "--model", model,
