@@ -48,14 +48,14 @@ with tempfile.TemporaryDirectory() as tmp:
     data_dir, outcomes = make_corpus(root)
     store, run_dir = root / "store", root / "run"
 
+    # The store fixes the interval; every train run on it uses 12-hour bins.
     run("preprocess", "--data-dir", data_dir, "--outcomes", outcomes,
-        "--out", store)
+        "--out", store, "--interval-hours", "12")
     print("store contents:", sorted(p.name for p in store.iterdir()))
 
     run("train", "--store", store, "--out", run_dir,
         "--folds", "2", "--epochs", "3", "--patience", "3",
-        "--hidden", "4", "--heads", "2", "--interval-hours", "12",
-        "--batch", "4", "--seed", "0")
+        "--hidden", "4", "--heads", "2", "--batch", "4", "--seed", "0")
     print("results.csv:")
     print((run_dir / "results.csv").read_text())
 

@@ -16,9 +16,9 @@ records of one run::
       features/<id>.csv final interval-by-feature matrices (fit on all episodes)
       episodes/<id>.txt canonical copies of the parsed records
 
-The train command reads the canonical episodes (not the matrices) so each
-cross-validation fold can refit preprocessing on its own training split.
-It refuses ``--hidden`` or ``--heads`` where the variant has no use for it.
+Train refits preprocessing per fold from the canonical episodes, at the
+interval in the store's ``stats.json``.  Each train flag sets a config field,
+whose default is the flag's, and is refused where the variant ignores it.
 Predict and attention share one scoring body, ``_score``, and differ only in
 their header and rows; neither writes anything unless every risk is finite.
 """
@@ -29,7 +29,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -82,11 +82,20 @@ def _labeled(episodes: list[ingest.RawEpisode], labels_path: Path) -> list[inges
                        lambda text: ingest.join_labels(episodes, ingest.parse_outcomes(text)))
 
 
-def _load_store(store: Path) -> list[ingest.RawEpisode]:
+def _load_store(store: Path) -> tuple[list[ingest.RawEpisode], int]:
+    """A store's labeled episodes, and the interval in minutes that its
+    ``stats.json`` was fitted with, which must be a positive integer."""
+    stats_path = store / "stats.json"
+    try:
+        minutes = json.loads(stats_path.read_text())["interval_minutes"]
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise ValueError(f"{stats_path}: cannot read interval_minutes ({exc!r})") from exc
+    if type(minutes) is not int or minutes <= 0:
+        raise ValueError(f"{stats_path}: interval_minutes is {minutes!r}, not a positive integer")
     episode_files = sorted((store / "episodes").glob("*.txt"))
     if not episode_files:
         raise FileNotFoundError(f"no episodes found under {store / 'episodes'}")
-    return _labeled(_read_records(episode_files), store / "labels.csv")
+    return _labeled(_read_records(episode_files), store / "labels.csv"), minutes
 
 
 # -- preprocess ---------------------------------------------------------------
@@ -154,27 +163,26 @@ def cmd_preprocess(args) -> int:
 
 # -- train --------------------------------------------------------------------
 
-# The size flags a variant has no use for: lr-baseline has no LSTM, lstm-mean no heads.
-IGNORED_SIZES = {"lr-baseline": ("hidden", "heads"), "lstm-mean": ("heads",)}
+def _given(args, config) -> dict:
+    """The flags given for fields of the ``config`` class; None is not given."""
+    return {f.name: value for f in fields(config)
+            if (value := getattr(args, f.name, None)) is not None}
 
 
 def cmd_train(args) -> int:
     variant = args.variant
-    sizes = {name: value for name in ("hidden", "heads")
-             if (value := getattr(args, name)) is not None}
+    sizes = _given(args, ModelConfig)
+    _, fixed, unused = VARIANTS[variant]
     for name in sizes:
-        if name in IGNORED_SIZES.get(variant, ()):
-            raise ValueError(f"--{name} has no effect on --variant {variant}; leave it out")
+        if name in fixed or name in unused:
+            raise ValueError(f"--{name.replace('_', '-')} has no effect on --variant "
+                             f"{variant}; leave it out")
 
     store = Path(args.store)
-    episodes = _load_store(store)
+    episodes, interval_minutes = _load_store(store)
     cfg, model_cfg = apply_variant(
-        variant,
-        TrainConfig(learning_rate=args.lr, batch_size=args.batch, max_epochs=args.epochs,
-                    patience=args.patience, seed=args.seed, folds=args.folds,
-                    interval_minutes=args.interval_hours * 60),
-        ModelConfig(input_dim=preprocess.feature_width(), dropout_in=args.dropout_in,
-                    dropout_out=args.dropout_out, **sizes))
+        variant, TrainConfig(interval_minutes=interval_minutes, **_given(args, TrainConfig)),
+        ModelConfig(**sizes))
 
     result = cross_validate(episodes, cfg, model_cfg, only_fold=args.fold)
 
@@ -193,7 +201,8 @@ def cmd_train(args) -> int:
     lines.append(f"{variant},pooled,{result.pooled_auc!r},,")
     (out / "results.csv").write_text("\n".join(lines) + "\n")
 
-    store_files = sorted((store / "episodes").glob("*.txt")) + [store / "labels.csv"]
+    store_files = sorted((store / "episodes").glob("*.txt")) + [
+        store / "labels.csv", store / "stats.json"]
     _write_manifest(
         out / "manifest.json", "train",
         {"store": str(store), "out": str(out), "variant": variant, "fold": args.fold,
@@ -283,28 +292,33 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--data-dir", required=True, help="directory of record .txt files")
     pre.add_argument("--outcomes", required=True, help="outcomes file with labels")
     pre.add_argument("--out", required=True, help="feature store directory to create")
-    pre.add_argument("--interval-hours", type=int, default=3)
+    pre.add_argument("--interval-hours", type=int,
+                     default=preprocess.DEFAULT_INTERVAL_MINUTES // 60,
+                     help="interval length; train reads it from the store (default %(default)s)")
     pre.set_defaults(func=cmd_preprocess)
 
     tr = sub.add_parser("train", help="cross-validated training from a feature store")
-    tr.add_argument("--store", required=True, help="feature store from 'preprocess'")
+    tr.add_argument("--store", required=True, help="feature store, which sets the interval")
     tr.add_argument("--out", required=True, help="output directory for models and results")
     tr.add_argument("--variant", choices=VARIANTS, default="lstm-attn",
-                    help="the architecture; lr-baseline also pins a 48-hour "
-                         "interval and zero dropout")
-    tr.add_argument("--interval-hours", type=int, default=3)
-    tr.add_argument("--hidden", type=int)  # None: ModelConfig's default
-    tr.add_argument("--heads", type=int)
-    tr.add_argument("--dropout-in", type=float, default=0.5)
-    tr.add_argument("--dropout-out", type=float, default=0.5)
-    tr.add_argument("--lr", type=float, default=1e-3)
-    tr.add_argument("--batch", type=int, default=32)
-    tr.add_argument("--epochs", type=int, default=100)
-    tr.add_argument("--patience", type=int, default=10)
-    tr.add_argument("--folds", type=int, default=5)
-    tr.add_argument("--fold", type=int, default=None,
-                    help="train only this fold of the k-fold split")
-    tr.add_argument("--seed", type=int, default=0)
+                    help="the architecture, which may fix other fields (default %(default)s)")
+    # A flag's default is its field's; ModelConfig's stay None, to be refusable.
+    for flag, config, name in (
+            ("--hidden", ModelConfig, "hidden"),
+            ("--heads", ModelConfig, "heads"),
+            ("--dropout-in", ModelConfig, "dropout_in"),
+            ("--dropout-out", ModelConfig, "dropout_out"),
+            ("--lr", TrainConfig, "learning_rate"),
+            ("--batch", TrainConfig, "batch_size"),
+            ("--epochs", TrainConfig, "max_epochs"),
+            ("--patience", TrainConfig, "patience"),
+            ("--folds", TrainConfig, "folds"),
+            ("--seed", TrainConfig, "seed")):
+        default = getattr(config, name)
+        tr.add_argument(flag, dest=name, type=type(default), help=f"(default {default})",
+                        default=default if config is TrainConfig else None)
+    tr.add_argument("--fold", type=int,
+                    help="train only this fold of the k-fold split (default all)")
     tr.set_defaults(func=cmd_train)
 
     pr = sub.add_parser("predict", help="score raw record files with a trained model")

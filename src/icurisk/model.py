@@ -37,7 +37,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from icurisk.autodiff import ShapeMismatchError, Tape, check_gradients, sigmoid
-from icurisk.preprocess import PipelineStats
+from icurisk.preprocess import PipelineStats, feature_width
 
 
 class ModelFormatError(ValueError):
@@ -52,13 +52,12 @@ POOLING_MODES = ("attention", "mean")
 
 @dataclass
 class ModelConfig:
-    """Architecture switches.  In ``icurisk train``, ``--variant`` sets
-    ``recurrent``, ``bidirectional`` and ``pooling`` (and zero dropout for
-    ``lr-baseline``); ``--hidden``, ``--heads``, ``--dropout-in`` and
-    ``--dropout-out`` set the fields they name.  ``input_dim`` is the
-    feature width and ``attn_hidden`` keeps its default."""
+    """Architecture switches, and the one place their defaults live.
+    ``icurisk train --variant`` fixes some fields (``train.VARIANTS``), and
+    ``--hidden``, ``--heads``, ``--dropout-in`` and ``--dropout-out`` set
+    the fields they name.  ``input_dim`` is the preprocess feature width."""
 
-    input_dim: int = 185
+    input_dim: int = feature_width()
     hidden: int = 32
     heads: int = 2
     bidirectional: bool = False

@@ -38,6 +38,9 @@ N_STATS = len(STAT_NAMES)
 N_SERIES = len(TIME_SERIES_PARAMETERS)
 N_STATICS = len(STATIC_PARAMETERS)
 
+# The interval length unless a caller chooses another: 16 intervals of 3 hours.
+DEFAULT_INTERVAL_MINUTES = 180
+
 
 def feature_names() -> list[str]:
     """Column names of the feature matrix, parameter-major then statics."""
@@ -311,17 +314,30 @@ def _imputed_matrix(
     return impute(raw, episode_series_means(clamped), imputation)
 
 
-def fit_pipeline(episodes: list[RawEpisode], interval_minutes: int = 180) -> PipelineStats:
+def fit_pipeline(episodes: list[RawEpisode],
+                 interval_minutes: int = DEFAULT_INTERVAL_MINUTES) -> PipelineStats:
     """Fit truncation, imputation, and normalization on a training split.
 
-    The imputed training matrices are dropped after the fit, so a caller
-    that needs them builds them again with :func:`build_features`.
+    A non-finite imputation mean or normalization mean or std raises
+    ValueError naming the feature and the statistic: values near 1e308
+    parse, and their sums can overflow.  The imputed training matrices are
+    dropped after the fit; :func:`build_features` builds them again.
     """
-    bounds = fit_truncation(episodes)
-    imputation = fit_imputation(episodes, bounds)
-    norm = fit_normalization([_imputed_matrix(ep, interval_minutes, bounds, imputation)
-                              for ep in episodes])
-    return PipelineStats(interval_minutes, bounds, imputation, norm, feature_names())
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        bounds = fit_truncation(episodes)
+        imputation = fit_imputation(episodes, bounds)
+        norm = fit_normalization([_imputed_matrix(ep, interval_minutes, bounds, imputation)
+                                  for ep in episodes])
+    names = feature_names()
+    means = np.concatenate([imputation.series_means, imputation.static_means])
+    for statistic, values, value_names in (
+            ("imputation mean", means, TIME_SERIES_PARAMETERS + STATIC_PARAMETERS),
+            ("normalization mean", norm.mean, names), ("normalization std", norm.std, names)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"feature {value_names[bad[0]]}: fitted {statistic} "
+                             f"is {values[bad[0]]}")
+    return PipelineStats(interval_minutes, bounds, imputation, norm, names)
 
 
 def build_features(episode: RawEpisode, stats: PipelineStats) -> EpisodeFeatures:

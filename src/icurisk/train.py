@@ -14,7 +14,7 @@ validation is scored in batches of the same size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,14 +23,25 @@ from icurisk.ingest import MAX_MINUTES, RawEpisode
 # that the tracer patches by-name imports through this binding.
 from icurisk.model import (  # noqa: F401
     ModelConfig, ModelParams, forward_batch, forward_episode, loss_and_grads)
-from icurisk.preprocess import EpisodeFeatures, PipelineStats, build_features, fit_pipeline
+from icurisk.preprocess import (
+    DEFAULT_INTERVAL_MINUTES, EpisodeFeatures, PipelineStats, build_features, fit_pipeline)
 
 
 class TrainingDiverged(RuntimeError):
     """Raised when a batch produces a non-finite loss or gradient."""
 
 
-VARIANTS = ("lr-baseline", "lstm-mean", "lstm-attn", "bilstm-attn")
+# The paper's configurations: the TrainConfig and ModelConfig fields each one
+# fixes, and the ModelConfig sizes it has no use for.  `icurisk train` refuses
+# a flag that sets a ModelConfig field the variant fixes or has no use for.
+VARIANTS = {
+    "lr-baseline": ({"interval_minutes": MAX_MINUTES},  # statistics over the whole 48 hours
+                    {"recurrent": False, "dropout_in": 0.0, "dropout_out": 0.0},
+                    ("hidden", "heads")),
+    "lstm-mean": ({}, {"recurrent": True, "bidirectional": False, "pooling": "mean"}, ("heads",)),
+    "lstm-attn": ({}, {"recurrent": True, "bidirectional": False, "pooling": "attention"}, ()),
+    "bilstm-attn": ({}, {"recurrent": True, "bidirectional": True, "pooling": "attention"}, ()),
+}
 
 
 @dataclass
@@ -41,7 +52,7 @@ class TrainConfig:
     patience: int = 10
     seed: int = 0
     folds: int = 5
-    interval_minutes: int = 180
+    interval_minutes: int = DEFAULT_INTERVAL_MINUTES
 
     def __post_init__(self):
         if self.folds < 2:
@@ -122,28 +133,12 @@ def auc(scores, labels) -> float:
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-def adam_step(values: np.ndarray, grads: np.ndarray, m: np.ndarray, v: np.ndarray,
-              t: int, lr: float) -> np.ndarray:
-    """One bias-corrected Adam update for a single array.
-
-    Mutates the moment buffers in place and returns the updated values;
-    ``t`` is the 1-based step count.
-    """
-    if t < 1:
-        raise ValueError("Adam step count starts at 1")
-    m[...] = BETA1 * m + (1.0 - BETA1) * grads
-    v[...] = BETA2 * v + (1.0 - BETA2) * grads * grads
-    m_hat = m / (1.0 - BETA1 ** t)
-    v_hat = v / (1.0 - BETA2 ** t)
-    return values - lr * m_hat / (np.sqrt(v_hat) + EPS)
-
-
 class Adam:
     """Adam over named parameter arrays, updating each one in place, so
     views into them (such as :func:`~icurisk.model.v1_arrays`) stay valid.
-    The gradient and the moments are one flat vector each, and a step runs
-    the operations of :func:`adam_step`, in its order, once over all of
-    them: bit for bit the same values."""
+    The gradient and the moments are one flat vector each, and a step is
+    one bias-corrected update over all of them, bit for bit the values of
+    the textbook update applied array by array."""
 
     def __init__(self, named_arrays, lr: float):
         self.named_arrays = list(named_arrays)
@@ -252,23 +247,13 @@ def train_fold(train_features: list[EpisodeFeatures],
 
 def apply_variant(variant: str, cfg: TrainConfig,
                   model_cfg: ModelConfig) -> tuple[TrainConfig, ModelConfig]:
-    """Pin the architecture a named configuration requires (``recurrent``,
-    and for a recurrent one ``bidirectional`` and ``pooling``), and for
-    ``lr-baseline`` the 48-hour interval and zero dropout.  Every other
-    field passes through."""
+    """``cfg`` and ``model_cfg`` with the fields ``VARIANTS[variant]`` fixes,
+    its architecture and for ``lr-baseline`` also the 48-hour interval and
+    zero dropout; every other field passes through."""
     if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    if variant == "lr-baseline":
-        # Statistics over the whole 48 hours, plain logistic regression.
-        cfg = replace(cfg, interval_minutes=MAX_MINUTES)
-        model_cfg = replace(model_cfg, recurrent=False, dropout_in=0.0, dropout_out=0.0)
-    elif variant == "lstm-mean":
-        model_cfg = replace(model_cfg, recurrent=True, bidirectional=False, pooling="mean")
-    elif variant == "lstm-attn":
-        model_cfg = replace(model_cfg, recurrent=True, bidirectional=False, pooling="attention")
-    else:  # bilstm-attn
-        model_cfg = replace(model_cfg, recurrent=True, bidirectional=True, pooling="attention")
-    return cfg, model_cfg
+        raise ValueError(f"unknown variant {variant!r}, expected one of {tuple(VARIANTS)}")
+    train_fixed, model_fixed, _ = VARIANTS[variant]
+    return replace(cfg, **train_fixed), replace(model_cfg, **model_fixed)
 
 
 def cross_validate(episodes: list[RawEpisode], cfg: TrainConfig,
@@ -304,7 +289,10 @@ def cross_validate(episodes: list[RawEpisode], cfg: TrainConfig,
         train_eps = [ep for j, ep in enumerate(episodes) if j not in in_val]
         val_eps = [episodes[int(j)] for j in val_idx]
 
-        stats = fit_pipeline(train_eps, cfg.interval_minutes)
+        try:
+            stats = fit_pipeline(train_eps, cfg.interval_minutes)
+        except ValueError as exc:
+            raise ValueError(f"fold {fold_idx}: {exc}") from exc
         train_features = [build_features(ep, stats) for ep in train_eps]
         val_features = [build_features(ep, stats) for ep in val_eps]
 

@@ -269,10 +269,10 @@ def test_criterion_10_training_determinism(tmp_path):
         data_dir, outcomes = write_corpus(tmp_path, n=10, seed=3)
         store = tmp_path / "store"
         assert cli_main(["preprocess", "--data-dir", str(data_dir),
-                         "--outcomes", str(outcomes), "--out", str(store)]) == 0
+                         "--outcomes", str(outcomes), "--out", str(store),
+                         "--interval-hours", "12"]) == 0
         flags = ["--folds", "2", "--epochs", "2", "--patience", "2",
-                 "--hidden", "3", "--heads", "1", "--batch", "4",
-                 "--interval-hours", "12", "--seed", "11"]
+                 "--hidden", "3", "--heads", "1", "--batch", "4", "--seed", "11"]
         runs = [tmp_path / "run-a", tmp_path / "run-b"]
         for out in runs:
             assert cli_main(["train", "--store", str(store),

@@ -1,15 +1,23 @@
 """End-to-end command tests on a small synthetic corpus."""
 
+import argparse
+import inspect
 import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from icurisk.cli import main
-from icurisk.model import forward_episode, load_model
-from icurisk.preprocess import build_features
+from icurisk.cli import _given, build_parser, main
+from icurisk.model import ModelConfig, forward_episode, load_model
+from icurisk.preprocess import (
+    DEFAULT_INTERVAL_MINUTES, build_features, feature_width, fit_pipeline)
 from icurisk.ingest import parse_record
+from icurisk.train import TrainConfig
+
+from conftest import record_text
 
 
 def run(*argv):
@@ -22,18 +30,27 @@ def read_store_bytes(store: Path) -> dict[str, bytes]:
 
 
 # TRAIN_FAST less the size flags: lr-baseline refuses both, lstm-mean --heads.
+# The interval comes from the store, which the store fixture fits at 12 hours.
 TRAIN_BASE = ["--folds", "2", "--epochs", "2", "--patience", "2", "--batch", "4",
-              "--interval-hours", "12", "--seed", "0"]
+              "--seed", "0"]
 TRAIN_FAST = TRAIN_BASE + ["--hidden", "3", "--heads", "1"]
+
+
+def preprocess_into(tiny_corpus, out, *flags):
+    data_dir, outcomes = tiny_corpus
+    assert run("preprocess", "--data-dir", data_dir, "--outcomes", outcomes,
+               "--out", out, *flags) == 0
+    return out
+
+
+@pytest.fixture
+def default_store(tiny_corpus, tmp_path):
+    return preprocess_into(tiny_corpus, tmp_path / "default-store")
 
 
 @pytest.fixture
 def store(tiny_corpus, tmp_path):
-    data_dir, outcomes = tiny_corpus
-    out = tmp_path / "store"
-    assert run("preprocess", "--data-dir", data_dir, "--outcomes", outcomes,
-               "--out", out) == 0
-    return out
+    return preprocess_into(tiny_corpus, tmp_path / "store", "--interval-hours", "12")
 
 
 @pytest.fixture
@@ -44,7 +61,8 @@ def trained(store, tmp_path):
 
 
 class TestPreprocess:
-    def test_store_layout(self, store):
+    def test_store_layout(self, default_store):
+        store = default_store
         assert (store / "stats.json").exists()
         assert (store / "labels.csv").exists()
         assert (store / "manifest.json").exists()
@@ -52,8 +70,8 @@ class TestPreprocess:
         episodes = list((store / "episodes").glob("*.txt"))
         assert len(features) == len(episodes) == 12
 
-    def test_feature_matrices_are_finite_and_capped(self, store):
-        for path in (store / "features").glob("*.csv"):
+    def test_feature_matrices_are_finite_and_capped(self, default_store):
+        for path in (default_store / "features").glob("*.csv"):
             lines = path.read_text().splitlines()
             assert len(lines[0].split(",")) == 185
             assert len(lines) - 1 <= 16
@@ -61,8 +79,8 @@ class TestPreprocess:
                                for line in lines[1:]])
             assert np.isfinite(values).all()
 
-    def test_manifest_contents(self, store):
-        manifest = json.loads((store / "manifest.json").read_text())
+    def test_manifest_contents(self, default_store):
+        manifest = json.loads((default_store / "manifest.json").read_text())
         assert manifest["command"] == "preprocess"
         assert manifest["options"]["interval_hours"] == 3
         assert len(manifest["dataset_digest"]) == 64
@@ -109,6 +127,19 @@ class TestPreprocess:
         assert (f"error: {stale}: --out {out} holds a file this run does not write"
                 in capsys.readouterr().err)
         assert read_store_bytes(out) == before  # refused before anything is written
+
+    def test_overflowing_statistic_names_the_feature(self, tiny_corpus, tmp_path, capsys):
+        # Values near 1e308 parse, but their sum overflows HR's imputation mean.
+        data_dir, outcomes = tiny_corpus
+        (data_dir / "149999.txt").write_text(
+            record_text(149999, {"Age": 70}, [(60, "HR", 1.5e308), (120, "HR", 1.6e308)]))
+        outcomes.write_text(outcomes.read_text() + "149999,10,5,12,-1,0\n")
+        out = tmp_path / "s"
+        assert run("preprocess", "--data-dir", data_dir, "--outcomes", outcomes,
+                   "--out", out) == 1
+        assert ("error: feature HR: fitted imputation mean is inf"
+                in capsys.readouterr().err)
+        assert not out.exists()  # refused before anything is written
 
     def test_missing_data_dir_fails(self, tmp_path):
         assert run("preprocess", "--data-dir", tmp_path / "nope",
@@ -217,13 +248,47 @@ class TestTrain:
 
     @pytest.mark.parametrize("variant,flag", [
         ("lr-baseline", "--hidden"), ("lr-baseline", "--heads"), ("lstm-mean", "--heads"),
+        ("lr-baseline", "--dropout-in"), ("lr-baseline", "--dropout-out"),
     ])
     def test_size_flag_the_variant_ignores_refused(self, store, tmp_path, capsys,
                                                    variant, flag):
         out = tmp_path / "out"
+        value = "0.3" if flag.startswith("--dropout") else "3"  # valid, yet ignored
         assert run("train", "--store", store, "--out", out, "--variant", variant,
-                   *TRAIN_BASE, flag, "3") == 1
+                   *TRAIN_BASE, flag, value) == 1
         assert f"error: {flag} has no effect on --variant {variant}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hours", ["3", "12"])
+    def test_models_use_the_store_interval(self, tiny_corpus, tmp_path, hours):
+        store = preprocess_into(tiny_corpus, tmp_path / "s", "--interval-hours", hours)
+        out = tmp_path / "run"
+        assert run("train", "--store", store, "--out", out, *TRAIN_FAST, "--fold", "0") == 0
+        stored = json.loads((store / "stats.json").read_text())["interval_minutes"]
+        assert stored == int(hours) * 60
+        models = sorted((out / "models").glob("*.json"))
+        assert models
+        for path in models:
+            assert json.loads(path.read_text())["preprocess"]["interval_minutes"] == stored
+
+    @pytest.mark.parametrize("stats", [
+        None, "{", "[]", "{}", '{"interval_minutes": 0}', '{"interval_minutes": -180}',
+        '{"interval_minutes": 180.0}', '{"interval_minutes": "180"}',
+        '{"interval_minutes": true}',
+    ], ids=["missing", "not-json", "list", "no-interval", "zero", "negative", "float",
+            "string", "bool"])
+    def test_bad_store_stats_refused_before_training(self, store, tmp_path, capsys,
+                                                     monkeypatch, stats):
+        path = store / "stats.json"
+        if stats is None:
+            path.unlink()
+        else:
+            path.write_text(stats)
+        monkeypatch.setattr("icurisk.train.fit_pipeline", lambda *a: pytest.fail("fitted"))
+        out = tmp_path / "out"
+        assert run("train", "--store", store, "--out", out, *TRAIN_FAST) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "interval_minutes" in err
         assert not out.exists()
 
     def test_missing_store_fails(self, tmp_path):
@@ -404,6 +469,56 @@ class TestAttention:
         assert "attention" in capsys.readouterr().err
 
 
+def _subparser(name: str) -> argparse.ArgumentParser:
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    return commands.choices[name]
+
+
+def test_each_default_has_one_source():
+    """Every train flag's default is its config field's, and preprocess's
+    interval default is the one constant that TrainConfig and fit_pipeline use;
+    --help and the README flag table show those same values."""
+    config_of = {f.name: config for config in (TrainConfig, ModelConfig)
+                 for f in fields(config)}
+    train = _subparser("train")
+    args = train.parse_args(["--store", "s", "--out", "o"])
+    flags = {}
+    for action in train._actions:
+        if action.dest not in config_of:
+            continue
+        config = config_of[action.dest]
+        default = getattr(config, action.dest)
+        # ModelConfig flags stay None unless given, so train can refuse them.
+        assert getattr(args, action.dest) == (None if config is ModelConfig else default)
+        assert f"(default {default})" in action.help
+        flags[action.option_strings[0]] = default
+    assert sorted(flags) == ["--batch", "--dropout-in", "--dropout-out", "--epochs",
+                             "--folds", "--heads", "--hidden", "--lr", "--patience", "--seed"]
+    assert _given(args, ModelConfig) == {}
+    assert TrainConfig(**_given(args, TrainConfig)) == TrainConfig()
+
+    hours = _subparser("preprocess").parse_args(
+        ["--data-dir", "d", "--outcomes", "o", "--out", "s"]).interval_hours
+    assert hours * 60 == DEFAULT_INTERVAL_MINUTES == TrainConfig.interval_minutes
+    assert inspect.signature(fit_pipeline).parameters["interval_minutes"].default == \
+        DEFAULT_INTERVAL_MINUTES
+    assert ModelConfig.input_dim == feature_width()
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    rows = [line.split("|")[1:3] for line in readme.splitlines()
+            if line.startswith("| `--")]
+    table = {flag: cell.strip() for names, cell in rows
+             for flag in re.findall(r"`(--[a-z-]+)`", names)}
+    for flag, default in flags.items():
+        assert float(table[flag]) == default, flag
+    assert table["--variant"] == f"`{args.variant}`"
+    assert table["--fold"] == "all" and args.fold is None
+    assert table["--store"] == table["--out"] == "required"
+    # One row per flag, and no --interval-hours: the store sets train's interval.
+    assert sorted(table) == sorted(a.option_strings[0] for a in train._actions[1:])
+
+
 class TestArgumentErrors:
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -415,9 +530,12 @@ class TestArgumentErrors:
         ["train", "--store", "s", "--out", "o", "--pooling", "mean"],
         ["preprocess", "--data-dir", "d", "--outcomes", "o", "--out", "s", "--seed", "0"],
         ["predict", "--model", "m", "--out", "o", "--seed", "0", "r.txt"],
-    ], ids=["bidirectional", "pooling", "preprocess-seed", "predict-seed"])
+        ["train", "--store", "s", "--out", "o", "--interval-hours", "12"],
+    ], ids=["bidirectional", "pooling", "preprocess-seed", "predict-seed",
+            "train-interval-hours"])
     def test_removed_flags_rejected(self, argv):
-        # --variant alone picks the architecture; only train draws random numbers.
+        # --variant alone picks the architecture; only train draws random numbers;
+        # the store alone sets the interval.
         with pytest.raises(SystemExit) as exc:
             run(*argv)
         assert exc.value.code == 2

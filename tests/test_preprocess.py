@@ -402,3 +402,19 @@ def test_non_finite_statistics_name_record_and_feature():
     stats.normalization.mean[HR * N_STATS] = np.nan
     with pytest.raises(ValueError, match="record 140000: feature HR_min"):
         build_features(ep, stats)
+
+
+@pytest.mark.parametrize("first,second,message", [
+    ({"rows": [(0, "HR", 1.5e308)]}, {"rows": [(60, "HR", 1.6e308)]},
+     "feature HR: fitted imputation mean is inf"),
+    ({"rows": [(0, "HR", 70.0)], "statics": {"Weight": 1.5e308}},
+     {"rows": [(0, "HR", 60.0)], "statics": {"Weight": 1.6e308}},
+     "feature Weight: fitted imputation mean is inf"),
+    ({"rows": [(0, "HR", 1e200)]}, {"rows": [(0, "HR", 70.0)]},
+     "feature HR_min: fitted normalization std is inf"),
+], ids=["series-mean", "static-mean", "normalization-std"])
+def test_fit_refuses_a_non_finite_statistic(first, second, message):
+    # Values near 1e308 parse, but sums and squares of them overflow.
+    episodes = [episode(record_id=i + 1, **spec) for i, spec in enumerate((first, second))]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit_pipeline(episodes)

@@ -10,8 +10,10 @@ from icurisk.train import (
     Adam,
     TrainConfig,
     TrainingDiverged,
+    BETA1,
+    BETA2,
+    EPS,
     _score_all,
-    adam_step,
     apply_variant,
     auc,
     cross_validate,
@@ -103,22 +105,41 @@ class TestKfoldSplit:
             kfold_split(1, seed=0, labels=[0] * 10)
 
 
+def adam_step(values, grads, m, v, t, lr):
+    """Reference: one bias-corrected Adam update of a single array, as in
+    Kingma and Ba; mutates the moment buffers and returns the new values.
+    ``Adam.step`` must match it bit for bit, array by array."""
+    m[...] = BETA1 * m + (1.0 - BETA1) * grads
+    v[...] = BETA2 * v + (1.0 - BETA2) * grads * grads
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    return values - lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+def adam_over(values, lr):
+    """An ``Adam`` over the one array ``values``, which it updates in place."""
+    return Adam([("x", values)], lr=lr)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_values(self):
         values = np.array([1.0, -2.0])
-        m = np.full(2, 0.5)
-        v = np.full(2, 0.25)
-        out = adam_step(values, np.zeros(2), m, v, t=1, lr=1e-3)
+        opt = adam_over(values, lr=1e-3)
+        opt.m[...] = 0.5
+        opt.v[...] = 0.25
+        opt.step(np.zeros(2))
         # Moments decay toward zero but carry momentum into the update.
-        np.testing.assert_allclose(m, [0.45, 0.45])
-        np.testing.assert_allclose(v, [0.24975, 0.24975])
-        assert not np.array_equal(out, values)  # nonzero momentum still moves
-        fresh = adam_step(values.copy(), np.zeros(2), np.zeros(2), np.zeros(2), 1, 1e-3)
-        np.testing.assert_array_equal(fresh, values)  # no momentum, no motion
+        np.testing.assert_allclose(opt.m, [0.45, 0.45])
+        np.testing.assert_allclose(opt.v, [0.24975, 0.24975])
+        assert not np.array_equal(values, [1.0, -2.0])  # nonzero momentum still moves
+        fresh = np.array([1.0, -2.0])
+        adam_over(fresh, lr=1e-3).step(np.zeros(2))
+        np.testing.assert_array_equal(fresh, [1.0, -2.0])  # no momentum, no motion
 
     def test_first_step_is_signed_learning_rate(self):
         g = np.array([0.3, -4.0, 1e-6])
-        out = adam_step(np.zeros(3), g, np.zeros(3), np.zeros(3), t=1, lr=1e-3)
+        out = np.zeros(3)
+        adam_over(out, lr=1e-3).step(g.copy())
         expected = -1e-3 * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -135,23 +156,20 @@ class TestAdam:
         theta_ref = theta_ref - lr * (m2 / (1 - b1 ** 2)) / (np.sqrt(v2 / (1 - b2 ** 2)) + eps)
 
         values = np.array([theta])
-        m_buf, v_buf = np.zeros(1), np.zeros(1)
-        values = adam_step(values, np.array([g1]), m_buf, v_buf, t=1, lr=lr)
-        values = adam_step(values, np.array([g2]), m_buf, v_buf, t=2, lr=lr)
+        opt = adam_over(values, lr=lr)
+        opt.step(np.array([g1]))
+        opt.step(np.array([g2]))
+        assert opt.t == 2  # Adam counts its own steps
         assert abs(values[0] - theta_ref) < 1e-12
 
     def test_lr_zero_is_bit_identical(self):
         rng = np.random.default_rng(2)
         values = rng.normal(size=50)
         baseline = values.tobytes()
-        m, v = np.zeros(50), np.zeros(50)
-        for t in range(1, 4):
-            values = adam_step(values, rng.normal(size=50), m, v, t=t, lr=0.0)
+        opt = adam_over(values, lr=0.0)
+        for _ in range(3):
+            opt.step(rng.normal(size=50))
         assert values.tobytes() == baseline
-
-    def test_step_count_must_start_at_one(self):
-        with pytest.raises(ValueError):
-            adam_step(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), t=0, lr=1e-3)
 
     def test_optimizer_class_steps_named_arrays_in_place(self):
         array = np.array([1.0])
@@ -379,6 +397,14 @@ class TestCrossValidate:
             ep.label = label
         with pytest.raises(ValueError, match=r"fold 2 of k=5: .* 0 positive and 2 negative"):
             cross_validate(episodes, TrainConfig(folds=5), _small_model(input_dim=185))
+
+    def test_non_finite_fit_names_the_fold(self):
+        huge = parse_record(record_text(99, {"Age": 60}, [(0, "HR", 1.5e308), (60, "HR", 1.6e308)]))
+        huge.label = 0
+        cfg = TrainConfig(folds=2, max_epochs=1, patience=1, batch_size=4, seed=0)
+        with pytest.raises(ValueError,
+                           match=r"^fold [01]: feature HR: fitted imputation mean is inf$"):
+            cross_validate(_toy_episodes() + [huge], cfg, _small_model(input_dim=185, hidden=3))
 
     def test_unlabeled_episodes_rejected(self):
         episodes = _toy_episodes()
