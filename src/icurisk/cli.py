@@ -90,8 +90,10 @@ def _load_store(store: Path) -> tuple[list[ingest.RawEpisode], int]:
         minutes = json.loads(stats_path.read_text())["interval_minutes"]
     except (OSError, ValueError, LookupError, TypeError) as exc:
         raise ValueError(f"{stats_path}: cannot read interval_minutes ({exc!r})") from exc
-    if type(minutes) is not int or minutes <= 0:
-        raise ValueError(f"{stats_path}: interval_minutes is {minutes!r}, not a positive integer")
+    try:
+        preprocess.stored_interval(minutes)
+    except ValueError as exc:
+        raise ValueError(f"{stats_path}: {exc}") from None
     episode_files = sorted((store / "episodes").glob("*.txt"))
     if not episode_files:
         raise FileNotFoundError(f"no episodes found under {store / 'episodes'}")

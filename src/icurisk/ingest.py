@@ -8,6 +8,13 @@ the time-series.  An episode holds its rows as one structured array of
 (minutes, parameter index, value), the form :mod:`icurisk.preprocess` reads
 directly.  All functions here are pure: parsing many files concurrently is
 safe.
+
+Record text is read and written a column at a time: :func:`parse_record`
+splits every row at once and looks the times up in one table of the 2881
+canonical ``"HH:MM"`` strings, the names in one dict and the values through
+``float``.  A body that pass refuses (blank lines, padded fields, one-digit
+hours, any bad row) is walked line by line, raising at the first bad line.
+:func:`serialize_record` reads the same table backwards after one lexsort.
 """
 
 from __future__ import annotations
@@ -33,8 +40,11 @@ TIME_SERIES_PARAMETERS = (
 
 STATIC_PARAMETERS = ("Age", "Gender", "Height", "ICUType", "Weight")
 
-_SERIES_INDEX = {name: i for i, name in enumerate(TIME_SERIES_PARAMETERS)}
-_STATIC_INDEX = {name: i for i, name in enumerate(STATIC_PARAMETERS)}
+# A name's code: its series index, 36 + its static index, or RecordID's.
+_NAMES = TIME_SERIES_PARAMETERS + STATIC_PARAMETERS
+_CODES = {name: code for code, name in enumerate(_NAMES + ("RecordID",))}
+_N_SERIES = len(TIME_SERIES_PARAMETERS)
+_RECORD_ID = len(_NAMES)
 
 # One row per observation; ``parameter`` indexes TIME_SERIES_PARAMETERS for
 # measurements and STATIC_PARAMETERS for static extras.
@@ -46,6 +56,11 @@ MEASUREMENT_DTYPE = np.dtype(
 SENTINEL_STATICS = frozenset({"Gender", "Height", "Weight"})
 
 _TIME_RE = re.compile(r"^(\d{1,2}):([0-5]\d)$")
+
+# The canonical "HH:MM" of every minute of the window, 00:00 to 48:00.
+_CLOCK = [hour + minute for hour in [f"{h:02d}:" for h in range(49)]
+          for minute in [f"{m:02d}" for m in range(60)]][:MAX_MINUTES + 1]
+_MINUTE_OF = {clock: minutes for minutes, clock in enumerate(_CLOCK)}
 
 
 class IngestError(Exception):
@@ -73,9 +88,9 @@ class UnknownParameterError(IngestError):
         self.line_no = line_no
 
 
-def _by_minutes(rows: list[tuple[int, int, float]]) -> np.ndarray:
+def _by_minutes(rows) -> np.ndarray:
     """The rows as a MEASUREMENT_DTYPE array, stably sorted by time."""
-    array = np.array(rows, dtype=MEASUREMENT_DTYPE)
+    array = np.asarray(rows, dtype=MEASUREMENT_DTYPE)
     return array[np.argsort(array["minutes"], kind="stable")]
 
 
@@ -132,6 +147,10 @@ def _parse_value(token: str, line_no: int) -> float:
     return value
 
 
+def _is_record_id(value: float) -> bool:
+    return value > 0 and value == int(value)
+
+
 def parse_record(text: str) -> RawEpisode:
     """Parse one record file's contents into a :class:`RawEpisode`.
 
@@ -145,14 +164,42 @@ def parse_record(text: str) -> RawEpisode:
         raise RecordStructureError(
             "record file must start with a 'Time,Parameter,Value' header"
         )
+    episode = _parse_columns(lines[1:])
+    return _parse_lines(lines[1:]) if episode is None else episode
 
+
+def _parse_columns(body: list[str]) -> RawEpisode | None:
+    """The episode of a body of canonical rows, read a column at a time, or
+    None if any row is not canonical or the body has not one valid RecordID."""
+    fields = [line.split(",") for line in body]
+    if set(map(len, fields)) != {3}:
+        return None
+    times, names, tokens = zip(*fields)
+    try:
+        minutes = np.fromiter(map(_MINUTE_OF.__getitem__, times), np.int64, len(times))
+        codes = np.fromiter(map(_CODES.__getitem__, names), np.intp, len(names))
+        values = list(map(float, tokens))
+    except (KeyError, ValueError):
+        return None
+    column = np.array(values)
+    ids = np.flatnonzero(codes == _RECORD_ID).tolist()
+    if len(ids) != 1 or not np.isfinite(column).all() or not _is_record_id(values[ids[0]]):
+        return None
+    series = codes < _N_SERIES
+    measurements = np.empty(np.count_nonzero(series), MEASUREMENT_DTYPE)
+    measurements["minutes"], measurements["parameter"], measurements["value"] = (
+        minutes[series], codes[series], column[series])
+    static_rows = [(minutes[i], codes[i], values[i])
+                   for i in np.flatnonzero(~series & (codes != _RECORD_ID)).tolist()]
+    return _episode(int(values[ids[0]]), measurements, static_rows)
+
+
+def _parse_lines(body: list[str]) -> RawEpisode:
+    """The episode of any body, walked line by line: blank lines, padded
+    fields and one-digit hours pass, and the first bad line raises."""
     record_id: int | None = None
-    statics: list[float | None] = [None] * len(STATIC_PARAMETERS)
-    statics_seen = [False] * len(STATIC_PARAMETERS)
-    measurements: list[tuple[int, int, float]] = []
-    extras: list[tuple[int, int, float]] = []
-
-    for line_no, raw in enumerate(lines[1:], start=2):
+    measurements, static_rows = [], []
+    for line_no, raw in enumerate(body, start=2):
         line = raw.strip()
         if not line:
             continue
@@ -166,7 +213,7 @@ def parse_record(text: str) -> RawEpisode:
             if record_id is not None:
                 raise RecordStructureError("duplicate RecordID row")
             value = _parse_value(value_tok, line_no)
-            if value <= 0 or value != int(value):
+            if not _is_record_id(value):
                 raise RecordStructureError(
                     f"RecordID must be a positive integer, got {value_tok!r}"
                 )
@@ -174,27 +221,30 @@ def parse_record(text: str) -> RawEpisode:
             continue
 
         value = _parse_value(value_tok, line_no)
-
-        static_idx = _STATIC_INDEX.get(name)
-        if static_idx is not None:
-            if minutes == 0 and not statics_seen[static_idx]:
-                statics_seen[static_idx] = True
-                if name in SENTINEL_STATICS and value == -1:
-                    statics[static_idx] = None
-                else:
-                    statics[static_idx] = value
-            else:
-                extras.append((minutes, static_idx, value))
-            continue
-
-        series_idx = _SERIES_INDEX.get(name)
-        if series_idx is None:
+        code = _CODES.get(name)
+        if code is None:
             raise UnknownParameterError(name, line_no)
-        measurements.append((minutes, series_idx, value))
+        (measurements if code < _N_SERIES else static_rows).append((minutes, code, value))
 
     if record_id is None:
         raise RecordStructureError("missing RecordID row")
+    return _episode(record_id, measurements, static_rows)
 
+
+def _episode(record_id: int, measurements, static_rows: list[tuple]) -> RawEpisode:
+    """The episode of its rows; the first 00:00 row of each static (coded as
+    in ``_CODES``, in file order) fills its slot, the rest are extras."""
+    statics: list[float | None] = [None] * len(STATIC_PARAMETERS)
+    seen = set()
+    extras = []
+    for minutes, code, value in static_rows:
+        idx = code - _N_SERIES
+        if minutes == 0 and idx not in seen:
+            seen.add(idx)
+            if STATIC_PARAMETERS[idx] not in SENTINEL_STATICS or value != -1:
+                statics[idx] = value
+        else:
+            extras.append((minutes, idx, value))
     return RawEpisode(record_id, statics, _by_minutes(measurements), _by_minutes(extras))
 
 
@@ -202,27 +252,26 @@ def serialize_record(episode: RawEpisode) -> str:
     """Render an episode back to the record file format.
 
     ``parse_record(serialize_record(ep))`` reproduces ``ep`` exactly; missing
-    statics are omitted rather than written as -1.
+    statics are omitted rather than written as -1.  A row outside the
+    48-hour window raises ValueError, naming the record.
     """
-    out = io.StringIO()
-    out.write("Time,Parameter,Value\n")
-    out.write(f"00:00,RecordID,{episode.record_id}\n")
-    for idx, value in enumerate(episode.statics):
-        if value is not None:
-            out.write(f"00:00,{STATIC_PARAMETERS[idx]},{value!r}\n")
+    lines = ["Time,Parameter,Value", f"00:00,RecordID,{episode.record_id}"]
+    lines += [f"00:00,{name},{value!r}"
+              for name, value in zip(STATIC_PARAMETERS, episode.statics) if value is not None]
 
-    # Merge the two streams by time; the merge is stable within each stream,
-    # which is all the round-trip needs.  ``tolist`` yields Python floats,
-    # whose repr is the shortest round-tripping form.
-    rows: list[tuple[int, int, str]] = []
-    for array, names in ((episode.measurements, TIME_SERIES_PARAMETERS),
-                         (episode.static_extras, STATIC_PARAMETERS)):
-        for order, (minutes, p, value) in enumerate(array.tolist()):
-            rows.append((minutes, order, f"{names[p]},{value!r}"))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    for minutes, _, tail in rows:
-        out.write(f"{minutes // 60:02d}:{minutes % 60:02d},{tail}\n")
-    return out.getvalue()
+    # Merge the two streams by time, each in its own order, a measurement
+    # first on a full tie.  ``tolist`` yields Python floats, whose repr is
+    # the shortest round-tripping form.
+    n = len(episode.measurements)
+    rows = np.concatenate([episode.measurements, episode.static_extras])
+    rows["parameter"][n:] += _N_SERIES
+    minutes = rows["minutes"]
+    if rows.size and (minutes.min() < 0 or minutes.max() > MAX_MINUTES):
+        raise ValueError(f"record {episode.record_id}: a row lies outside the 48-hour window")
+    position = np.concatenate([np.arange(n), np.arange(len(rows) - n)])
+    lines += [f"{_CLOCK[t]},{_NAMES[p]},{value!r}"
+              for t, p, value in rows[np.lexsort((position, minutes))].tolist()]
+    return "\n".join(lines) + "\n"
 
 
 def parse_outcomes(text: str) -> dict[int, int]:

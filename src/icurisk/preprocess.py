@@ -42,6 +42,13 @@ N_STATICS = len(STATIC_PARAMETERS)
 DEFAULT_INTERVAL_MINUTES = 180
 
 
+def stored_interval(minutes) -> int:
+    """A stored ``interval_minutes``, which must be an int (not a bool) above 0."""
+    if type(minutes) is not int or minutes <= 0:
+        raise ValueError(f"interval_minutes is {minutes!r}, not a positive integer")
+    return minutes
+
+
 def feature_names() -> list[str]:
     """Column names of the feature matrix, parameter-major then statics."""
     names = [f"{param}_{stat}" for param in TIME_SERIES_PARAMETERS for stat in STAT_NAMES]
@@ -117,7 +124,7 @@ class PipelineStats:
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineStats":
         return cls(
-            interval_minutes=int(d["interval_minutes"]),
+            interval_minutes=stored_interval(d["interval_minutes"]),
             truncation=TruncationBounds(
                 lower=np.asarray(d["truncation"]["lower"], dtype=np.float64),
                 upper=np.asarray(d["truncation"]["upper"], dtype=np.float64),

@@ -281,18 +281,22 @@ def cross_validate(episodes: list[RawEpisode], cfg: TrainConfig,
                 "episodes; each fold needs both classes (use fewer folds)"
             )
 
-    results: list[FoldResult] = []
+    # Fit every fold's statistics before any fold trains, so a split whose
+    # statistics are not finite fails in seconds, naming its fold.
+    splits = {}
     for fold_idx, val_idx in enumerate(folds):
         if only_fold is not None and fold_idx != only_fold:
             continue
         in_val = set(int(i) for i in val_idx)
         train_eps = [ep for j, ep in enumerate(episodes) if j not in in_val]
-        val_eps = [episodes[int(j)] for j in val_idx]
-
         try:
             stats = fit_pipeline(train_eps, cfg.interval_minutes)
         except ValueError as exc:
             raise ValueError(f"fold {fold_idx}: {exc}") from exc
+        splits[fold_idx] = train_eps, [episodes[int(j)] for j in val_idx], stats
+
+    results: list[FoldResult] = []
+    for fold_idx, (train_eps, val_eps, stats) in splits.items():
         train_features = [build_features(ep, stats) for ep in train_eps]
         val_features = [build_features(ep, stats) for ep in val_eps]
 

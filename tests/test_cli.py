@@ -317,6 +317,23 @@ def test_model_without_statistics_refused(command, model_path, tiny_corpus, tmp_
     assert not Path(str(out) + ".manifest.json").exists()
 
 
+@pytest.mark.parametrize("minutes", [1.5, True, "180", 0], ids=["float", "bool", "string", "zero"])
+def test_model_interval_must_be_a_positive_int(minutes, model_path, tiny_corpus, tmp_path,
+                                               capsys):
+    # Read as int() these would score at a 1-minute or 180-minute interval.
+    doc = json.loads(model_path.read_text())
+    doc["preprocess"]["interval_minutes"] = minutes
+    bad = tmp_path / "bad-interval.json"
+    bad.write_text(json.dumps(doc))
+    record = sorted(tiny_corpus[0].glob("*.txt"))[0]
+    out = tmp_path / "risks.csv"
+    assert run("predict", "--model", bad, "--out", out, record) == 1
+    assert (f"error: {bad}: preprocess: interval_minutes is {minutes!r}, not a positive integer"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
+
+
 class TestPredict:
     def test_risk_table(self, model_path, tiny_corpus, tmp_path):
         data_dir, _ = tiny_corpus

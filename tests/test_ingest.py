@@ -195,6 +195,16 @@ def test_serialize_exact_text():
     )
 
 
+@pytest.mark.parametrize("rows, minutes", [("measurements", -1), ("measurements", 2881),
+                                            ("static_extras", 2881)])
+def test_serialize_refuses_a_row_outside_the_window(rows, minutes):
+    # No "HH:MM" of the window names it, and the text would not parse back.
+    ep = explicit_episode()
+    getattr(ep, rows)["minutes"][-1] = minutes
+    with pytest.raises(ValueError, match="^record 77: a row lies outside the 48-hour window$"):
+        serialize_record(ep)
+
+
 class TestEpisodeEquality:
     def test_round_trip_equal(self):
         ep = explicit_episode()

@@ -1,6 +1,7 @@
-"""Property tests: file round trip, feature-matrix invariants, the array
-preprocess against the loop oracle on generated episodes, and the batched
-model against the per-episode oracle on generated batches."""
+"""Property tests: file round trip, the column record reader and writer
+against the per-line oracle on mutated records, feature-matrix invariants,
+the array preprocess against the loop oracle on generated episodes, and the
+batched model against the per-episode oracle on generated batches."""
 
 from functools import lru_cache
 
@@ -27,6 +28,7 @@ from icurisk.preprocess import (
     fit_truncation,
 )
 
+import ingest_oracle
 import preprocess_oracle as oracle
 from conftest import synth_record_text
 from test_golden import ARCHITECTURES
@@ -47,17 +49,111 @@ def by_minutes(rows):
 
 
 @st.composite
-def episodes(draw, values=value_st):
-    measurements = by_minutes(draw(st.lists(st.tuples(minutes_st, parameter_st, values),
+def episodes(draw, values=value_st, minutes=minutes_st, extra_minutes=st.integers(1, MAX_MINUTES)):
+    measurements = by_minutes(draw(st.lists(st.tuples(minutes, parameter_st, values),
                                             max_size=60)))
     # -1 marks a missing Gender, Height or Weight in the file format.
     statics = draw(st.lists(st.none() | values.filter(lambda v: v != -1),
                             min_size=N_STATICS, max_size=N_STATICS))
     # A repeated static at 00:00 would fill an empty slot on parse; start at 00:01.
-    extras = by_minutes(draw(st.lists(st.tuples(st.integers(1, MAX_MINUTES),
+    extras = by_minutes(draw(st.lists(st.tuples(extra_minutes,
                                                 st.integers(0, N_STATICS - 1), values),
                                       max_size=3)))
     return RawEpisode(draw(st.integers(1, 999_999)), statics, measurements, extras)
+
+
+def _mutate(draw, lines: list[str]) -> None:
+    """Apply one drawn change to a record's body lines (the header stays)."""
+    at = draw(st.integers(1, len(lines) - 1))
+    fields = lines[at].split(",")
+    kind = draw(st.sampled_from([
+        "swap", "blank", "pad", "short_hour", "unicode_digit", "field_count",
+        "unknown_name", "bad_value", "late_time", "late_static", "duplicate_id", "drop_id",
+        "bad_id"]))
+    if kind == "swap":
+        other = draw(st.integers(1, len(lines) - 1))
+        lines[at], lines[other] = lines[other], lines[at]
+    elif kind == "blank":
+        lines.insert(at, draw(st.sampled_from(["", "  ", "\t"])))
+    elif kind == "pad":
+        i = draw(st.integers(0, len(fields) - 1))
+        fields[i] = draw(st.sampled_from([" ", "\t", "\u2000"])) + fields[i] + " "
+        lines[at] = ",".join(fields)
+    elif kind == "short_hour":
+        lines[at] = lines[at].removeprefix("0")
+    elif kind == "unicode_digit":  # Arabic-Indic digits, which \d and int accept
+        digits = [i for i, c in enumerate(lines[at]) if c.isdigit()]
+        if digits:
+            i = draw(st.sampled_from(digits))
+            lines[at] = lines[at][:i] + chr(0x660 + int(lines[at][i])) + lines[at][i + 1:]
+    elif kind == "field_count":
+        lines[at] = ",".join(fields[:2]) if draw(st.booleans()) else lines[at] + ",1"
+    elif kind == "unknown_name" and len(fields) == 3:
+        lines[at] = f"{fields[0]},Lactat,{fields[2]}"
+    elif kind == "bad_value" and len(fields) == 3:
+        value = draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "", "7..1"]))
+        lines[at] = f"{fields[0]},{fields[1]},{value}"
+    elif kind == "late_time" and len(fields) == 3:
+        late = draw(st.sampled_from(["48:01", "49:00", "99:59", "48:60"]))
+        lines[at] = f"{late},{fields[1]},{fields[2]}"
+    elif kind == "late_static":  # a static first recorded after 00:00 is an extra
+        name = draw(st.sampled_from(["Age", "Gender", "Height", "ICUType", "Weight"]))
+        lines[:] = [f"00:30,{name},{line.rsplit(',', 1)[1]}" if line.startswith(f"00:00,{name},")
+                    else line for line in lines]
+    elif kind == "duplicate_id":
+        lines.insert(at, draw(st.sampled_from(["00:00,RecordID,5", "12:00,RecordID,77"])))
+    elif kind == "drop_id":
+        lines[:] = [line for line in lines if "RecordID" not in line]
+    elif kind == "bad_id":
+        lines[:] = [f"00:00,RecordID,{draw(st.sampled_from(['0', '1.5', '-3', 'nan']))}"
+                    if "RecordID" in line else line for line in lines]
+
+
+@st.composite
+def record_texts(draw):
+    """A generated record with up to three mutations, with any line ending."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = synth_record_text(draw(st.integers(1, 999_999)), rng,
+                              n_measurements=draw(st.integers(0, 12))).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        _mutate(draw, lines)
+    end = draw(st.sampled_from(["\n", "\r\n", "\x85", "\r"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def outcome(parse, text):
+    """The episode, or the exception's class, message and line number."""
+    try:
+        return parse(text)
+    except Exception as exc:  # the comparison is of the exception itself
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(record_texts())
+@example("Time,Parameter,Value\n00:00,RecordID,5\n00:00,Weight,-1\n00:00,Weight,80\n")
+@example("Time,Parameter,Value\n 00:00,RecordID,5\n1:30,HR,70\n\n01:30, Na ,140 \n")
+@example("Time,Parameter,Value\n00:00,RecordID,5\n00:00,HR,\u0667\u0660\n")
+@example("Time,Parameter,Value\n00:00,RecordID,5\n48:00,HR,70\n48:01,HR,71\n")
+def test_parse_matches_oracle(text):
+    got, expected = outcome(parse_record, text), outcome(ingest_oracle.parse_record, text)
+    assert got == expected
+    if isinstance(expected, RawEpisode):
+        assert [type(v) for v in got.statics] == [type(v) for v in expected.statics]
+        assert got.measurements.dtype == got.static_extras.dtype == MEASUREMENT_DTYPE
+        assert serialize_record(got) == ingest_oracle.serialize_record(expected)
+
+
+# Two minutes only, so an extra often ties a measurement at the same minute
+# and the same position within its own stream.
+few_minutes = st.sampled_from([1, 2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(episodes(values=st.floats(allow_nan=False, allow_infinity=False)) |
+       episodes(minutes=few_minutes, extra_minutes=few_minutes))
+def test_serialize_matches_oracle(ep):
+    assert serialize_record(ep) == ingest_oracle.serialize_record(ep)
 
 
 intervals = st.one_of(st.sampled_from([60, 180, 2880]), st.integers(30, MAX_MINUTES))

@@ -406,6 +406,20 @@ class TestCrossValidate:
                            match=r"^fold [01]: feature HR: fitted imputation mean is inf$"):
             cross_validate(_toy_episodes() + [huge], cfg, _small_model(input_dim=185, hidden=3))
 
+    def test_every_fold_fits_before_any_trains(self, monkeypatch):
+        # The overflowing record sits in fold 0's validation split, so only
+        # fold 1's fit sees it; it must fail before fold 0 trains.
+        huge = parse_record(record_text(99, {"Age": 60}, [(0, "HR", 1.5e308), (60, "HR", 1.6e308)]))
+        huge.label = 0
+        episodes = _toy_episodes() + [huge]
+        labels = [ep.label for ep in episodes]
+        seed = next(s for s in range(100)
+                    if len(episodes) - 1 in kfold_split(2, s, labels)[0])
+        monkeypatch.setattr("icurisk.train.train_fold", lambda *a, **k: pytest.fail("trained"))
+        cfg = TrainConfig(folds=2, max_epochs=1, patience=1, batch_size=4, seed=seed)
+        with pytest.raises(ValueError, match=r"^fold 1: feature HR: fitted imputation mean is inf$"):
+            cross_validate(episodes, cfg, _small_model(input_dim=185, hidden=3))
+
     def test_unlabeled_episodes_rejected(self):
         episodes = _toy_episodes()
         episodes[0].label = None
