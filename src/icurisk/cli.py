@@ -16,6 +16,9 @@ records of one run::
       features/<id>.csv final interval-by-feature matrices (fit on all episodes)
       episodes/<id>.txt canonical copies of the parsed records
 
+Each feature cell is the ``repr`` of its float, formatted once per distinct
+value of the matrix; the bytes are those of formatting every cell.
+
 Train refits preprocessing per fold from the canonical episodes, at the
 interval in the store's ``stats.json``.  Each train flag sets a config field,
 whose default is the flag's, and is refused where the variant ignores it.
@@ -103,6 +106,22 @@ def _load_store(store: Path) -> tuple[list[ingest.RawEpisode], int]:
 # -- preprocess ---------------------------------------------------------------
 
 
+def _csv_rows(matrix: np.ndarray) -> list[str]:
+    """``",".join(map(repr, row))`` for each row, from one ``repr`` per distinct
+    value, keyed by its bits because float ``np.unique`` merges -0.0 and 0.0."""
+    bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)  # numpy 1.x: inverse is flat
+    text = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    return [",".join(row) for row in text[inverse.reshape(matrix.shape)].tolist()]
+
+
+def _positive_hours(text: str) -> int:
+    """``--interval-hours``: a whole number above 0."""
+    if not (text.strip().isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number of hours above 0")
+    return int(text)
+
+
 def cmd_preprocess(args) -> int:
     data_dir = Path(args.data_dir)
     record_files = sorted(data_dir.glob("*.txt"))
@@ -142,10 +161,9 @@ def cmd_preprocess(args) -> int:
             fh.write(f"{ep.record_id},{ep.label}\n")
     header = ",".join(stats.feature_names)
     for ep in episodes:
-        features = preprocess.build_features(ep, stats)
-        rows = [",".join(map(repr, row)) for row in features.matrix.tolist()]
+        matrix = preprocess.build_features(ep, stats).matrix
         (out / "features" / f"{ep.record_id}.csv").write_text(
-            header + "\n" + "\n".join(rows) + "\n"
+            header + "\n" + "\n".join(_csv_rows(matrix)) + "\n"
         )
         (out / "episodes" / f"{ep.record_id}.txt").write_text(
             ingest.serialize_record(ep)
@@ -294,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--data-dir", required=True, help="directory of record .txt files")
     pre.add_argument("--outcomes", required=True, help="outcomes file with labels")
     pre.add_argument("--out", required=True, help="feature store directory to create")
-    pre.add_argument("--interval-hours", type=int,
+    pre.add_argument("--interval-hours", type=_positive_hours,
                      default=preprocess.DEFAULT_INTERVAL_MINUTES // 60,
                      help="interval length; train reads it from the store (default %(default)s)")
     pre.set_defaults(func=cmd_preprocess)

@@ -13,7 +13,7 @@ import pytest
 from icurisk.cli import _given, build_parser, main
 from icurisk.model import ModelConfig, forward_episode, load_model
 from icurisk.preprocess import (
-    DEFAULT_INTERVAL_MINUTES, build_features, feature_width, fit_pipeline)
+    DEFAULT_INTERVAL_MINUTES, PipelineStats, build_features, feature_width, fit_pipeline)
 from icurisk.ingest import parse_record
 from icurisk.train import TrainConfig
 
@@ -102,6 +102,32 @@ class TestPreprocess:
                    "--out", out, "--interval-hours", "48") == 0
         for path in (out / "features").glob("*.csv"):
             assert len(path.read_text().splitlines()) == 2  # header + one row
+
+    def test_stored_matrices_round_trip_bit_for_bit(self, default_store):
+        stats = PipelineStats.from_dict(json.loads((default_store / "stats.json").read_text()))
+        paths = sorted((default_store / "features").glob("*.csv"))
+        assert len(paths) == 12
+        for path in paths:
+            ep = parse_record((default_store / "episodes" / f"{path.stem}.txt").read_text())
+            stored = np.array([[float(v) for v in line.split(",")]
+                               for line in path.read_text().splitlines()[1:]])
+            # int64 views, so that -0.0 against 0.0 counts as a difference
+            np.testing.assert_array_equal(
+                stored.view(np.int64), build_features(ep, stats).matrix.view(np.int64))
+
+    @pytest.mark.parametrize("hours", ["0", "-3", "1.5", "x"])
+    def test_bad_interval_refused_before_any_record_is_read(self, tiny_corpus, tmp_path,
+                                                          capsys, hours):
+        data_dir, outcomes = tiny_corpus
+        (data_dir / "140099.txt").write_text("not a record\n")  # read first, it would fail
+        out = tmp_path / "s"
+        with pytest.raises(SystemExit) as exc:
+            run("preprocess", "--data-dir", data_dir, "--outcomes", outcomes,
+                "--out", out, "--interval-hours", hours)
+        assert exc.value.code == 2
+        assert (f"argument --interval-hours: '{hours}' is not a whole number of hours above 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_duplicate_record_id_names_both_files(self, tiny_corpus, tmp_path, capsys):
         data_dir, outcomes = tiny_corpus

@@ -1,13 +1,15 @@
 """Property tests: file round trip, the column record reader and writer
 against the per-line oracle on mutated records, feature-matrix invariants,
-the array preprocess against the loop oracle on generated episodes, and the
-batched model against the per-episode oracle on generated batches."""
+the array preprocess against the loop oracle on generated episodes, the
+store's feature-row formatter against ``repr`` per cell, and the batched model
+against the per-episode oracle on generated batches."""
 
 from functools import lru_cache
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from icurisk.cli import _csv_rows
 from icurisk.ingest import (
     MAX_MINUTES,
     MEASUREMENT_DTYPE,
@@ -220,6 +222,40 @@ def test_fitted_bounds_and_means_match_oracle(eps):
     np.testing.assert_allclose(imputation.series_means, reference.series_means, rtol=1e-12, atol=0)
     np.testing.assert_allclose(imputation.static_means, reference.static_means, rtol=1e-12, atol=0)
     assert imputation.unobserved == reference.unobserved
+
+
+def csv_rows_reference(matrix):
+    """The store's feature rows as written before the distinct-value table."""
+    return [",".join(map(repr, row)) for row in matrix.tolist()]
+
+
+# Both zeros, the smallest subnormal and normal, and the largest finite values.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def repetitive_matrices(draw):
+    """A float64 matrix of 1-16 rows by 1-185 columns drawn from a few values,
+    as imputation repeats means, in C order, as a column slice or transposed."""
+    pool = draw(st.lists(st.sampled_from(EDGE_VALUES), max_size=4)) + draw(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6))
+    rows, cols = draw(st.integers(1, 16)), draw(st.integers(1, 185))
+    layout = draw(st.sampled_from(["C", "column slice", "transposed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if layout == "transposed":
+        return np.array(pool)[rng.integers(len(pool), size=(cols, rows))].T
+    wide = np.array(pool)[rng.integers(len(pool), size=(rows, 2 * cols))]
+    return wide[:, ::2] if layout == "column slice" else np.ascontiguousarray(wide[:, :cols])
+
+
+@settings(max_examples=200, deadline=None)
+@given(repetitive_matrices())
+@example(np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, 5e-324]]))
+@example(np.array([[-0.0, 1.5], [0.0, -1.7976931348623157e308]])[:, :1])
+@example(np.array([[0.0, -0.0], [2.5, 0.0]]).T)
+def test_csv_rows_match_repr_per_cell(matrix):
+    assert _csv_rows(matrix) == csv_rows_reference(matrix)
 
 
 @settings(max_examples=60, deadline=None)
