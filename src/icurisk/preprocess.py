@@ -213,6 +213,13 @@ def n_bins_max(interval_minutes: int) -> int:
     return -(-MAX_MINUTES // interval_minutes)
 
 
+def _bins(minutes: np.ndarray, interval_minutes: int) -> np.ndarray:
+    """Each minute's interval index; the 48-hour endpoint folds into the last."""
+    if interval_minutes <= 0:
+        raise ValueError("interval_minutes must be positive")
+    return np.minimum(minutes // interval_minutes, n_bins_max(interval_minutes) - 1)
+
+
 def episode_series_means(episode: RawEpisode) -> np.ndarray:
     """Across-time mean per parameter for one patient; NaN if never measured."""
     rows = episode.measurements
@@ -249,11 +256,9 @@ def assemble_matrix(episode: RawEpisode, interval_minutes: int) -> np.ndarray:
     even count takes the mean of the two central values as the median.  A
     cell with no values is five NaN, which :func:`impute` fills.
     """
-    if interval_minutes <= 0:
-        raise ValueError("interval_minutes must be positive")
     rows = episode.measurements
     values = rows["value"]
-    bins = np.minimum(rows["minutes"] // interval_minutes, n_bins_max(interval_minutes) - 1)
+    bins = _bins(rows["minutes"], interval_minutes)
     n_rows = int(bins.max(initial=0)) + 1
     cell = bins * N_SERIES + rows["parameter"]  # row-major (interval, parameter) index
     counts = np.bincount(cell, minlength=n_rows * N_SERIES)
@@ -290,16 +295,23 @@ def impute(matrix: np.ndarray, patient_means: np.ndarray, stats: ImputationStats
     return np.where(np.isnan(matrix), fill, matrix)
 
 
-def fit_normalization(matrices: list[np.ndarray]) -> NormalizationStats:
-    """Per-feature mean and population std over all training intervals.
+def fit_normalization(stacked: np.ndarray) -> NormalizationStats:
+    """Per-feature mean and population std over the rows of ``stacked``.
 
-    A column whose training values are all equal gets std exactly 0, so it
-    normalizes to 0: its computed std would be rounding noise whenever the
-    mean is inexact, and would turn every value into a z-score of +-1.
+    ``stacked`` holds every training interval, one per row, and is
+    overwritten: the std is computed in place, by the steps ``np.std`` takes
+    on the same array, so the statistics are bit for bit those of
+    ``stacked.std(axis=0)`` without its copy.  A column whose training
+    values are all equal gets std exactly 0, so it normalizes to 0: its
+    computed std would be rounding noise whenever the mean is inexact, and
+    would turn every value into a z-score of +-1.
     """
-    stacked = np.concatenate(matrices, axis=0)
     constant = stacked.max(axis=0) == stacked.min(axis=0)
-    return NormalizationStats(stacked.mean(axis=0), np.where(constant, 0.0, stacked.std(axis=0)))
+    mean = stacked.mean(axis=0)
+    stacked -= mean
+    np.square(stacked, out=stacked)
+    std = np.sqrt(np.add.reduce(stacked, axis=0) / len(stacked))
+    return NormalizationStats(mean, np.where(constant, 0.0, std))
 
 
 def normalize(matrix: np.ndarray, stats: NormalizationStats) -> np.ndarray:
@@ -325,16 +337,28 @@ def fit_pipeline(episodes: list[RawEpisode],
                  interval_minutes: int = DEFAULT_INTERVAL_MINUTES) -> PipelineStats:
     """Fit truncation, imputation, and normalization on a training split.
 
-    A non-finite imputation mean or normalization mean or std raises
-    ValueError naming the feature and the statistic: values near 1e308
-    parse, and their sums can overflow.  The imputed training matrices are
-    dropped after the fit; :func:`build_features` builds them again.
+    The imputed training matrices are written one after another into one
+    array, sized from each episode's interval count, which the
+    normalization fit then overwrites; so the fit holds one copy of them,
+    and :func:`build_features` builds each again.  An empty split, or a
+    non-finite imputation mean or normalization mean or std, raises
+    ValueError, the latter naming the feature and the statistic: values
+    near 1e308 parse, and their sums can overflow.
     """
+    if not episodes:
+        raise ValueError("no training episodes were given")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
         bounds = fit_truncation(episodes)
         imputation = fit_imputation(episodes, bounds)
-        norm = fit_normalization([_imputed_matrix(ep, interval_minutes, bounds, imputation)
-                                  for ep in episodes])
+        n_rows = sum(int(_bins(ep.measurements["minutes"], interval_minutes).max(initial=0)) + 1
+                     for ep in episodes)
+        stacked = np.empty((n_rows, feature_width()))
+        start = 0
+        for ep in episodes:
+            matrix = _imputed_matrix(ep, interval_minutes, bounds, imputation)
+            stacked[start:start + len(matrix)] = matrix
+            start += len(matrix)
+        norm = fit_normalization(stacked)
     names = feature_names()
     means = np.concatenate([imputation.series_means, imputation.static_means])
     for statistic, values, value_names in (

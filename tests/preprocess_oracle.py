@@ -4,8 +4,9 @@ One Python step per measurement and one ``np.median``/``np.std`` call per
 (interval, parameter) cell.  Slow, but each rule is spelled out once, so
 tests compare :mod:`icurisk.preprocess` against it.  Measurements are read
 row by row as ``(minutes, parameter, value)`` tuples via ``tolist()``.
-Normalization is not repeated here: both paths share ``fit_normalization``
-and ``normalize``.
+:func:`fit_normalization` is the form the in-place fit replaced: the
+matrices stacked by ``np.concatenate``, then ``std`` on the stack, which
+makes a third copy.  Both paths share ``normalize``.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from icurisk.preprocess import (
     N_STATICS,
     N_STATS,
     ImputationStats,
+    NormalizationStats,
     PipelineStats,
     TruncationBounds,
     feature_names,
     feature_width,
-    fit_normalization,
     normalize,
 )
 
@@ -163,6 +164,12 @@ def impute(matrix, patient_means, stats):
     return out
 
 
+def fit_normalization(stacked):
+    """``mean`` and ``std`` of the stacked matrices, leaving them as they are."""
+    constant = stacked.max(axis=0) == stacked.min(axis=0)
+    return NormalizationStats(stacked.mean(axis=0), np.where(constant, 0.0, stacked.std(axis=0)))
+
+
 def imputed_matrix(episode, interval_minutes, bounds, imputation):
     clamped = apply_truncation(episode, bounds)
     raw = assemble_matrix(clamped, interval_minutes)
@@ -172,8 +179,8 @@ def imputed_matrix(episode, interval_minutes, bounds, imputation):
 def fit_pipeline(episodes, interval_minutes=180):
     bounds = fit_truncation(episodes)
     imputation = fit_imputation(episodes, bounds)
-    norm = fit_normalization([imputed_matrix(ep, interval_minutes, bounds, imputation)
-                              for ep in episodes])
+    norm = fit_normalization(np.concatenate([imputed_matrix(ep, interval_minutes, bounds,
+                                                            imputation) for ep in episodes]))
     return PipelineStats(interval_minutes, bounds, imputation, norm, feature_names())
 
 

@@ -1,6 +1,7 @@
 """Property tests: file round trip, the column record reader and writer
 against the per-line oracle on mutated records, feature-matrix invariants,
 the array preprocess against the loop oracle on generated episodes, the
+in-place normalization fit against ``std`` on a copy bit for bit, the
 store's feature-row formatter against ``repr`` per cell, and the batched model
 against the per-episode oracle on generated batches."""
 
@@ -26,6 +27,7 @@ from icurisk.preprocess import (
     episode_series_means,
     feature_width,
     fit_imputation,
+    fit_normalization,
     fit_pipeline,
     fit_truncation,
 )
@@ -222,6 +224,37 @@ def test_fitted_bounds_and_means_match_oracle(eps):
     np.testing.assert_allclose(imputation.series_means, reference.series_means, rtol=1e-12, atol=0)
     np.testing.assert_allclose(imputation.static_means, reference.static_means, rtol=1e-12, atol=0)
     assert imputation.unobserved == reference.unobserved
+
+
+@st.composite
+def stacked_intervals(draw):
+    """1-24 rows over 1-12 columns; each column is free, constant (0.1 has an
+    inexact mean), or near +-1e300, where squared deviations overflow."""
+    rows, columns = draw(st.integers(1, 24)), []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["free", "constant", "huge"]))
+        if kind == "constant":
+            column = [draw(st.sampled_from([0.1, 3.0, -0.0, 1e300]))] * rows
+        else:
+            value = (st.sampled_from([1e300, -1e300, 9.7e299, 1.0]) if kind == "huge"
+                     else st.floats(allow_nan=False, allow_infinity=False))
+            column = draw(st.lists(value, min_size=rows, max_size=rows))
+        columns.append(column)
+    return np.array(columns).T.copy()
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacked_intervals())
+@example(np.full((3, 185), 0.1))
+@example(np.array([[2.5, -1e300, 7.0]]))
+@example(np.array([[1e300, 0.0], [-1e300, 0.0], [1e300, 1.0]]))
+def test_in_place_normalization_matches_stacked_std(stacked):
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf on both sides
+        expected = oracle.fit_normalization(stacked)
+        fitted = fit_normalization(stacked.copy())
+    assert fitted.mean.tobytes() == expected.mean.tobytes()
+    assert fitted.std.tobytes() == expected.std.tobytes()
+    np.testing.assert_array_equal(fitted.zero_std, expected.zero_std)
 
 
 def csv_rows_reference(matrix):
