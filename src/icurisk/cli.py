@@ -87,7 +87,13 @@ def _labeled(episodes: list[ingest.RawEpisode], labels_path: Path) -> list[inges
 
 def _load_store(store: Path) -> tuple[list[ingest.RawEpisode], int]:
     """A store's labeled episodes, and the interval in minutes that its
-    ``stats.json`` was fitted with, which must be a positive integer."""
+    ``stats.json`` was fitted with, which must be a positive integer.
+
+    Only a finished store is read: preprocess writes ``manifest.json``
+    last, and ``labels.csv`` names exactly the ``episodes/*.txt`` files."""
+    if not (store / "manifest.json").is_file():
+        raise FileNotFoundError(f"{store / 'manifest.json'}: not found, so {store} is not "
+                                "a finished store; preprocess into it again")
     stats_path = store / "stats.json"
     try:
         minutes = json.loads(stats_path.read_text())["interval_minutes"]
@@ -100,7 +106,15 @@ def _load_store(store: Path) -> tuple[list[ingest.RawEpisode], int]:
     episode_files = sorted((store / "episodes").glob("*.txt"))
     if not episode_files:
         raise FileNotFoundError(f"no episodes found under {store / 'episodes'}")
-    return _labeled(_read_records(episode_files), store / "labels.csv"), minutes
+    labels_path = store / "labels.csv"
+    episodes = _labeled(_read_records(episode_files), labels_path)
+    listed = {f"{record_id}.txt" for record_id in _parse_file(labels_path, ingest.parse_outcomes)}
+    found = {path.name for path in episode_files}
+    if differ := sorted(listed ^ found):
+        why = "missing, though" if differ[0] in listed else "extra: not"
+        raise ValueError(f"{store / 'episodes' / differ[0]}: {why} listed in "
+                         f"{labels_path}; preprocess into a new directory")
+    return episodes, minutes
 
 
 # -- preprocess ---------------------------------------------------------------

@@ -209,28 +209,28 @@ def lstm_cell(z: np.ndarray, c_prev: np.ndarray, c: np.ndarray, h: np.ndarray,
               tanh_c: np.ndarray) -> None:
     """One memory/state update, written in place.
 
-    ``z`` is W x + U h_prev + b for a batch (one row per episode, any
-    leading axes), with the gates stacked in i, f, o, c order along the last
-    axis; it is overwritten with the four activated gates.  One tanh
-    activates all four, as sigmoid(x) = (1 + tanh(x / 2)) / 2.  The new
-    memory goes to ``c``, its tanh to ``tanh_c`` and the new state to ``h``.
+    ``z`` is W x + U h_prev + b for a batch, with the gates stacked in i,
+    f, o, c order on its first axis (4 x any shape of ``c_prev``); it is
+    overwritten with the four activated gates.  One tanh activates all
+    four, as sigmoid(x) = (1 + tanh(x / 2)) / 2.  The new memory goes to
+    ``c``, its tanh to ``tanh_c`` and the new state to ``h``.
     """
-    ifo = z[..., :3 * c_prev.shape[-1]]
+    ifo = z[:3]
     ifo *= 0.5
     np.tanh(z, out=z)
     ifo *= 0.5
     ifo += 0.5
-    i, f, o, c_cand = _gates(z)
+    i, f, o, c_cand = z
     np.multiply(f, c_prev, out=c)
     c += i * c_cand
     np.tanh(c, out=tanh_c)
     np.multiply(o, tanh_c, out=h)
 
 
-def _gates(stacked: np.ndarray) -> list[np.ndarray]:
-    """The i, f, o, c blocks along the last axis of a ... x 4h array, as views."""
-    n = stacked.shape[-1] // 4
-    return [stacked[..., k * n:(k + 1) * n] for k in range(4)]
+def _direction_major(a: np.ndarray, width: int) -> np.ndarray:
+    """``a`` (D x ... x width) copied in C order to D x rows x width: matmul and
+    sum traverse a strided view in another order, and so round differently."""
+    return np.ascontiguousarray(a).reshape(a.shape[0], -1, width)
 
 
 def run_lstm(tape: Tape, X: np.ndarray, lengths: np.ndarray, lstm: Lstm) -> np.ndarray:
@@ -249,59 +249,59 @@ def run_lstm(tape: Tape, X: np.ndarray, lengths: np.ndarray, lstm: Lstm) -> np.n
         raise ValueError("run_lstm: need at least one interval per episode")
     W, U, b = lstm.W, lstm.U, lstm.b
     D, n = U.shape[0], U.shape[2]
-    # Step t of episode e in direction k reads input row rows[k, t, e]: row
+    # Step t of episode e in direction k reads input row rows[t, k, e]: row
     # t, or in direction 1 row lengths[e] - 1 - t within its own length;
     # padding rows keep their place after it, so the padding never feeds a
-    # real state.  The arrays below are direction-major and in step order
-    # (D x steps x batch x ...), gathered once.
-    step = np.arange(steps)[:, None]
-    dirs = np.arange(D)[:, None, None]
+    # real state.  The arrays below are step-major, gathered once (acts is
+    # steps x 4 x D x batch x h), so each step's gates are contiguous blocks.
+    step = np.arange(steps)[:, None, None]
+    dirs = np.arange(D)[:, None]
     rows = np.where((step < lengths) & (dirs == 1), lengths - 1 - step, step)
     cols = np.arange(batch)
     acts = (X.reshape(batch * steps, -1) @ W.reshape(D * 4 * n, -1).T).reshape(
-        batch, steps, D, 4 * n)[cols, rows, dirs]
-    acts += b[:, None, None]  # each step adds U h_prev, then activates in place
-    H = np.zeros((D, steps + 1, batch, n))  # H[:, 0] is the zero initial state,
-    C = np.zeros((D, steps + 1, batch, n))  # H[:, t + 1] the state after step t
-    tanh_C = np.empty((D, steps, batch, n))
+        batch, steps, D, 4, n)[cols, rows[:, None], dirs, np.arange(4)[:, None, None]]
+    acts += b.reshape(D, 4, n).transpose(1, 0, 2)[:, :, None]  # each step adds U h_prev
+    H = np.zeros((steps + 1, D, batch, n))  # H[0] is the zero initial state,
+    C = np.zeros((steps + 1, D, batch, n))  # H[t + 1] the state after step t
+    tanh_C = np.empty((steps, D, batch, n))
     UT = U.transpose(0, 2, 1)
     for t in range(steps):
-        acts[:, t] += H[:, t] @ UT
-        lstm_cell(acts[:, t], C[:, t], C[:, t + 1], H[:, t + 1], tanh_C[:, t])
+        acts[t] += (H[t] @ UT).reshape(D, batch, 4, n).transpose(2, 0, 1, 3)
+        lstm_cell(acts[t], C[t], C[t + 1], H[t + 1], tanh_C[t])
     states = np.empty((batch, steps, D, n))
-    states[cols, rows, dirs] = H[:, 1:]
+    states[cols, rows, dirs] = H[1:]
 
     def backward(g):  # backprop through time, last step first
-        i, f, o, c_cand = _gates(acts)
+        nonlocal acts
+        i, f, o, c_cand = acts.transpose(1, 0, 2, 3, 4)
         f = f.copy()  # the loop still reads f; the other activations are dead
         d_tanh = o * (1.0 - tanh_C * tanh_C)
         ic = c_cand * i
         # dZ starts as each gate's local derivative, written over its
         # activation; step t scales it by the gradient reaching the gate, dc
         # for i, f and c_cand, dh for o.
-        dZ = acts
-        di, df, do, dc_cand = _gates(dZ)
+        dZ, acts = acts, None
+        di, df, do, dc_cand = dZ.transpose(1, 0, 2, 3, 4)
         np.multiply(tanh_C * o, 1.0 - o, out=do)
         np.multiply(i, 1.0 - c_cand * c_cand, out=dc_cand)
         np.multiply(ic, 1.0 - i, out=di)
-        np.multiply(C[:, :-1] * f, 1.0 - f, out=df)
+        np.multiply(C[:-1] * f, 1.0 - f, out=df)
         g = g.reshape(batch, steps, D, n)[cols, rows, dirs]  # in step order
         dh, dc = np.zeros((D, batch, n)), np.zeros((D, batch, n))  # from step t + 1
         for t in reversed(range(steps)):
-            dh += g[:, t]
-            dc += dh * d_tanh[:, t]
-            di[:, t] *= dc
-            df[:, t] *= dc
-            do[:, t] *= dh
-            dc_cand[:, t] *= dc
-            dh = dZ[:, t] @ U
-            dc *= f[:, t]
-        del f, d_tanh, ic, g  # before the input-order copy of dZ below
-        dz = dZ.reshape(D, steps * batch, 4 * n)
-        dU = dz.transpose(0, 2, 1) @ H[:, :-1].reshape(D, steps * batch, n)
+            dh += g[t]
+            dc += dh * d_tanh[t]
+            dZ[t, :2] *= dc
+            dZ[t, 2] *= dh
+            dZ[t, 3] *= dc
+            dh = _direction_major(dZ[t].transpose(1, 2, 0, 3), 4 * n) @ U
+            dc *= f[t]
+        del i, f, o, c_cand, di, df, do, dc_cand, d_tanh, ic, g  # before the copy of dZ
+        dz, dZ = _direction_major(dZ.transpose(2, 0, 3, 1, 4), 4 * n), None  # D x rows x 4h
+        dU = dz.transpose(0, 2, 1) @ _direction_major(H[:-1].transpose(1, 0, 2, 3), n)
         db = dz.sum(axis=1)
         dZ_rows = np.empty((batch, steps, D, 4 * n))  # back to input order, against X
-        dZ_rows[cols, rows, dirs] = dZ
+        dZ_rows[cols, rows, dirs] = dz.reshape(D, steps, batch, 4 * n).transpose(1, 0, 2, 3)
         dW = dZ_rows.reshape(batch * steps, D * 4 * n).T @ X.reshape(batch * steps, -1)
         return None, dW.reshape(W.shape), dU, db
 

@@ -17,7 +17,7 @@ from icurisk.preprocess import (
 from icurisk.ingest import parse_record
 from icurisk.train import TrainConfig
 
-from conftest import record_text
+from conftest import record_text, write_corpus
 
 
 def run(*argv):
@@ -316,6 +316,38 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "interval_minutes" in err
         assert not out.exists()
+
+    def test_half_written_store_refused(self, tmp_path, capsys):
+        """What an interrupted preprocess leaves: half the episode files and
+        no manifest.  Training on the rest would pass for a finished run."""
+        store = preprocess_into(write_corpus(tmp_path / "data", n=40), tmp_path / "store")
+        for path in sorted((store / "episodes").glob("*.txt"))[20:]:
+            path.unlink()
+        (store / "manifest.json").unlink()
+        out = tmp_path / "out"
+        assert run("train", "--store", store, "--out", out, *TRAIN_BASE) == 1
+        assert (f"error: {store / 'manifest.json'}: not found, so {store} is not a "
+                "finished store" in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_missing_episode_file_named(self, store, tmp_path, capsys):
+        episodes = sorted((store / "episodes").glob("*.txt"))
+        for path in episodes[3:]:
+            path.unlink()
+        out = tmp_path / "out"
+        assert run("train", "--store", store, "--out", out, *TRAIN_FAST) == 1
+        assert (f"error: {episodes[3]}: missing, though listed in {store / 'labels.csv'}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_extra_episode_file_named(self, store, tmp_path, capsys):
+        """A file whose name is not its labeled record's id, here a copy."""
+        episodes = sorted((store / "episodes").glob("*.txt"))
+        extra = store / "episodes" / "copy.txt"
+        extra.write_bytes(episodes[0].read_bytes())
+        assert run("train", "--store", store, "--out", tmp_path / "out", *TRAIN_FAST) == 1
+        assert (f"error: {extra}: extra: not listed in {store / 'labels.csv'}"
+                in capsys.readouterr().err)
 
     def test_missing_store_fails(self, tmp_path):
         assert run("train", "--store", tmp_path / "nope",

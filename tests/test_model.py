@@ -116,10 +116,10 @@ def candidate_memory(x, h_prev, d):
 
 def cell(x, h_prev, c_prev, d):
     """One cell update from raw input and previous states, run as a batch
-    of one; returns (h, c)."""
+    of one with the gates on the first axis (4 x 1 x h); returns (h, c)."""
     z = d.W[0] @ x + d.U[0] @ h_prev + d.b[0]
     h, c, tanh_c = np.empty((3, 1, len(c_prev)))
-    lstm_cell(z[None], c_prev[None], c, h, tanh_c)
+    lstm_cell(z.reshape(4, 1, -1), c_prev[None], c, h, tanh_c)
     return h[0], c[0]
 
 
@@ -166,6 +166,22 @@ class TestLstmCell:
             h_ref, c_ref = lstm_cell_oracle(list(x), list(h_prev), list(c_prev), d)
             np.testing.assert_allclose(h, h_ref, atol=1e-10)
             np.testing.assert_allclose(c, c_ref, atol=1e-10)
+
+    def test_gates_on_the_first_axis_of_any_batch_shape(self):
+        """A 4 x D x B x h block gives each (direction, episode) slice the
+        bits it gets on its own."""
+        rng = np.random.default_rng(27)
+        z = rng.normal(size=(4, 2, 5, 3))
+        c_prev = rng.normal(size=(2, 5, 3))
+        h, c, tanh_c = np.empty((3, 2, 5, 3))
+        lstm_cell(z.copy(), c_prev, c, h, tanh_c)
+        for k in range(2):
+            for e in range(5):
+                h1, c1, t1 = np.empty((3, 3))
+                lstm_cell(z[:, k, e].copy(), c_prev[k, e], c1, h1, t1)
+                np.testing.assert_array_equal(h[k, e], h1)
+                np.testing.assert_array_equal(c[k, e], c1)
+                np.testing.assert_array_equal(tanh_c[k, e], t1)
 
 
 class TestRunLstm:

@@ -2,14 +2,16 @@
 against the per-line oracle on mutated records, feature-matrix invariants,
 the array preprocess against the loop oracle on generated episodes, the
 in-place normalization fit against ``std`` on a copy bit for bit, the
-store's feature-row formatter against ``repr`` per cell, and the batched model
-against the per-episode oracle on generated batches."""
+store's feature-row formatter against ``repr`` per cell, the batched model
+against the per-episode oracle on generated batches, and the step-major LSTM
+layer against the direction-major one bit for bit."""
 
 from functools import lru_cache
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from icurisk.autodiff import Tape
 from icurisk.cli import _csv_rows
 from icurisk.ingest import (
     MAX_MINUTES,
@@ -18,6 +20,7 @@ from icurisk.ingest import (
     parse_record,
     serialize_record,
 )
+from icurisk.model import Lstm, run_lstm
 from icurisk.preprocess import (
     N_SERIES,
     N_STATICS,
@@ -33,6 +36,7 @@ from icurisk.preprocess import (
 )
 
 import ingest_oracle
+import lstm_oracle
 import preprocess_oracle as oracle
 from conftest import synth_record_text
 from test_golden import ARCHITECTURES
@@ -298,3 +302,32 @@ def test_batch_matches_per_episode_oracle(arch, lengths, train, seed):
     if arch == "lr-baseline":  # one interval per episode, the whole stay
         lengths = [1] * len(lengths)
     batch_against_oracle(arch, lengths, train, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2]), st.lists(st.integers(1, 16), min_size=1, max_size=33),
+       st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 32]), st.sampled_from([1, 3, 12, 185]),
+       st.sampled_from([0.1, 0.5, 3.0]), st.integers(0, 2**32 - 1))
+@example(2, [5], 1, 2, 0.5, 0)  # one episode, one unit: reshapes give strided views
+@example(2, [1] * 33, 32, 12, 0.5, 1)
+@example(1, [1, 16, 1, 7], 8, 185, 3.0, 2)
+def test_step_major_lstm_matches_direction_major_bit_for_bit(D, lengths, hidden, dim,
+                                                             scale, seed):
+    """States and dW, dU, db under a random upstream gradient (padding rows
+    included) are the direction-major layer's, bit for bit."""
+    rng = np.random.default_rng(seed)
+    lengths = np.array(lengths)
+    X = np.zeros((len(lengths), lengths.max(), dim))
+    for row, n in zip(X, lengths):
+        row[:n] = rng.normal(size=(n, dim))
+    lstm = Lstm(*(rng.normal(0, scale, size=(D, 4 * hidden, k)) for k in (dim, hidden)),
+                rng.normal(0, scale, size=(D, 4 * hidden)))
+    tape = Tape()
+    states = run_lstm(tape, X, lengths, lstm)
+    expected, backward = lstm_oracle.run_lstm(X, lengths, lstm)
+    assert np.array_equal(states, expected)
+    g = rng.normal(size=states.shape)
+    _, *grads = tape.entries[0].backward(g.copy())
+    _, *expected_grads = backward(g)
+    for grad, want in zip(grads, expected_grads):
+        assert np.array_equal(grad, want)
