@@ -45,11 +45,10 @@ from icurisk.train import TrainConfig, VARIANTS, apply_variant, cross_validate
 
 
 def _digest_files(paths: list[Path]) -> str:
-    """Order-independent content digest over a set of input files."""
-    parts = []
-    for path in sorted(paths):
-        file_hash = hashlib.sha256(path.read_bytes()).hexdigest()
-        parts.append(f"{path.name}:{file_hash}")
+    """Content digest of a set of input files by file name and bytes, the same
+    in any order and from any directories."""
+    parts = sorted(f"{path.name}:{hashlib.sha256(path.read_bytes()).hexdigest()}"
+                   for path in paths)
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 

@@ -21,7 +21,7 @@ fitted statistics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -206,7 +206,8 @@ def apply_truncation(episode: RawEpisode, bounds: TruncationBounds) -> RawEpisod
     """Clamp every measurement value into its parameter's fitted range."""
     clamped = episode.measurements.copy()
     clamped["value"] = _clamped(clamped, bounds)
-    return replace(episode, measurements=clamped)
+    return RawEpisode(episode.record_id, episode.statics, clamped, episode.static_extras,
+                      episode.label)
 
 
 def n_bins_max(interval_minutes: int) -> int:
@@ -255,6 +256,12 @@ def assemble_matrix(episode: RawEpisode, interval_minutes: int) -> np.ndarray:
     mean, median, std) of its values: the std is the population std, and an
     even count takes the mean of the two central values as the median.  A
     cell with no values is five NaN, which :func:`impute` fills.
+
+    The matrix is allocated once and written in place: NaN over the 180
+    statistic columns, each seen cell's five statistics through their
+    T x 36 x 5 view, and the statics into the last five columns.  The
+    values are sorted by cell and value with one stable complex sort.  A
+    ``score`` record's call went from 0.231 to 0.162 ms (``BENCH_17.json``).
     """
     rows = episode.measurements
     values = rows["value"]
@@ -266,21 +273,29 @@ def assemble_matrix(episode: RawEpisode, interval_minutes: int) -> np.ndarray:
     k = counts[seen]
     # bincount sums each cell in measurement order; np.mean of the cell's
     # values would too, up to its pairwise summation from 8 values on.
-    mean = np.zeros(counts.size)
-    mean[seen] = np.bincount(cell, values, counts.size)[seen] / k
+    mean = np.bincount(cell, values, counts.size) / np.maximum(counts, 1)
     dev = values - mean[cell]
-    ranked = values[np.lexsort((values, cell))]  # by cell, then value
-    first = (np.cumsum(counts) - counts)[seen]
+    # By cell, then value: a stable sort of (cell + value j) orders as
+    # lexsort((values, cell)) does, ties included, in half its time.
+    key = np.empty(values.size, np.complex128)
+    key.real = cell
+    key.imag = values
+    key.sort(kind="stable")
+    ranked = key.imag
+    first = np.cumsum(k) - k
     median = ranked[first + k // 2]
     even = k % 2 == 0
     median[even] = (ranked[(first + k // 2 - 1)[even]] + median[even]) / 2
-    stats = np.full((counts.size, N_STATS), np.nan)
-    stats[seen] = np.column_stack([
+    out = np.empty((n_rows, feature_width()))
+    out[:, :N_SERIES * N_STATS] = np.nan
+    # A view, as each row's 180 statistics are contiguous: written in place.
+    cells = out[:, :N_SERIES * N_STATS].reshape(n_rows, N_SERIES, N_STATS)
+    cells[seen.reshape(n_rows, N_SERIES)] = np.column_stack([
         ranked[first], ranked[first + k - 1], mean[seen], median,
         np.sqrt(np.bincount(cell, dev * dev, counts.size)[seen] / k),
     ])
-    statics = np.broadcast_to(_statics(episode), (n_rows, N_STATICS))
-    return np.hstack([stats.reshape(n_rows, N_SERIES * N_STATS), statics])
+    out[:, N_SERIES * N_STATS:] = _statics(episode)
+    return out
 
 
 def impute(matrix: np.ndarray, patient_means: np.ndarray, stats: ImputationStats) -> np.ndarray:
@@ -315,9 +330,13 @@ def fit_normalization(stacked: np.ndarray) -> NormalizationStats:
 
 
 def normalize(matrix: np.ndarray, stats: NormalizationStats) -> np.ndarray:
-    """Z-score each column; degenerate (std 0) columns map to 0."""
-    safe_std = np.where(stats.std > 0, stats.std, 1.0)
-    out = (matrix - stats.mean) / safe_std
+    """Z-score each column; degenerate (std 0) columns map to 0.
+
+    The one new matrix is the subtraction's, divided in place (0.032 to
+    0.029 ms per ``score`` record, ``BENCH_17.json``).
+    """
+    out = matrix - stats.mean
+    out /= np.where(stats.std > 0, stats.std, 1.0)
     out[:, stats.zero_std] = 0.0
     return out
 
@@ -374,15 +393,18 @@ def fit_pipeline(episodes: list[RawEpisode],
 def build_features(episode: RawEpisode, stats: PipelineStats) -> EpisodeFeatures:
     """Run the full transform chain with already-fitted statistics.
 
-    Raises ValueError, naming the record and the feature, if any cell of
-    the finished matrix is not finite (say, from corrupt statistics).
+    Raises ValueError, naming the record, the feature and the interval, if
+    any cell of the finished matrix is not finite (say, from corrupt
+    statistics).  One ``isfinite(...).all()`` checks the whole matrix; only
+    a matrix that fails it is searched for its first bad cell, in row-major
+    order.  A ``score`` record's build went from 0.386 to 0.279 ms, and its
+    median latency, text to risk, from 0.695 to 0.628 ms (``BENCH_17.json``).
     """
     filled = _imputed_matrix(episode, stats.interval_minutes, stats.truncation,
                              stats.imputation)
     matrix = normalize(filled, stats.normalization)
-    bad = np.argwhere(~np.isfinite(matrix))
-    if bad.size:
-        t, j = bad[0]
+    if not np.isfinite(matrix).all():
+        t, j = np.argwhere(~np.isfinite(matrix))[0]
         raise ValueError(f"record {episode.record_id}: feature {stats.feature_names[j]} "
                          f"is {matrix[t, j]} in interval {t}")
     return EpisodeFeatures(episode.record_id, matrix, episode.label)

@@ -6,7 +6,15 @@ tests compare :mod:`icurisk.preprocess` against it.  Measurements are read
 row by row as ``(minutes, parameter, value)`` tuples via ``tolist()``.
 :func:`fit_normalization` is the form the in-place fit replaced: the
 matrices stacked by ``np.concatenate``, then ``std`` on the stack, which
-makes a third copy.  Both paths share ``normalize``.
+makes a third copy.
+
+:func:`stacked_assemble_matrix`, :func:`normalize` and
+:func:`checked_features` are the array transform as it was before the
+matrix was written in one preallocated array: values ranked by
+``lexsort``, statistics stacked with ``column_stack`` into a NaN-filled
+array, ``hstack`` with the statics, two allocations in ``normalize`` and
+``argwhere`` over every cell.  Its arithmetic is the production one, so
+tests compare them bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from icurisk import preprocess
 from icurisk.ingest import (
     MAX_MINUTES,
     MEASUREMENT_DTYPE,
@@ -32,7 +41,6 @@ from icurisk.preprocess import (
     TruncationBounds,
     feature_names,
     feature_width,
-    normalize,
 )
 
 
@@ -170,6 +178,14 @@ def fit_normalization(stacked):
     return NormalizationStats(stacked.mean(axis=0), np.where(constant, 0.0, stacked.std(axis=0)))
 
 
+def normalize(matrix, stats):
+    """Z-score each column; degenerate (std 0) columns map to 0."""
+    safe_std = np.where(stats.std > 0, stats.std, 1.0)
+    out = (matrix - stats.mean) / safe_std
+    out[:, stats.zero_std] = 0.0
+    return out
+
+
 def imputed_matrix(episode, interval_minutes, bounds, imputation):
     clamped = apply_truncation(episode, bounds)
     raw = assemble_matrix(clamped, interval_minutes)
@@ -201,3 +217,46 @@ def assert_same_matrix(new, old):
     exact = (column >= N_SERIES * N_STATS) | (stat == 0) | (stat == 1) | (stat == 3)
     np.testing.assert_array_equal(new[:, exact], old[:, exact])
     np.testing.assert_allclose(new[:, ~exact], old[:, ~exact], rtol=1e-12, atol=0)
+
+
+def stacked_assemble_matrix(episode, interval_minutes):
+    """The array ``assemble_matrix`` whose pieces are stacked after the fact."""
+    rows = episode.measurements
+    values = rows["value"]
+    bins = preprocess._bins(rows["minutes"], interval_minutes)
+    n_rows = int(bins.max(initial=0)) + 1
+    cell = bins * N_SERIES + rows["parameter"]
+    counts = np.bincount(cell, minlength=n_rows * N_SERIES)
+    seen = counts > 0
+    k = counts[seen]
+    mean = np.zeros(counts.size)
+    mean[seen] = np.bincount(cell, values, counts.size)[seen] / k
+    dev = values - mean[cell]
+    ranked = values[np.lexsort((values, cell))]
+    first = (np.cumsum(counts) - counts)[seen]
+    median = ranked[first + k // 2]
+    even = k % 2 == 0
+    median[even] = (ranked[(first + k // 2 - 1)[even]] + median[even]) / 2
+    stats = np.full((counts.size, N_STATS), np.nan)
+    stats[seen] = np.column_stack([
+        ranked[first], ranked[first + k - 1], mean[seen], median,
+        np.sqrt(np.bincount(cell, dev * dev, counts.size)[seen] / k),
+    ])
+    statics = np.broadcast_to(preprocess._statics(episode), (n_rows, N_STATICS))
+    return np.hstack([stats.reshape(n_rows, N_SERIES * N_STATS), statics])
+
+
+def checked_features(episode, stats):
+    """``build_features``'s matrix through the stacked transform, or its ValueError.
+
+    Truncation, the patient means and imputation are the production ones."""
+    clamped = preprocess.apply_truncation(episode, stats.truncation)
+    raw = stacked_assemble_matrix(clamped, stats.interval_minutes)
+    filled = preprocess.impute(raw, preprocess.episode_series_means(clamped), stats.imputation)
+    matrix = normalize(filled, stats.normalization)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        t, j = bad[0]
+        raise ValueError(f"record {episode.record_id}: feature {stats.feature_names[j]} "
+                         f"is {matrix[t, j]} in interval {t}")
+    return matrix

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icurisk.cli import _given, build_parser, main
+from icurisk.cli import _digest_files, _given, build_parser, main
 from icurisk.model import ModelConfig, forward_episode, load_model
 from icurisk.preprocess import (
     DEFAULT_INTERVAL_MINUTES, PipelineStats, build_features, feature_width, fit_pipeline)
@@ -542,6 +542,27 @@ class TestAttention:
         assert run("attention", "--model", model,
                    "--out", tmp_path / "t.csv", record) == 1
         assert "attention" in capsys.readouterr().err
+
+
+def test_digest_depends_on_names_and_bytes_not_directories_or_order(tmp_path):
+    # Two trees holding the same files: the model sorts before data/ by full
+    # path in one and after it in the other.
+    files = {"bilstm-attn-fold0.json": b'{"weights": []}\n', "140000.txt": b"00:00,HR,70\n"}
+    digests = []
+    for model_dir, data_dir in (("a/models", "b/data"), ("z/models", "b/data")):
+        paths = []
+        for name, directory in zip(files, (model_dir, data_dir)):
+            path = tmp_path / directory / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(files[name])
+            paths.append(path)
+        digests += [_digest_files(paths), _digest_files(paths[::-1])]
+    assert len(set(digests)) == 1
+    renamed = tmp_path / "b/data/140001.txt"
+    renamed.write_bytes(files["140000.txt"])
+    assert _digest_files([paths[0], renamed]) != digests[0]
+    paths[1].write_bytes(b"00:00,HR,71\n")
+    assert _digest_files(paths) != digests[0]
 
 
 def _subparser(name: str) -> argparse.ArgumentParser:

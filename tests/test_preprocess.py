@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from icurisk import preprocess
 from icurisk.ingest import TIME_SERIES_PARAMETERS, parse_record
 from icurisk.preprocess import (
     N_STATS,
@@ -403,6 +404,26 @@ def test_non_finite_statistics_name_record_and_feature():
     stats = fit_pipeline([ep, episode([(0, "HR", 60.0)], record_id=2)])
     stats.normalization.mean[HR * N_STATS] = np.nan
     with pytest.raises(ValueError, match="record 140000: feature HR_min"):
+        build_features(ep, stats)
+
+
+@pytest.mark.parametrize("t,j,value", [(2, 97, np.inf), (1, 184, np.nan), (2, 0, -np.inf)])
+def test_non_finite_cell_is_named_after_the_whole_matrix_check(monkeypatch, t, j, value):
+    # A second bad cell later in row-major order must not be the one named.
+    ep = episode([(0, "HR", 70.0), (200, "HR", 72.0), (400, "GCS", 9.0)], record_id=140000)
+    stats = fit_pipeline([ep, episode([(0, "HR", 60.0), (400, "GCS", 15.0)], record_id=2)])
+    clean = normalize
+
+    def planted(matrix, norm):
+        out = clean(matrix, norm)
+        out[t, j] = value
+        out[-1, -1] = np.nan
+        return out
+
+    monkeypatch.setattr(preprocess, "normalize", planted)
+    name = feature_names()[j]
+    with pytest.raises(ValueError, match=f"^record 140000: feature {name} is {value} "
+                                         f"in interval {t}$"):
         build_features(ep, stats)
 
 

@@ -1,7 +1,8 @@
 """Property tests: file round trip, the column record reader and writer
 against the per-line oracle on mutated records, feature-matrix invariants,
 the array preprocess against the loop oracle on generated episodes, the
-in-place normalization fit against ``std`` on a copy bit for bit, the
+one-array transform against the stacked one bit for bit, the in-place
+normalization fit against ``std`` on a copy bit for bit, the
 store's feature-row formatter against ``repr`` per cell, the batched model
 against the per-episode oracle on generated batches, and the step-major LSTM
 layer against the direction-major one bit for bit."""
@@ -33,6 +34,9 @@ from icurisk.preprocess import (
     fit_normalization,
     fit_pipeline,
     fit_truncation,
+    impute,
+    normalize,
+    PipelineStats,
 )
 
 import ingest_oracle
@@ -213,6 +217,50 @@ def test_episode_matrices_match_oracle(ep, interval):
     # z-scores are unit scale; atol covers those that cancel to ~0
     np.testing.assert_allclose(build_features(ep, stats).matrix, oracle.build_matrix(ep, stats),
                                rtol=1e-12, atol=1e-12)
+
+
+def assert_same_bits(got, expected):
+    """Same shape, same NaN cells, and the same int64 bits in every other cell."""
+    assert got.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got.view(np.int64)[~nan], expected.view(np.int64)[~nan])
+
+
+# Signed zeros, whose order the sort must keep, and sums and squares that overflow.
+signed_value_st = st.one_of(value_st, st.floats(allow_nan=False, allow_infinity=False),
+                            st.sampled_from([0.0, -0.0, 1e308, -1e308]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(episodes(values=signed_value_st), intervals, st.none() | st.tuples(
+    st.integers(0, feature_width() - 1), st.sampled_from([np.nan, np.inf, -np.inf])))
+@example(stay(), 180, None)
+@example(stay((0, 14, 80.0), (2880, 14, -0.0), (2880, 14, 0.0), (2880, 3, 1.5)), 180, None)
+# Missing statics, and 18 tied zeros of either sign, which numpy's unstable
+# sort reorders: the cell's median would read 0.0 instead of -0.0.
+@example(RawEpisode(7, [None] * N_STATICS,
+                    by_minutes([(0, 3, -0.0 if sign == "-" else 0.0)
+                                for sign in "-+++++++--++--+++-"])), 60, (97, np.nan))
+def test_one_array_transform_matches_stacked_bit_for_bit(ep, interval, corrupt):
+    stats = PipelineStats.from_dict(corpus_stats(interval).to_dict())
+    if corrupt is not None:
+        stats.normalization.mean[corrupt[0]] = corrupt[1]
+    # Huge values and statics overflow to inf, and their sums to NaN, on both sides.
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_bits(assemble_matrix(ep, interval),
+                         oracle.stacked_assemble_matrix(ep, interval))
+        clamped = apply_truncation(ep, stats.truncation)
+        filled = impute(assemble_matrix(clamped, interval), episode_series_means(clamped),
+                        stats.imputation)
+        assert_same_bits(normalize(filled, stats.normalization),
+                         oracle.normalize(filled, stats.normalization))
+        got = outcome(lambda e: build_features(e, stats).matrix, ep)
+        expected = outcome(lambda e: oracle.checked_features(e, stats), ep)
+    if isinstance(expected, np.ndarray):
+        assert_same_bits(got, expected)
+    else:
+        assert got == expected
 
 
 @settings(max_examples=60, deadline=None)
