@@ -29,7 +29,8 @@ class ShapeMismatchError(ValueError):
 def sigmoid(v: np.ndarray) -> np.ndarray:
     """Logistic function that stays finite for any finite input."""
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
 
 
 # A backward rule maps the gradient of a layer's output to the gradient of

@@ -32,6 +32,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -65,23 +66,33 @@ def _write_manifest(path: Path, command: str, options: dict, dataset_digest: str
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_file(path: Path, parse):
-    """``parse`` of a file's text; an ingest error names the file."""
+@contextmanager
+def _naming(path: Path):
+    """An ingest error raised inside names ``path``."""
     try:
-        return parse(path.read_text())
+        yield
     except ingest.IngestError as exc:
         raise ingest.IngestError(f"{path}: {exc}") from exc
+
+
+def _parse_file(path: Path, parse):
+    """``parse`` of a file's text; an ingest error names the file."""
+    with _naming(path):
+        return parse(path.read_text())
 
 
 def _read_records(paths: list[Path]) -> list[ingest.RawEpisode]:
     return [_parse_file(path, ingest.parse_record) for path in paths]
 
 
-def _labeled(episodes: list[ingest.RawEpisode], labels_path: Path) -> list[ingest.RawEpisode]:
-    """``episodes`` with their outcome labels from ``labels_path``; a bad
-    or missing label names that file."""
-    return _parse_file(labels_path,
-                       lambda text: ingest.join_labels(episodes, ingest.parse_outcomes(text)))
+def _labeled(episodes: list[ingest.RawEpisode],
+             labels_path: Path) -> tuple[list[ingest.RawEpisode], dict[int, int]]:
+    """``episodes`` with their outcome labels from ``labels_path``, read
+    once, and those labels by record id; a bad or missing label names that
+    file."""
+    labels = _parse_file(labels_path, ingest.parse_outcomes)
+    with _naming(labels_path):
+        return ingest.join_labels(episodes, labels), labels
 
 
 def _load_store(store: Path) -> tuple[list[ingest.RawEpisode], int]:
@@ -106,8 +117,8 @@ def _load_store(store: Path) -> tuple[list[ingest.RawEpisode], int]:
     if not episode_files:
         raise FileNotFoundError(f"no episodes found under {store / 'episodes'}")
     labels_path = store / "labels.csv"
-    episodes = _labeled(_read_records(episode_files), labels_path)
-    listed = {f"{record_id}.txt" for record_id in _parse_file(labels_path, ingest.parse_outcomes)}
+    episodes, labels = _labeled(_read_records(episode_files), labels_path)
+    listed = {f"{record_id}.txt" for record_id in labels}
     found = {path.name for path in episode_files}
     if differ := sorted(listed ^ found):
         why = "missing, though" if differ[0] in listed else "extra: not"
@@ -148,7 +159,7 @@ def cmd_preprocess(args) -> int:
         other = first_file.setdefault(ep.record_id, path)
         if other != path:
             raise ValueError(f"{path}: record id {ep.record_id} is also the id of {other}")
-    episodes = _labeled(episodes, outcomes_path)
+    episodes, _ = _labeled(episodes, outcomes_path)
 
     # A store holds one run's records: refuse one that holds others, which
     # train would read as if this run had written them.

@@ -89,9 +89,14 @@ class UnknownParameterError(IngestError):
 
 
 def _by_minutes(rows) -> np.ndarray:
-    """The rows as a MEASUREMENT_DTYPE array, stably sorted by time."""
+    """The rows as a MEASUREMENT_DTYPE array, stably sorted by time.  Rows
+    already in time order, as record files are written, come back as they
+    are: a stable sort would not move them."""
     array = np.asarray(rows, dtype=MEASUREMENT_DTYPE)
-    return array[np.argsort(array["minutes"], kind="stable")]
+    minutes = array["minutes"]
+    if (minutes[1:] >= minutes[:-1]).all():
+        return array
+    return array[np.argsort(minutes, kind="stable")]
 
 
 @dataclass(eq=False)

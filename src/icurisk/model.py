@@ -26,7 +26,8 @@ output dropout, classifier) whatever the batch size and episode lengths.
 :func:`loss_and_grads` adds the mean log-loss and sweeps those rules back,
 last layer first, to one gradient per named parameter.  Padding never
 reaches a real state, weight or reading, and gets zero gradient.  Scoring
-one episode is the batch of one.
+one episode is the batch of one, run on a view of its matrix: with nothing
+to pad and no dropout to apply, it needs no padded copy.
 """
 
 from __future__ import annotations
@@ -222,7 +223,8 @@ def lstm_cell(z: np.ndarray, c_prev: np.ndarray, c: np.ndarray, h: np.ndarray,
     ifo += 0.5
     i, f, o, c_cand = z
     np.multiply(f, c_prev, out=c)
-    c += i * c_cand
+    np.multiply(i, c_cand, out=tanh_c)  # i * c_cand, until tanh(c) replaces it
+    c += tanh_c
     np.tanh(c, out=tanh_c)
     np.multiply(o, tanh_c, out=h)
 
@@ -265,9 +267,12 @@ def run_lstm(tape: Tape, X: np.ndarray, lengths: np.ndarray, lstm: Lstm) -> np.n
     C = np.zeros((steps + 1, D, batch, n))  # H[t + 1] the state after step t
     tanh_C = np.empty((steps, D, batch, n))
     UT = U.transpose(0, 2, 1)
-    for t in range(steps):
-        acts[t] += (H[t] @ UT).reshape(D, batch, 4, n).transpose(2, 0, 1, 3)
-        lstm_cell(acts[t], C[t], C[t + 1], H[t + 1], tanh_C[t])
+    HU = np.empty((D, batch, 4 * n))  # each step's U h_prev, added gate-major
+    hu = HU.reshape(D, batch, 4, n).transpose(2, 0, 1, 3)
+    for z, h_prev, c_prev, h, c, tanh_c in zip(acts, H, C, H[1:], C[1:], tanh_C):
+        np.matmul(h_prev, UT, out=HU)
+        z += hu
+        lstm_cell(z, c_prev, c, h, tanh_c)
     states = np.empty((batch, steps, D, n))
     states[cols, rows, dirs] = H[1:]
 
@@ -319,19 +324,24 @@ def attend(tape: Tape, states: np.ndarray, lengths: np.ndarray,
     and reads each episode's convex combination of its states under those
     weights.  Returns the elementwise maximum of the R readings (batch x
     width) and the weights (batch x R x intervals).  An element's gradient
-    goes to the first head that holds its maximum.
+    goes to the first head that holds its maximum.  The hidden layer is
+    formed in its matmul's result and the weights in the scores' array, each
+    step in place.
     """
     batch, steps, width = states.shape
     M, v = attention.M, attention.v
     R, a = v.shape
     flat = states.reshape(batch * steps, width)
-    hidden = np.tanh((flat @ M.reshape(R * a, width).T).reshape(batch, steps, R, a)
-                     + attention.b)
-    scores = (hidden * v).sum(axis=-1) + attention.c  # batch x steps x R
+    hidden = (flat @ M.reshape(R * a, width).T).reshape(batch, steps, R, a)
+    hidden += attention.b
+    np.tanh(hidden, out=hidden)
+    weights = (hidden * v).sum(axis=-1)  # batch x steps x R: the scores, then
+    weights += attention.c               # their softmax, in place
     if (lengths < steps).any():
-        scores[np.arange(steps) >= lengths[:, None]] = -np.inf
-    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
-    weights = shifted / shifted.sum(axis=1, keepdims=True)
+        weights[np.arange(steps) >= lengths[:, None]] = -np.inf
+    weights -= weights.max(axis=1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=1, keepdims=True)
     readings = weights.transpose(0, 2, 1) @ states  # batch x R x width
 
     def backward(g):
@@ -404,7 +414,9 @@ def forward_batch(matrices, params: ModelParams,
     generator, the pass is in training mode: inverted dropout is applied to
     the inputs and to the pooled features z, from one draw of ``rng`` laid
     out episode by episode.  Without one it is in evaluation mode, fully
-    deterministic.
+    deterministic, and a single matrix runs unpadded, as a batch-of-one view
+    of itself (of a C-ordered float64 copy, if it is not one already).  The
+    pass never writes into the caller's matrices.
     """
     cfg = params.config
     for X in matrices:
@@ -419,9 +431,12 @@ def forward_batch(matrices, params: ModelParams,
         raise ValueError(
             f"non-recurrent model expects a single interval, got {lengths.max()}"
         )
-    batch = np.zeros((len(lengths), lengths.max(), cfg.input_dim))
-    for row, X in zip(batch, matrices):
-        row[:len(X)] = X
+    if len(matrices) == 1 and rng is None:  # nothing to pad, nothing written
+        batch = np.ascontiguousarray(matrices[0], dtype=np.float64)[None]
+    else:
+        batch = np.zeros((len(lengths), lengths.max(), cfg.input_dim))
+        for row, X in zip(batch, matrices):
+            row[:len(X)] = X
     out_mask = None if rng is None else _draw_dropout(batch, lengths, cfg, rng)
 
     tape = Tape()
@@ -448,14 +463,15 @@ def forward_episode(X: np.ndarray, params: ModelParams,
     """Score one episode's feature matrix: :func:`forward_batch` on a batch
     of one, in training mode exactly when given a generator.
 
-    The attention trace is populated only for attention pooling.
+    The attention trace is populated only for attention pooling; its
+    weights and states are the batch's own rows, not copies.
     """
     batch = forward_batch([np.asarray(X, dtype=np.float64)], params, rng)
     risk = float(batch.risks[0])
     trace = None
     if batch.weights is not None:
         trace = AttentionTrace(record_id=record_id, weights=batch.weights[0],
-                               states=batch.states[0].copy(), risk=risk)
+                               states=batch.states[0], risk=risk)
     return ForwardResult(risk=risk, trace=trace, tape=batch.tape)
 
 

@@ -80,15 +80,20 @@ class ImputationStats:
 
 @dataclass
 class NormalizationStats:
-    """Per-feature mean and population std over all training intervals."""
+    """Per-feature mean and population std over all training intervals.
+
+    ``zero_std`` masks the degenerate (std 0) features, which normalize to
+    0, and ``divisor`` is ``std`` with 1 wherever it is not above 0.  Both
+    are derived once, here, so ``std`` is read-only.
+    """
 
     mean: np.ndarray
     std: np.ndarray
 
-    @property
-    def zero_std(self) -> np.ndarray:
-        """Mask of degenerate features; these normalize to 0."""
-        return self.std == 0.0
+    def __post_init__(self):
+        self.std.flags.writeable = False
+        self.zero_std = self.std == 0.0
+        self.divisor = np.where(self.std > 0, self.std, 1.0)
 
 
 @dataclass
@@ -173,8 +178,9 @@ def _statics(episode: RawEpisode) -> np.ndarray:
 
 def _parameter_means(params: np.ndarray, values: np.ndarray, n_params: int) -> np.ndarray:
     """Mean value per parameter index, NaN for a parameter with no values."""
-    with np.errstate(invalid="ignore"):
-        return np.bincount(params, values, n_params) / np.bincount(params, minlength=n_params)
+    counts = np.bincount(params, minlength=n_params)
+    return np.divide(np.bincount(params, values, n_params), counts,
+                     out=np.full(n_params, np.nan), where=counts > 0)
 
 
 def _nearest_rank(counts: np.ndarray, percent: int) -> np.ndarray:
@@ -260,8 +266,7 @@ def assemble_matrix(episode: RawEpisode, interval_minutes: int) -> np.ndarray:
     The matrix is allocated once and written in place: NaN over the 180
     statistic columns, each seen cell's five statistics through their
     T x 36 x 5 view, and the statics into the last five columns.  The
-    values are sorted by cell and value with one stable complex sort.  A
-    ``score`` record's call went from 0.231 to 0.162 ms (``BENCH_17.json``).
+    values are sorted by cell and value with one stable complex sort.
     """
     rows = episode.measurements
     values = rows["value"]
@@ -332,11 +337,11 @@ def fit_normalization(stacked: np.ndarray) -> NormalizationStats:
 def normalize(matrix: np.ndarray, stats: NormalizationStats) -> np.ndarray:
     """Z-score each column; degenerate (std 0) columns map to 0.
 
-    The one new matrix is the subtraction's, divided in place (0.032 to
-    0.029 ms per ``score`` record, ``BENCH_17.json``).
+    The one new matrix is the subtraction's, divided in place by the
+    divisor the statistics keep.
     """
     out = matrix - stats.mean
-    out /= np.where(stats.std > 0, stats.std, 1.0)
+    out /= stats.divisor
     out[:, stats.zero_std] = 0.0
     return out
 
@@ -397,8 +402,7 @@ def build_features(episode: RawEpisode, stats: PipelineStats) -> EpisodeFeatures
     any cell of the finished matrix is not finite (say, from corrupt
     statistics).  One ``isfinite(...).all()`` checks the whole matrix; only
     a matrix that fails it is searched for its first bad cell, in row-major
-    order.  A ``score`` record's build went from 0.386 to 0.279 ms, and its
-    median latency, text to risk, from 0.695 to 0.628 ms (``BENCH_17.json``).
+    order.
     """
     filled = _imputed_matrix(episode, stats.interval_minutes, stats.truncation,
                              stats.imputation)

@@ -34,7 +34,8 @@ _TIME_RE = re.compile(r"^(\d{1,2}):([0-5]\d)$")
 
 
 def _by_minutes(rows: list[tuple[int, int, float]]) -> np.ndarray:
-    """The rows as a MEASUREMENT_DTYPE array, stably sorted by time."""
+    """The rows as a MEASUREMENT_DTYPE array, stably sorted by time, always:
+    the reference for the reader's return of rows already in order."""
     array = np.array(rows, dtype=MEASUREMENT_DTYPE)
     return array[np.argsort(array["minutes"], kind="stable")]
 

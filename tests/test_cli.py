@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from icurisk import ingest
 from icurisk.cli import _digest_files, _given, build_parser, main
 from icurisk.model import ModelConfig, forward_episode, load_model
 from icurisk.preprocess import (
@@ -262,6 +263,14 @@ class TestTrain:
         assert run("train", "--store", store, "--out", tmp_path / "out", *TRAIN_FAST) == 1
         assert (f"error: {labels}: line 3: label must be 0 or 1, got 2"
                 in capsys.readouterr().err)
+
+    def test_store_labels_parsed_once(self, store, tmp_path, monkeypatch):
+        parsed = []
+        parse_outcomes = ingest.parse_outcomes
+        monkeypatch.setattr(ingest, "parse_outcomes",
+                            lambda text: parsed.append(text) or parse_outcomes(text))
+        assert run("train", "--store", store, "--out", tmp_path / "out", *TRAIN_FAST) == 0
+        assert parsed == [(store / "labels.csv").read_text()]
 
     def test_missing_label_names_the_store(self, store, tmp_path, capsys):
         labels = store / "labels.csv"

@@ -591,6 +591,22 @@ class TestForwardBatch:
         many = forward_batch([rng.normal(size=(t, 6)) for t in (3, 16, 1, 9)], params, rng)
         assert [e.op for e in many.tape.entries] == [e.op for e in one.tape.entries]
 
+    def test_caller_matrices_are_never_written(self):
+        # One matrix without a generator runs unpadded, on a view of it; input
+        # dropout multiplies the batch in place, so with a generator it must
+        # be a copy, for one matrix as for several.
+        cfg = ModelConfig(input_dim=6, hidden=3, heads=2, bidirectional=True,
+                          dropout_in=0.5, dropout_out=0.5)
+        params = ModelParams.init(cfg, np.random.default_rng(33))
+        rng = np.random.default_rng(34)
+        matrices = [rng.normal(size=(t, 6)) for t in (5, 2)]
+        kept = [X.copy() for X in matrices]
+        for batch, generator in (([matrices[0]], None), ([matrices[0]], rng),
+                                 (matrices, None), (matrices, rng)):
+            forward_batch(batch, params, generator)
+            for X, before in zip(matrices, kept):
+                assert np.array_equal(X.view(np.int64), before.view(np.int64))
+
     def test_empty_batch_rejected(self):
         params = ModelParams.init(ModelConfig(input_dim=6, hidden=3), np.random.default_rng(32))
         with pytest.raises(ValueError, match="interval"):

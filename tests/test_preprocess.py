@@ -26,6 +26,7 @@ from icurisk.preprocess import (
     impute,
     n_bins_max,
     normalize,
+    NormalizationStats,
     PipelineStats,
 )
 
@@ -252,6 +253,16 @@ class TestNormalization:
         stats = fit_normalization(np.full((2, 185), 3.0))
         out = normalize(np.full((1, 185), 99.0), stats)
         np.testing.assert_array_equal(out, np.zeros((1, 185)))
+
+    def test_std_is_read_only_as_its_divisor_is_kept(self):
+        # A corrupt model file can carry a negative or NaN std: each divides
+        # by 1, as the divisor's rule had it before it was kept.
+        stats = NormalizationStats(np.zeros(5), np.array([2.0, 0.0, 4.0, -1.0, np.nan]))
+        with pytest.raises(ValueError, match="read-only"):
+            stats.std[1] = 1.0
+        out = normalize(np.full((1, 5), 8.0), stats)
+        np.testing.assert_array_equal(out, [[4.0, 0.0, 2.0, 8.0, 8.0]])
+        np.testing.assert_array_equal(out, oracle.normalize(np.full((1, 5), 8.0), stats))
 
     def test_constant_with_inexact_mean_maps_to_zero(self):
         # The mean of three 0.1s is not exactly 0.1, so the computed std is

@@ -4,8 +4,11 @@ the array preprocess against the loop oracle on generated episodes, the
 one-array transform against the stacked one bit for bit, the in-place
 normalization fit against ``std`` on a copy bit for bit, the
 store's feature-row formatter against ``repr`` per cell, the batched model
-against the per-episode oracle on generated batches, and the step-major LSTM
-layer against the direction-major one bit for bit."""
+against the per-episode oracle on generated batches, the step-major LSTM
+layer against the direction-major one bit for bit, the in-place attention
+and the unpadded batch of one against their references bit for bit, and
+parsed episodes, whose rows skip the sort when already in time order,
+against the always-sorting reader bit for bit."""
 
 from functools import lru_cache
 
@@ -13,6 +16,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from icurisk.autodiff import Tape
+from icurisk import ingest
 from icurisk.cli import _csv_rows
 from icurisk.ingest import (
     MAX_MINUTES,
@@ -21,7 +25,8 @@ from icurisk.ingest import (
     parse_record,
     serialize_record,
 )
-from icurisk.model import Lstm, run_lstm
+from icurisk.model import (
+    Attention, Lstm, ModelConfig, ModelParams, attend, forward_batch, forward_episode, run_lstm)
 from icurisk.preprocess import (
     N_SERIES,
     N_STATICS,
@@ -39,6 +44,7 @@ from icurisk.preprocess import (
     PipelineStats,
 )
 
+import forward_oracle
 import ingest_oracle
 import lstm_oracle
 import preprocess_oracle as oracle
@@ -379,3 +385,110 @@ def test_step_major_lstm_matches_direction_major_bit_for_bit(D, lengths, hidden,
     _, *expected_grads = backward(g)
     for grad, want in zip(grads, expected_grads):
         assert np.array_equal(grad, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 16), min_size=1, max_size=6), st.integers(1, 4),
+       st.sampled_from([1, 3, 16]), st.sampled_from([1, 2, 5, 64]),
+       st.sampled_from([0.1, 1.0, 30.0]), st.integers(0, 2**32 - 1))
+@example([1], 1, 1, 1, 1.0, 0)
+@example([16, 1, 7], 4, 16, 64, 30.0, 1)  # saturated scores: exp underflows to 0
+def test_in_place_attention_matches_reference_bit_for_bit(lengths, heads, attn_hidden, width,
+                                                          scale, seed):
+    """Readings and weights of padded states, and every gradient under a
+    random upstream gradient, are the reference's, bit for bit."""
+    rng = np.random.default_rng(seed)
+    lengths = np.array(lengths)
+    states = rng.normal(size=(len(lengths), lengths.max(), width))
+    attention = Attention(rng.normal(0, scale, size=(heads, attn_hidden, width)),
+                          rng.normal(0, scale, size=(heads, attn_hidden)),
+                          rng.normal(0, scale, size=(heads, attn_hidden)),
+                          rng.normal(0, scale, size=heads))
+    tape, reference_tape = Tape(), Tape()
+    got = attend(tape, states, lengths, attention)
+    expected = forward_oracle.attend(reference_tape, states, lengths, attention)
+    for a, b in zip(got, expected):
+        assert_same_bits(a, b)
+    g = rng.normal(size=got[0].shape)
+    for a, b in zip(tape.entries[0].backward(g), reference_tape.entries[0].backward(g)):
+        assert_same_bits(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["lr", "mean", "attention"]), st.booleans(), st.integers(1, 16),
+       st.sampled_from([1, 2, 3, 8, 32]), st.integers(1, 4), st.sampled_from([1, 3, 12, 185]),
+       st.sampled_from(["C", "F", "strided", "int"]), st.integers(0, 2**32 - 1))
+@example("attention", True, 10, 32, 2, 185, "C", 0)  # the score workload's model
+@example("attention", True, 1, 1, 1, 1, "F", 1)
+def test_unpadded_batch_of_one_matches_padded_reference_bit_for_bit(
+        pooling, bidirectional, steps, hidden, heads, dim, layout, seed):
+    """Risk, weights and states of one episode scored without a padded copy
+    are those of the padded pass, bit for bit, whatever the matrix's memory
+    layout or dtype; the trace holds the batch's own rows."""
+    rng = np.random.default_rng(seed)
+    recurrent = pooling != "lr"
+    cfg = ModelConfig(input_dim=dim, hidden=hidden, heads=heads, bidirectional=bidirectional,
+                      recurrent=recurrent, pooling="mean" if pooling == "mean" else "attention")
+    params = ModelParams.init(cfg, rng)
+    for _, array in params.named_parameters():  # no zero biases
+        array[...] = rng.normal(0.0, 0.7, size=array.shape)
+    X = rng.normal(0.0, 1.5, size=(steps if recurrent else 1, dim))
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "strided":
+        X = np.repeat(X, 2, axis=1)[:, ::2]
+    elif layout == "int":
+        X = np.round(X * 4).astype(np.int64)
+    got = forward_batch([X], params)
+    expected = forward_oracle.forward_batch([X], params)
+    assert_same_bits(got.risks, expected.risks)
+    for a, b in ((got.weights, expected.weights), (got.states, expected.states)):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert_same_bits(a, b)
+    result = forward_episode(X, params, record_id=7)
+    assert_same_bits(np.array(result.risk), expected.risks[0])
+    if expected.weights is not None:
+        assert_same_bits(result.trace.weights, expected.weights[0])
+        assert_same_bits(result.trace.states, expected.states[0])
+
+
+def record_text(rows):
+    """A record of ``rows`` (minutes, name, value), in the given order."""
+    return "Time,Parameter,Value\n00:00,RecordID,7\n" + "".join(
+        f"{minutes // 60:02d}:{minutes % 60:02d},{name},{value!r}\n"
+        for minutes, name, value in rows)
+
+
+row_st = st.tuples(minutes_st,
+                   st.sampled_from(["HR", "Na", "Temp", "Weight", "Age", "Gender"]),
+                   st.sampled_from([0.0, -0.0, 1.5, 80.0, 36.6, -1.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(row_st, max_size=30), st.sampled_from(["sorted", "drawn", "reversed", "tied"]))
+@example([], "sorted")
+@example([(60, "HR", 80.0)], "drawn")
+@example([(0, "HR", -0.0), (0, "HR", 0.0), (0, "Weight", 80.0), (0, "Weight", -1.0)], "tied")
+@example([(120, "HR", 1.5), (60, "HR", 80.0), (60, "Na", -0.0), (180, "Weight", 36.6)], "drawn")
+def test_parsed_rows_match_the_always_sorting_reader_bit_for_bit(rows, order):
+    """Parsed measurements and static extras, and ``_by_minutes`` itself, are
+    those of the reader that always sorts, bit for bit: sorted rows come back
+    as they are, others stably sorted, ties in file order."""
+    if order == "sorted":
+        rows = sorted(rows, key=lambda row: row[0])
+    elif order == "reversed":
+        rows = sorted(rows, key=lambda row: row[0], reverse=True)
+    elif order == "tied":
+        rows = [(rows[0][0] if rows else 0, name, value) for _, name, value in rows]
+    got, expected = parse_record(record_text(rows)), ingest_oracle.parse_record(record_text(rows))
+    assert (got.record_id, got.statics) == (expected.record_id, expected.statics)
+    for name in ("measurements", "static_extras"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype == MEASUREMENT_DTYPE
+        assert np.array_equal(a[["minutes", "parameter"]], b[["minutes", "parameter"]])
+        assert_same_bits(a["value"], b["value"])
+    coded = [(minutes, k, value) for k, (minutes, _, value) in enumerate(rows)]
+    got, expected = ingest._by_minutes(coded), ingest_oracle._by_minutes(coded)
+    assert np.array_equal(got[["minutes", "parameter"]], expected[["minutes", "parameter"]])
+    assert_same_bits(got["value"], expected["value"])
