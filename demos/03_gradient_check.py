@@ -1,12 +1,11 @@
 """The model's backward pass, and proof its gradients match finite differences.
 
-Every layer computes a plain array and records one hand-written backward
-rule on the tape, with the names of the parameters it reads; the layers
-form a chain, each taking the previous one's output.  The demo lists the
-layers one forward pass records, for one episode and for a mixed batch (the
-same list), then sweeps one batch back to one gradient per named
-parameter, and finally runs the full-model gradient check used by the
-acceptance suite.
+Every layer computes a plain array and appends one hand-written backward
+rule to the tape; the layers form a chain, each taking the previous one's
+output.  The demo lists the rules one forward pass records, each by the
+layer that made it, for one episode and for a mixed batch (the same list),
+then sweeps one batch back to one gradient per named parameter, and
+finally runs the full-model gradient check used by the acceptance suite.
 """
 
 import numpy as np
@@ -21,19 +20,20 @@ params = ModelParams.init(config, rng)
 
 
 def layers(tape):
-    return [f"{e.op}: {', '.join(e.params)}" for e in tape.entries]
+    return [rule.__qualname__ for rule in tape.entries]
 
 
 # The LSTM (both directions) and the attention (both heads and their max)
 # are one entry each, however many intervals and episodes they cover.
 episode = forward_episode(rng.normal(size=(16, 5)), params)
-print(f"a 16-interval forward pass recorded {len(episode.tape.entries)} layers:")
+print(f"a 16-interval forward pass recorded {len(episode.tape.entries)} rules:")
 print("\n".join("  " + line for line in layers(episode.tape)))
 matrices = [rng.normal(size=(t, 5)) for t in (16, 3, 9, 1)]
 batch = forward_batch(matrices, params)
 print(f"a batch of 4 episodes of 1 to 16 intervals, padded to 16, recorded the same "
       f"{len(batch.tape.entries)}: {layers(batch.tape) == layers(episode.tape)}")
 
+# The rules give the gradients in chain order, which named_parameters names.
 # attn.c's gradient is zero: a head's softmax is unchanged when all its
 # scores shift by the same constant, so the scoring net's bias cannot learn.
 loss, grads = loss_and_grads(params, matrices, [1, 0, 0, 1])

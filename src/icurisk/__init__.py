@@ -6,11 +6,11 @@ rows, turns them into equal-length interval feature matrices, runs a
 (bidirectional) LSTM over them, pools the hidden states with soft attention
 reading heads, and scores mortality risk with a logistic classifier.  The
 parameters are plain numpy arrays, one set per layer: both LSTM directions
-stacked in one, every reading head in one.  Each layer records its own
-hand-written backward rule on a tape (:mod:`icurisk.autodiff`), a chain of
-at most four entries whose one backward sweep gives one gradient per named
-parameter, so the whole model trains with Adam and is checked against
-finite differences.
+stacked in one, every reading head in one.  Each layer appends its own
+hand-written backward rule to a tape (:mod:`icurisk.autodiff`), a chain of
+at most four rules whose one backward sweep gives the parameter gradients
+in chain order, named once by ``ModelParams.named_parameters``, so the
+whole model trains with Adam and is checked against finite differences.
 """
 
 __version__ = "0.1.0"

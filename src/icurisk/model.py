@@ -20,14 +20,15 @@ padded at the end to the longest (batch x intervals x features) and each
 episode's length is kept.  The parameters are plain arrays, one set per
 layer with the directions and heads stacked on a leading axis.  Each layer
 works on the whole batch, every direction or head at once, returns its
-output array and records one hand-written backward rule on the tape, so a
-forward pass is a chain of at most four entries (LSTM, attention or mean,
-output dropout, classifier) whatever the batch size and episode lengths.
-:func:`loss_and_grads` adds the mean log-loss and sweeps those rules back,
-last layer first, to one gradient per named parameter.  Padding never
-reaches a real state, weight or reading, and gets zero gradient.  Scoring
-one episode is the batch of one, run on a view of its matrix: with nothing
-to pad and no dropout to apply, it needs no padded copy.
+output array and appends one hand-written backward rule to the tape's
+list, so a forward pass is a chain of at most four rules (LSTM, attention
+or mean, output dropout, classifier) whatever the batch size and episode
+lengths.  :func:`loss_and_grads` adds the mean log-loss and sweeps those
+rules back, last layer first; the parameter gradients come out in the
+order of :meth:`ModelParams.named_parameters`, which names them.  Padding
+never reaches a real state, weight or reading, and gets zero gradient.
+Scoring one episode is the batch of one, run on a view of its matrix: with
+nothing to pad and no dropout to apply, it needs no padded copy.
 """
 
 from __future__ import annotations
@@ -37,12 +38,16 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from icurisk.autodiff import ShapeMismatchError, Tape, check_gradients, sigmoid
+from icurisk.autodiff import Tape
 from icurisk.preprocess import PipelineStats, feature_width
 
 
 class ModelFormatError(ValueError):
     """Raised when a model file has the wrong magic, version, or contents."""
+
+
+class ShapeMismatchError(ValueError):
+    """Raised when an operation's input shapes are incompatible."""
 
 
 MODEL_MAGIC = "icurisk-model"
@@ -147,6 +152,13 @@ def _glorot(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(rows, cols))
 
 
+def sigmoid(v: np.ndarray) -> np.ndarray:
+    """Logistic function that stays finite for any finite input."""
+    e = np.exp(-np.abs(v))
+    d = 1.0 + e
+    return np.where(v >= 0, 1.0 / d, e / d)
+
+
 class ModelParams:
     """All learnable arrays, one set per layer, plus the configuration that
     shaped them; a layer the configuration does not use is None."""
@@ -190,7 +202,8 @@ class ModelParams:
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         """All arrays in a fixed order: ``lstm.W/U/b``, ``attn.M/b/v/c``,
-        ``out.w/b``."""
+        ``out.w/b``, the order in which the layers' backward rules give
+        their gradients; the one place the names are formed."""
         layers = (("lstm", self.lstm), ("attn", self.attention), ("out", self.classifier))
         return [(f"{prefix}.{name}", array) for prefix, layer in layers if layer is not None
                 for name, array in vars(layer).items()]
@@ -235,7 +248,7 @@ def _direction_major(a: np.ndarray, width: int) -> np.ndarray:
     return np.ascontiguousarray(a).reshape(a.shape[0], -1, width)
 
 
-def run_lstm(tape: Tape, X: np.ndarray, lengths: np.ndarray, lstm: Lstm) -> np.ndarray:
+def run_lstm(rules: list, X: np.ndarray, lengths: np.ndarray, lstm: Lstm) -> np.ndarray:
     """States of every direction for every interval of a padded batch.
 
     ``X`` is batch x intervals x features, each episode padded at the end
@@ -310,11 +323,11 @@ def run_lstm(tape: Tape, X: np.ndarray, lengths: np.ndarray, lstm: Lstm) -> np.n
         dW = dZ_rows.reshape(batch * steps, D * 4 * n).T @ X.reshape(batch * steps, -1)
         return None, dW.reshape(W.shape), dU, db
 
-    tape.record("lstm", ("lstm.W", "lstm.U", "lstm.b"), backward)
+    rules.append(backward)
     return states.reshape(batch, steps, D * n)
 
 
-def attend(tape: Tape, states: np.ndarray, lengths: np.ndarray,
+def attend(rules: list, states: np.ndarray, lengths: np.ndarray,
            attention: Attention) -> tuple[np.ndarray, np.ndarray]:
     """Every reading head over padded states (batch x intervals x width),
     max-pooled.
@@ -355,20 +368,20 @@ def attend(tape: Tape, states: np.ndarray, lengths: np.ndarray,
         return (d_states, (d_pre.T @ flat).reshape(M.shape), d_pre.sum(axis=0).reshape(R, a),
                 np.einsum("btr,btra->ra", d_score, hidden), d_score.sum(axis=(0, 1)))
 
-    tape.record("attention", ("attn.M", "attn.b", "attn.v", "attn.c"), backward)
+    rules.append(backward)
     return readings.max(axis=1), weights.transpose(0, 2, 1)
 
 
-def mean_rows(tape: Tape, states: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def mean_rows(rules: list, states: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Each episode's mean over its own rows of padded states (batch x
     intervals x width)."""
     real = (np.arange(states.shape[1]) < lengths[:, None])[..., None]
     n = lengths[:, None].astype(np.float64)
-    tape.record("mean", (), lambda g: ((g / n)[:, None, :] * real,))
+    rules.append(lambda g: ((g / n)[:, None, :] * real,))
     return (states * real).sum(axis=1) / n
 
 
-def classify(tape: Tape, z: np.ndarray, classifier: Classifier) -> np.ndarray:
+def classify(rules: list, z: np.ndarray, classifier: Classifier) -> np.ndarray:
     """Risk probabilities sigmoid(w . z + b), one per row of z (batch x width)."""
     w, b = classifier.w[0], classifier.b[0]
     p = sigmoid(z @ w + b)
@@ -377,7 +390,7 @@ def classify(tape: Tape, z: np.ndarray, classifier: Classifier) -> np.ndarray:
         d_logit = g * p * (1.0 - p)
         return np.outer(d_logit, w), (d_logit @ z)[None, :], np.array([d_logit.sum()])
 
-    tape.record("classify", ("out.w", "out.b"), backward)
+    rules.append(backward)
     return p
 
 
@@ -410,7 +423,7 @@ def forward_batch(matrices, params: ModelParams,
     """Score a batch of episodes' feature matrices in one pass.
 
     The matrices are padded at the end to the longest and run as one
-    batch; each layer records one tape entry for the whole batch.  Given a
+    batch; each layer appends one backward rule for the whole batch.  Given a
     generator, the pass is in training mode: inverted dropout is applied to
     the inputs and to the pooled features z, from one draw of ``rng`` laid
     out episode by episode.  Without one it is in evaluation mode, fully
@@ -440,20 +453,21 @@ def forward_batch(matrices, params: ModelParams,
     out_mask = None if rng is None else _draw_dropout(batch, lengths, cfg, rng)
 
     tape = Tape()
+    rules = tape.entries
     states, weights = None, None
     if not cfg.recurrent:
         z = batch[:, 0]  # the single interval, classified directly
     else:
-        states = run_lstm(tape, batch, lengths, params.lstm)
+        states = run_lstm(rules, batch, lengths, params.lstm)
         if cfg.pooling == "attention":
-            z, weights = attend(tape, states, lengths, params.attention)
+            z, weights = attend(rules, states, lengths, params.attention)
         else:
-            z = mean_rows(tape, states, lengths)
+            z = mean_rows(rules, states, lengths)
 
     if out_mask is not None:
-        tape.record("dropout", (), lambda g: (g * out_mask,))
+        rules.append(lambda g: (g * out_mask,))
         z = z * out_mask
-    p = classify(tape, z, params.classifier)
+    p = classify(rules, z, params.classifier)
     return BatchResult(risks=p, weights=weights, states=states, tape=tape)
 
 
@@ -496,7 +510,41 @@ def loss_and_grads(params: ModelParams, matrices, labels,
     losses = -(labels * np.log(clipped) + (1.0 - labels) * np.log(1.0 - clipped))
     inside = (p > 1e-12) & (p < 1.0 - 1e-12)
     d_p = 1.0 / n * inside * (clipped - labels) / (clipped * (1.0 - clipped))
-    return float(losses.sum() / n), result.tape.backward(d_p)
+    names = (name for name, _ in params.named_parameters())
+    return float(losses.sum() / n), dict(zip(names, result.tape.backward(d_p), strict=True))
+
+
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """max |a - n| / max(|a|, |n|, 1e-8) over all entries."""
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def check_gradients(evaluate, parameters) -> float:
+    """Compare analytic gradients with central finite differences.
+
+    ``evaluate()`` returns the loss and one gradient per parameter name
+    for the parameters' current values, as :func:`loss_and_grads` does; it
+    must be deterministic, so dropout must be off.  Each of the (name,
+    array) ``parameters`` is perturbed in place, one entry at a time, by
+    1e-5 each way.  Returns the max relative error over every entry.
+    """
+    step = 1e-5
+    _, analytic = evaluate()
+    worst = 0.0
+    for name, array in parameters:
+        flat = array.reshape(-1)
+        for i in range(flat.size):
+            original = flat[i]
+            flat[i] = original + step
+            up, _ = evaluate()
+            flat[i] = original - step
+            down, _ = evaluate()
+            flat[i] = original
+            numeric = (up - down) / (2.0 * step)
+            worst = max(worst, max_relative_error(
+                np.array([analytic[name].reshape(-1)[i]]), np.array([numeric])))
+    return worst
 
 
 def grad_check(config: ModelConfig, seed: int) -> float:
@@ -562,9 +610,11 @@ def save_model(path, params: ModelParams, preprocess_stats: PipelineStats | None
 
 def load_model(path) -> tuple[ModelParams, PipelineStats | None]:
     """Load a model file; a malformed one raises ``ModelFormatError`` naming
-    the file and the field or parameter at fault, as does statistics whose
-    feature count differs from the model's ``input_dim``.  NaN values load:
-    they are caught where risks come out."""
+    the file and the field or parameter at fault, as do statistics that
+    :meth:`PipelineStats.check` refuses, naming the statistic and the
+    feature, and statistics whose feature count differs from the model's
+    ``input_dim``.  Non-finite parameters load: they are caught where risks
+    come out."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -611,6 +661,7 @@ def load_model(path) -> tuple[ModelParams, PipelineStats | None]:
         return params, None
     try:
         stats = PipelineStats.from_dict(doc["preprocess"])
+        stats.check()
     except KeyError as exc:
         raise ModelFormatError(f"{path}: preprocess: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -147,6 +147,28 @@ class PipelineStats:
             feature_names=list(d["feature_names"]),
         )
 
+    def check(self) -> None:
+        """Raise ValueError, naming the feature and the statistic, at a value
+        no fit gives: a NaN, an infinite mean or std, or a negative std.
+        Truncation bounds may be infinite: an unobserved parameter's are
+        -inf and +inf.  A std of exactly 0 marks a constant column."""
+        series, names = TIME_SERIES_PARAMETERS, feature_names()
+        means = np.concatenate([self.imputation.series_means, self.imputation.static_means])
+        big = np.finfo(np.float64).max  # the range each holds; NaN is in none
+        for statistic, values, value_names, lowest, highest in (
+                ("truncation lower", self.truncation.lower, series, -np.inf, np.inf),
+                ("truncation upper", self.truncation.upper, series, -np.inf, np.inf),
+                ("imputation mean", means, series + STATIC_PARAMETERS, -big, big),
+                ("normalization mean", self.normalization.mean, names, -big, big),
+                ("normalization std", self.normalization.std, names, 0.0, big)):
+            if values.shape != (len(value_names),):
+                raise ValueError(f"fitted {statistic} has shape {values.shape}, "
+                                 f"expected ({len(value_names)},)")
+            bad = np.flatnonzero(~((values >= lowest) & (values <= highest)))
+            if bad.size:
+                raise ValueError(f"feature {value_names[bad[0]]}: fitted {statistic} "
+                                 f"is {values[bad[0]]}")
+
 
 @dataclass
 class EpisodeFeatures:
@@ -364,10 +386,10 @@ def fit_pipeline(episodes: list[RawEpisode],
     The imputed training matrices are written one after another into one
     array, sized from each episode's interval count, which the
     normalization fit then overwrites; so the fit holds one copy of them,
-    and :func:`build_features` builds each again.  An empty split, or a
-    non-finite imputation mean or normalization mean or std, raises
-    ValueError, the latter naming the feature and the statistic: values
-    near 1e308 parse, and their sums can overflow.
+    and :func:`build_features` builds each again.  An empty split raises
+    ValueError, as does a statistic that :meth:`PipelineStats.check`
+    refuses, such as an infinite mean or std: values near 1e308 parse, and
+    their sums can overflow.
     """
     if not episodes:
         raise ValueError("no training episodes were given")
@@ -383,16 +405,9 @@ def fit_pipeline(episodes: list[RawEpisode],
             stacked[start:start + len(matrix)] = matrix
             start += len(matrix)
         norm = fit_normalization(stacked)
-    names = feature_names()
-    means = np.concatenate([imputation.series_means, imputation.static_means])
-    for statistic, values, value_names in (
-            ("imputation mean", means, TIME_SERIES_PARAMETERS + STATIC_PARAMETERS),
-            ("normalization mean", norm.mean, names), ("normalization std", norm.std, names)):
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ValueError(f"feature {value_names[bad[0]]}: fitted {statistic} "
-                             f"is {values[bad[0]]}")
-    return PipelineStats(interval_minutes, bounds, imputation, norm, names)
+    stats = PipelineStats(interval_minutes, bounds, imputation, norm, feature_names())
+    stats.check()
+    return stats
 
 
 def build_features(episode: RawEpisode, stats: PipelineStats) -> EpisodeFeatures:

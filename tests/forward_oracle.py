@@ -26,9 +26,9 @@ def sigmoid(v):
     return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def attend(tape, states, lengths, attention):
+def attend(rules, states, lengths, attention):
     """The max-pooled readings (batch x width) and the weights (batch x R x
-    intervals) of every head over padded states; records the backward rule."""
+    intervals) of every head over padded states; appends the backward rule."""
     batch, steps, width = states.shape
     M, v = attention.M, attention.v
     R, a = v.shape
@@ -53,7 +53,7 @@ def attend(tape, states, lengths, attention):
         return (d_states, (d_pre.T @ flat).reshape(M.shape), d_pre.sum(axis=0).reshape(R, a),
                 np.einsum("btr,btra->ra", d_score, hidden), d_score.sum(axis=(0, 1)))
 
-    tape.record("attention", ("attn.M", "attn.b", "attn.v", "attn.c"), backward)
+    rules.append(backward)
     return readings.max(axis=1), weights.transpose(0, 2, 1)
 
 
@@ -72,8 +72,8 @@ def forward_batch(matrices, params):
     else:
         states, _ = lstm_oracle.run_lstm(batch, lengths, params.lstm)
         if cfg.pooling == "attention":
-            z, weights = attend(tape, states, lengths, params.attention)
+            z, weights = attend(tape.entries, states, lengths, params.attention)
         else:
-            z = mean_rows(tape, states, lengths)
+            z = mean_rows(tape.entries, states, lengths)
     risks = sigmoid(z @ params.classifier.w[0] + params.classifier.b[0])
     return BatchResult(risks=risks, weights=weights, states=states, tape=tape)

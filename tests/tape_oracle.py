@@ -2,8 +2,9 @@
 per-episode reference model in ``model_oracle.py``.
 
 The package's model differentiates its own fixed chain of layers
-(``icurisk.autodiff``); this engine is the general one it grew from, kept
-as the independent reference those layers are checked against.
+(``icurisk.model``, swept by the tape in ``icurisk.autodiff``); this engine
+is the general one it grew from, kept as the independent reference those
+layers are checked against.
 
 Each forward call on a :class:`Tape` produces a fresh :class:`Tensor` and
 appends an entry holding the inputs, the output, and a backward rule.
@@ -26,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from icurisk.autodiff import ShapeMismatchError, sigmoid
+from icurisk.model import ShapeMismatchError, sigmoid
 
 
 def _require_same_shape(op: str, a: "Tensor", b: "Tensor") -> None:

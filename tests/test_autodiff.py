@@ -1,15 +1,15 @@
-"""The model's tape (named values, one gradient per parameter), the
-finite-difference checker, and the general reference engine in
-``tape_oracle.py``: its op values, shape errors and gradients."""
+"""The model's tape (bare backward rules, one gradient per named
+parameter), the finite-difference checker, and the general reference
+engine in ``tape_oracle.py``: its op values, shape errors and gradients."""
 
 import math
 
 import numpy as np
 import pytest
 
-from icurisk import autodiff
-from icurisk.autodiff import ShapeMismatchError, check_gradients, max_relative_error
-from icurisk.model import ModelConfig, ModelParams, forward_batch
+from icurisk import autodiff, model
+from icurisk.model import (ModelConfig, ModelParams, ShapeMismatchError, check_gradients,
+                           forward_batch, max_relative_error)
 
 from tape_oracle import Tape, Tensor, softmax
 from test_golden import ARCHITECTURES
@@ -250,19 +250,34 @@ class TestModelTape:
         rng = np.random.default_rng(1)
         batch = forward_batch([rng.normal(size=(t, 4)) for t in lengths], params, rng)
         grads = batch.tape.backward(np.ones(len(lengths)))
-        assert list(grads) == [name for name, _ in params.named_parameters()]
-        for name, array in params.named_parameters():
-            assert grads[name].shape == array.shape, name
+        # In chain order, which is the order named_parameters names them in.
+        assert ([grad.shape for grad in grads]
+                == [array.shape for _, array in params.named_parameters()])
 
     def test_backward_pops_every_entry(self):
         # y = 2 w + v, then out = 3 y: the chain hands 3 g to the first rule.
         tape = autodiff.Tape()
-        tape.record("affine", ("w", "v"), lambda g: (None, 2.0 * g, g))
-        tape.record("triple", (), lambda g: (3.0 * g,))
-        grads = tape.backward(np.ones(2))
-        assert list(grads) == ["w", "v"]  # the recorded names, in their order
-        np.testing.assert_array_equal(grads["w"], [6.0, 6.0])
-        np.testing.assert_array_equal(grads["v"], [3.0, 3.0])
+        tape.entries.append(lambda g: (None, 2.0 * g, g))
+        tape.entries.append(lambda g: (3.0 * g,))
+        w, v = tape.backward(np.ones(2))  # the first rule's gradients, in its order
+        np.testing.assert_array_equal(w, [6.0, 6.0])
+        np.testing.assert_array_equal(v, [3.0, 3.0])
         assert tape.entries == []
         with pytest.raises(ValueError, match="no entries"):
             tape.backward(np.ones(2))
+
+    def test_a_rule_short_of_the_named_parameters_raises(self, monkeypatch):
+        # Without the LSTM's rule the sweep gives the attention's and the
+        # classifier's 6 gradients for 9 names: refused, not misnamed.
+        cfg = ModelConfig(input_dim=4, hidden=3, heads=2, attn_hidden=3)
+        params = ModelParams.init(cfg, np.random.default_rng(2))
+        whole = model.forward_batch
+
+        def short(*args, **kwargs):
+            result = whole(*args, **kwargs)
+            del result.tape.entries[0]
+            return result
+
+        monkeypatch.setattr(model, "forward_batch", short)
+        with pytest.raises(ValueError, match="shorter"):
+            model.loss_and_grads(params, [np.ones((3, 4))], [1])

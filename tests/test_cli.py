@@ -459,9 +459,11 @@ class TestPredict:
     def test_non_finite_feature_rejected(self, model_path, tiny_corpus, tmp_path, capsys):
         def poison(doc):
             doc["preprocess"]["normalization"]["mean"][0] = float("nan")
-        err, _ = self._predict_with_nan(model_path, tiny_corpus, tmp_path, capsys, poison)
-        assert "record 140000" in err
-        assert "feature Albumin_min" in err
+        # Refused at load, before any record is read: the error names the
+        # file, the statistic and the feature.
+        err, bad = self._predict_with_nan(model_path, tiny_corpus, tmp_path, capsys, poison)
+        assert (f"error: {bad}: preprocess: feature Albumin_min: fitted normalization mean "
+                "is nan") in err
 
     def test_non_finite_risk_rejected(self, model_path, tiny_corpus, tmp_path, capsys):
         def poison(doc):

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icurisk.autodiff import ShapeMismatchError, Tape
 from icurisk.model import (
     Attention,
     Classifier,
@@ -15,6 +14,7 @@ from icurisk.model import (
     ModelConfig,
     ModelFormatError,
     ModelParams,
+    ShapeMismatchError,
     attend,
     classify,
     forward_batch,
@@ -34,6 +34,7 @@ from icurisk.train import TrainConfig, VARIANTS, apply_variant
 
 import model_oracle as oracle
 from conftest import synth_record_text
+from sweep_oracle import layer
 from test_golden import ARCHITECTURES
 
 
@@ -128,7 +129,7 @@ def lstm_states(X, d, reverse=False):
     one; in reverse, as direction 1 of a two-direction Lstm."""
     if reverse:
         d = Lstm(*(np.concatenate([a, a]) for a in (d.W, d.U, d.b)))
-    return run_lstm(Tape(), X[None], np.array([len(X)]), d)[0, :, -d.U.shape[-1]:]
+    return run_lstm([], X[None], np.array([len(X)]), d)[0, :, -d.U.shape[-1]:]
 
 
 class TestLstmCell:
@@ -200,7 +201,7 @@ class TestRunLstm:
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="interval"):
-            run_lstm(Tape(), np.zeros((1, 0, 3)), np.array([0]), zero_direction(2, 3))
+            run_lstm([], np.zeros((1, 0, 3)), np.array([0]), zero_direction(2, 3))
 
     def test_reverse_on_palindrome_reverses_states(self):
         rng = np.random.default_rng(4)
@@ -274,11 +275,11 @@ def zero_head(attn_hidden, width):
 
 def attention_weights(states, head):
     """One episode's weights over its states, run as a batch of one."""
-    return attend(Tape(), states[None], np.array([len(states)]), head)[1][0, 0]
+    return attend([], states[None], np.array([len(states)]), head)[1][0, 0]
 
 
 def reading(states, head):
-    return attend(Tape(), states[None], np.array([len(states)]), head)[0][0]
+    return attend([], states[None], np.array([len(states)]), head)[0][0]
 
 
 def pool(readings):
@@ -291,14 +292,14 @@ def pool(readings):
     M[np.arange(R), 0, width + np.arange(R)] = 1.0
     heads = Attention(M, np.zeros((R, 1)), np.full((R, 1), 1e4), np.zeros(R))
     states = np.hstack([readings, np.eye(R)])
-    z, weights = attend(Tape(), states[None], np.array([R]), heads)
+    z, weights = attend([], states[None], np.array([R]), heads)
     np.testing.assert_array_equal(weights[0], np.eye(R))  # one-hot heads
     return z[0, :width]
 
 
 def mean_pool(states):
     """One episode's mean over its states, run as a batch of one."""
-    return mean_rows(Tape(), states[None], np.array([len(states)]))[0]
+    return mean_rows([], states[None], np.array([len(states)]))[0]
 
 
 class TestAttention:
@@ -377,9 +378,9 @@ class TestPooling:
         g = rng.normal(size=(1, 3))
 
         def backward(heads):  # the gradients of the states and of M, b, v, c
-            tape = Tape()
-            attend(tape, states, np.array([5]), heads)
-            return tape.entries[0].backward(g)
+            rules = []
+            attend(rules, states, np.array([5]), heads)
+            return rules[0](g)
 
         (d_single, *single), (d_tied, *both) = backward(one), backward(tied)
         np.testing.assert_allclose(d_tied, d_single, rtol=0, atol=ORACLE_TOLERANCE)
@@ -403,15 +404,15 @@ class TestPooling:
 class TestClassifier:
     def test_zero_weights_give_half(self):
         cls = Classifier(w=np.zeros((1, 4)), b=np.zeros(1))
-        assert classify(Tape(), np.ones((1, 4)), cls)[0] == 0.5
+        assert classify([], np.ones((1, 4)), cls)[0] == 0.5
 
     def test_log3_bias_gives_three_quarters(self):
         cls = Classifier(w=np.zeros((1, 2)), b=np.array([math.log(3)]))
-        assert classify(Tape(), np.zeros((1, 2)), cls)[0] == pytest.approx(0.75)
+        assert classify([], np.zeros((1, 2)), cls)[0] == pytest.approx(0.75)
 
     def test_monotone_in_score(self):
         cls = Classifier(w=np.ones((1, 1)), b=np.zeros(1))
-        probs = [classify(Tape(), np.array([[z]]), cls)[0] for z in np.linspace(-3, 3, 25)]
+        probs = [classify([], np.array([[z]]), cls)[0] for z in np.linspace(-3, 3, 25)]
         assert all(a < b for a, b in zip(probs, probs[1:]))
 
     def test_log_loss_values(self):
@@ -500,14 +501,14 @@ class TestForwardEpisode:
         cfg, params = self._model(dropout_in=0.5, dropout_out=0.5)
         X = np.random.default_rng(28).normal(size=(4, 6))
         result = forward_episode(X, params)  # no generator: evaluation mode
-        assert "dropout" not in [e.op for e in result.tape.entries]
+        assert "forward_batch" not in [layer(rule) for rule in result.tape.entries]
 
     def test_one_tape_entry_per_layer(self):
         cfg, params = self._model(dropout_in=0.5, dropout_out=0.5)
         X = np.random.default_rng(29).normal(size=(16, 6))
         result = forward_episode(X, params, np.random.default_rng(0))
-        assert [e.op for e in result.tape.entries] == [
-            "lstm", "attention", "dropout", "classify"]
+        assert [layer(rule) for rule in result.tape.entries] == [  # dropout: forward_batch
+            "run_lstm", "attend", "forward_batch", "classify"]
 
     def test_train_mode_same_rng_same_output(self):
         cfg, params = self._model(dropout_in=0.4, dropout_out=0.4)
@@ -589,7 +590,8 @@ class TestForwardBatch:
         rng = np.random.default_rng(31)
         one = forward_batch([rng.normal(size=(16, 6))], params, rng)
         many = forward_batch([rng.normal(size=(t, 6)) for t in (3, 16, 1, 9)], params, rng)
-        assert [e.op for e in many.tape.entries] == [e.op for e in one.tape.entries]
+        assert ([rule.__qualname__ for rule in many.tape.entries]
+                == [rule.__qualname__ for rule in one.tape.entries])
 
     def test_caller_matrices_are_never_written(self):
         # One matrix without a generator runs unpadded, on a view of it; input
@@ -747,21 +749,67 @@ class TestMalformedModelFile:
             load_model(path)
         assert str(path) in str(info.value)
 
-    def test_preprocess_block_without_truncation_rejected(self, tmp_path):
+    @staticmethod
+    def _edit_saved_stats(tmp_path, edit):
+        """A model file with statistics fitted on 3 stays, ``edit`` applied
+        to its preprocess block."""
         rng = np.random.default_rng(33)
         stats = fit_pipeline([parse_record(synth_record_text(i + 1, rng)) for i in range(3)], 180)
         cfg = ModelConfig(input_dim=185, hidden=2, heads=1)
         path = tmp_path / "model.json"
         save_model(path, ModelParams.init(cfg, rng), stats)
         doc = json.loads(path.read_text())
-        del doc["preprocess"]["truncation"]
+        edit(doc["preprocess"])
         path.write_text(json.dumps(doc))
+        return path
+
+    def test_preprocess_block_without_truncation_rejected(self, tmp_path):
+        path = self._edit_saved_stats(tmp_path, lambda stats: stats.pop("truncation"))
         with pytest.raises(ModelFormatError, match="preprocess: missing field 'truncation'") as info:
             load_model(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("block, array, index, value, message", [
+        ("truncation", "lower", 0, math.nan, "feature Albumin: fitted truncation lower is nan"),
+        ("truncation", "upper", 1, math.nan, "feature ALP: fitted truncation upper is nan"),
+        ("imputation", "series_means", 14, math.inf, "feature HR: fitted imputation mean is inf"),
+        ("imputation", "static_means", 4, math.nan,
+         "feature Weight: fitted imputation mean is nan"),
+        ("normalization", "mean", 2, -math.inf,
+         "feature Albumin_mean: fitted normalization mean is -inf"),
+        ("normalization", "std", 0, math.inf,
+         "feature Albumin_min: fitted normalization std is inf"),
+        ("normalization", "std", 184, -0.5, "feature Weight: fitted normalization std is -0.5"),
+    ], ids=["nan-lower", "nan-upper", "inf-series-mean", "nan-static-mean", "inf-norm-mean",
+            "inf-std", "negative-std"])
+    def test_statistic_no_fit_gives_rejected_naming_file_array_and_feature(
+            self, tmp_path, block, array, index, value, message):
+        def plant(stats):
+            stats[block][array][index] = value
+        path = self._edit_saved_stats(tmp_path, plant)
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: preprocess: {message}"
+
+    def test_statistic_of_the_wrong_length_rejected(self, tmp_path):
+        path = self._edit_saved_stats(tmp_path, lambda stats: stats["normalization"]["std"].pop())
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value) == (f"{path}: preprocess: fitted normalization std has shape "
+                                   "(184,), expected (185,)")
+
+    def test_unobserved_bounds_and_constant_columns_load(self, tmp_path):
+        # A parameter no training stay measured has bounds -inf and +inf, and
+        # a column constant over the training intervals has std exactly 0.
+        _, stats = load_model(self._edit_saved_stats(tmp_path, lambda stats: None))
+        assert stats.truncation.unobserved == ["DiasABP", "Urine"]
+        bounds = stats.truncation
+        assert np.isinf(bounds.lower).sum() == np.isinf(bounds.upper).sum() == 2
+        assert (stats.normalization.std == 0.0).any()
+
     def test_nan_value_still_loads(self, tmp_path):
-        # Finiteness is checked where risks are produced, not at load.
+        # A parameter's finiteness is checked where risks are produced, not
+        # at load.
         path = _edit_saved_model(tmp_path, _set("params", "out.w", "data", 0, float("nan")))
         params, _ = load_model(path)
         assert np.isnan(params.classifier.w[0, 0])

@@ -4,7 +4,8 @@ the array preprocess against the loop oracle on generated episodes, the
 one-array transform against the stacked one bit for bit, the in-place
 normalization fit against ``std`` on a copy bit for bit, the
 store's feature-row formatter against ``repr`` per cell, the batched model
-against the per-episode oracle on generated batches, the step-major LSTM
+against the per-episode oracle on generated batches, the gradients named in
+chain order against the name-keyed sweep bit for bit, the step-major LSTM
 layer against the direction-major one bit for bit, the in-place attention
 and the unpadded batch of one against their references bit for bit, and
 parsed episodes, whose rows skip the sort when already in time order,
@@ -15,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from icurisk.autodiff import Tape
 from icurisk import ingest
 from icurisk.cli import _csv_rows
 from icurisk.ingest import (
@@ -26,7 +26,8 @@ from icurisk.ingest import (
     serialize_record,
 )
 from icurisk.model import (
-    Attention, Lstm, ModelConfig, ModelParams, attend, forward_batch, forward_episode, run_lstm)
+    Attention, Lstm, ModelConfig, ModelParams, attend, forward_batch, forward_episode,
+    loss_and_grads, run_lstm)
 from icurisk.preprocess import (
     N_SERIES,
     N_STATICS,
@@ -48,6 +49,7 @@ import forward_oracle
 import ingest_oracle
 import lstm_oracle
 import preprocess_oracle as oracle
+import sweep_oracle
 from conftest import synth_record_text
 from test_golden import ARCHITECTURES
 from test_model import batch_against_oracle
@@ -358,6 +360,39 @@ def test_batch_matches_per_episode_oracle(arch, lengths, train, seed):
     batch_against_oracle(arch, lengths, train, seed)
 
 
+# Dropout rates per mode; the training modes pass a generator.
+SWEEP_MODES = {"eval": 0.3, "train": 0.3, "train-no-dropout": 0.0}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(ARCHITECTURES)), st.lists(st.integers(1, 16), min_size=1, max_size=8),
+       st.sampled_from(list(SWEEP_MODES)), st.integers(0, 2**32 - 1))
+@example("bilstm-attn", [16], "eval", 0)  # a batch of one runs unpadded
+@example("bilstm-attn", [16], "train", 1)
+@example("lstm-mean", [7, 1, 16, 2], "train-no-dropout", 2)
+def test_named_gradients_match_the_name_keyed_sweep_bit_for_bit(arch, lengths, mode, seed):
+    """The loss and the gradients of ``loss_and_grads``, named by
+    ``named_parameters``, are those of the sweep that keyed each gradient by
+    the names its layer reads: the same names in the same order, the same
+    bits."""
+    if arch == "lr-baseline":  # one interval per episode, the whole stay
+        lengths = [1] * len(lengths)
+    rate = SWEEP_MODES[mode]
+    cfg = ModelConfig(input_dim=4, hidden=3, heads=2, attn_hidden=3, dropout_in=rate,
+                      dropout_out=rate, **ARCHITECTURES[arch])
+    rng = np.random.default_rng(seed)
+    params = ModelParams.init(cfg, rng)
+    matrices = [rng.normal(size=(t, cfg.input_dim)) for t in lengths]
+    labels = rng.integers(0, 2, size=len(lengths))
+    generator = (lambda: None) if mode == "eval" else (lambda: np.random.default_rng(seed + 1))
+    loss, grads = loss_and_grads(params, matrices, labels, generator())
+    expected_loss, expected = sweep_oracle.loss_and_grads(params, matrices, labels, generator())
+    assert_same_bits(np.array(loss), np.array(expected_loss))
+    assert list(grads) == list(expected)
+    for name, grad in grads.items():
+        assert_same_bits(grad, expected[name])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([1, 2]), st.lists(st.integers(1, 16), min_size=1, max_size=33),
        st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 32]), st.sampled_from([1, 3, 12, 185]),
@@ -376,12 +411,12 @@ def test_step_major_lstm_matches_direction_major_bit_for_bit(D, lengths, hidden,
         row[:n] = rng.normal(size=(n, dim))
     lstm = Lstm(*(rng.normal(0, scale, size=(D, 4 * hidden, k)) for k in (dim, hidden)),
                 rng.normal(0, scale, size=(D, 4 * hidden)))
-    tape = Tape()
-    states = run_lstm(tape, X, lengths, lstm)
+    rules = []
+    states = run_lstm(rules, X, lengths, lstm)
     expected, backward = lstm_oracle.run_lstm(X, lengths, lstm)
     assert np.array_equal(states, expected)
     g = rng.normal(size=states.shape)
-    _, *grads = tape.entries[0].backward(g.copy())
+    _, *grads = rules[0](g.copy())
     _, *expected_grads = backward(g)
     for grad, want in zip(grads, expected_grads):
         assert np.array_equal(grad, want)
@@ -404,13 +439,13 @@ def test_in_place_attention_matches_reference_bit_for_bit(lengths, heads, attn_h
                           rng.normal(0, scale, size=(heads, attn_hidden)),
                           rng.normal(0, scale, size=(heads, attn_hidden)),
                           rng.normal(0, scale, size=heads))
-    tape, reference_tape = Tape(), Tape()
-    got = attend(tape, states, lengths, attention)
-    expected = forward_oracle.attend(reference_tape, states, lengths, attention)
+    rules, reference_rules = [], []
+    got = attend(rules, states, lengths, attention)
+    expected = forward_oracle.attend(reference_rules, states, lengths, attention)
     for a, b in zip(got, expected):
         assert_same_bits(a, b)
     g = rng.normal(size=got[0].shape)
-    for a, b in zip(tape.entries[0].backward(g), reference_tape.entries[0].backward(g)):
+    for a, b in zip(rules[0](g), reference_rules[0](g)):
         assert_same_bits(a, b)
 
 
