@@ -19,9 +19,10 @@ records of one run::
 Each feature cell is the ``repr`` of its float, formatted once per distinct
 value of the matrix; the bytes are those of formatting every cell.
 
-Train refits preprocessing per fold from the canonical episodes, at the
-interval in the store's ``stats.json``.  Each train flag sets a config field,
-whose default is the flag's, and is refused where the variant ignores it.
+Train reads the store's ``stats.json`` through ``PipelineStats`` alone, builds
+its configs, then parses the episodes, and refits preprocessing per fold.
+Each train flag sets a config field, whose default is the flag's, and is
+refused where the variant ignores it.
 Predict and attention share one scoring body, ``_score``, and differ only in
 their header and rows; neither writes anything unless every risk is finite.
 """
@@ -95,24 +96,24 @@ def _labeled(episodes: list[ingest.RawEpisode],
         return ingest.join_labels(episodes, labels), labels
 
 
-def _load_store(store: Path) -> tuple[list[ingest.RawEpisode], int]:
-    """A store's labeled episodes, and the interval in minutes that its
-    ``stats.json`` was fitted with, which must be a positive integer.
-
-    Only a finished store is read: preprocess writes ``manifest.json``
-    last, and ``labels.csv`` names exactly the ``episodes/*.txt`` files."""
+def _store_stats(store: Path) -> preprocess.PipelineStats:
+    """A finished store's fitted statistics, refusing what no fit writes, named
+    by file; preprocess writes ``manifest.json`` last, to finish a store."""
     if not (store / "manifest.json").is_file():
         raise FileNotFoundError(f"{store / 'manifest.json'}: not found, so {store} is not "
                                 "a finished store; preprocess into it again")
     stats_path = store / "stats.json"
     try:
-        minutes = json.loads(stats_path.read_text())["interval_minutes"]
-    except (OSError, ValueError, LookupError, TypeError) as exc:
-        raise ValueError(f"{stats_path}: cannot read interval_minutes ({exc!r})") from exc
-    try:
-        preprocess.stored_interval(minutes)
-    except ValueError as exc:
-        raise ValueError(f"{stats_path}: {exc}") from None
+        return preprocess.PipelineStats.from_dict(json.loads(stats_path.read_text()))
+    except KeyError as exc:
+        raise ValueError(f"{stats_path}: missing field {exc}") from exc
+    except (OSError, OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"{stats_path}: {exc}") from exc
+
+
+def _store_episodes(store: Path) -> list[ingest.RawEpisode]:
+    """A store's labeled episodes; ``labels.csv`` must name exactly the
+    ``episodes/*.txt`` files."""
     episode_files = sorted((store / "episodes").glob("*.txt"))
     if not episode_files:
         raise FileNotFoundError(f"no episodes found under {store / 'episodes'}")
@@ -124,7 +125,7 @@ def _load_store(store: Path) -> tuple[list[ingest.RawEpisode], int]:
         why = "missing, though" if differ[0] in listed else "extra: not"
         raise ValueError(f"{store / 'episodes' / differ[0]}: {why} listed in "
                          f"{labels_path}; preprocess into a new directory")
-    return episodes, minutes
+    return episodes
 
 
 # -- preprocess ---------------------------------------------------------------
@@ -223,12 +224,12 @@ def cmd_train(args) -> int:
                              f"{variant}; leave it out")
 
     store = Path(args.store)
-    episodes, interval_minutes = _load_store(store)
+    interval_minutes = _store_stats(store).interval_minutes
     cfg, model_cfg = apply_variant(
         variant, TrainConfig(interval_minutes=interval_minutes, **_given(args, TrainConfig)),
         ModelConfig(**sizes))
 
-    result = cross_validate(episodes, cfg, model_cfg, only_fold=args.fold)
+    result = cross_validate(_store_episodes(store), cfg, model_cfg, only_fold=args.fold)
 
     out = Path(args.out)
     (out / "models").mkdir(parents=True, exist_ok=True)

@@ -661,10 +661,9 @@ def load_model(path) -> tuple[ModelParams, PipelineStats | None]:
         return params, None
     try:
         stats = PipelineStats.from_dict(doc["preprocess"])
-        stats.check()
     except KeyError as exc:
         raise ModelFormatError(f"{path}: preprocess: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: preprocess: {exc}") from exc
     if len(stats.feature_names) != config.input_dim:
         raise ModelFormatError(

@@ -16,12 +16,14 @@ loops.
 
 All fitting functions consume only the episodes they are given, so handing
 them the training split of a fold is what keeps validation data out of the
-fitted statistics.
+fitted statistics: one checked type, :class:`PipelineStats`, which alone
+writes and reads their JSON block (``stats.json``, a model's ``preprocess``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -40,13 +42,6 @@ N_STATICS = len(STATIC_PARAMETERS)
 
 # The interval length unless a caller chooses another: 16 intervals of 3 hours.
 DEFAULT_INTERVAL_MINUTES = 180
-
-
-def stored_interval(minutes) -> int:
-    """A stored ``interval_minutes``, which must be an int (not a bool) above 0."""
-    if type(minutes) is not int or minutes <= 0:
-        raise ValueError(f"interval_minutes is {minutes!r}, not a positive integer")
-    return minutes
 
 
 def feature_names() -> list[str]:
@@ -98,61 +93,47 @@ class NormalizationStats:
 
 @dataclass
 class PipelineStats:
-    """Everything fitted on a training split, enough to replay transforms."""
+    """Everything fitted on a training split, enough to replay transforms,
+    checked on construction; the fields are in the JSON block's order."""
 
     interval_minutes: int
+    feature_names: list[str]
     truncation: TruncationBounds
     imputation: ImputationStats
     normalization: NormalizationStats
-    feature_names: list[str]
+
+    def __post_init__(self):
+        self.check()
 
     def to_dict(self) -> dict:
-        return {
-            "interval_minutes": self.interval_minutes,
-            "feature_names": list(self.feature_names),
-            "truncation": {
-                "lower": self.truncation.lower.tolist(),
-                "upper": self.truncation.upper.tolist(),
-                "unobserved": list(self.truncation.unobserved),
-            },
-            "imputation": {
-                "series_means": self.imputation.series_means.tolist(),
-                "static_means": self.imputation.static_means.tolist(),
-                "unobserved": list(self.imputation.unobserved),
-            },
-            "normalization": {
-                "mean": self.normalization.mean.tolist(),
-                "std": self.normalization.std.tolist(),
-            },
-        }
+        """The statistics as JSON values: arrays become lists of floats."""
+        return asdict(self, dict_factory=lambda items: {
+            name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in items})
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineStats":
-        return cls(
-            interval_minutes=stored_interval(d["interval_minutes"]),
-            truncation=TruncationBounds(
-                lower=np.asarray(d["truncation"]["lower"], dtype=np.float64),
-                upper=np.asarray(d["truncation"]["upper"], dtype=np.float64),
-                unobserved=list(d["truncation"]["unobserved"]),
-            ),
-            imputation=ImputationStats(
-                series_means=np.asarray(d["imputation"]["series_means"], dtype=np.float64),
-                static_means=np.asarray(d["imputation"]["static_means"], dtype=np.float64),
-                unobserved=list(d["imputation"]["unobserved"]),
-            ),
-            normalization=NormalizationStats(
-                mean=np.asarray(d["normalization"]["mean"], dtype=np.float64),
-                std=np.asarray(d["normalization"]["std"], dtype=np.float64),
-            ),
-            feature_names=list(d["feature_names"]),
-        )
+        """The inverse of :meth:`to_dict`; a missing field raises KeyError, a
+        value of the wrong kind TypeError, ValueError or OverflowError."""
+        return _from_json(cls, d)
 
     def check(self) -> None:
-        """Raise ValueError, naming the feature and the statistic, at a value
-        no fit gives: a NaN, an infinite mean or std, or a negative std.
-        Truncation bounds may be infinite: an unobserved parameter's are
-        -inf and +inf.  A std of exactly 0 marks a constant column."""
+        """Raise ValueError at what no fit writes: an ``interval_minutes`` not
+        an int (nor a bool) above 0, names other than :func:`feature_names`,
+        naming the first that differs, or a NaN, an infinite mean or std, or
+        a negative std, naming the feature and the statistic.  An unobserved
+        parameter's bounds are -inf and +inf; a std of 0 marks a constant
+        column."""
+        minutes = self.interval_minutes
+        if type(minutes) is not int or minutes <= 0:
+            raise ValueError(f"interval_minutes is {minutes!r}, not a positive integer")
         series, names = TIME_SERIES_PARAMETERS, feature_names()
+        given = list(self.feature_names)
+        if given != names:
+            at = next((i for i, (a, b) in enumerate(zip(given, names)) if a != b), None)
+            if at is None:
+                raise ValueError(f"feature_names has {len(given)} names, expected {len(names)}")
+            raise ValueError(f"feature_names[{at}] is {given[at]!r}, expected {names[at]!r}")
         means = np.concatenate([self.imputation.series_means, self.imputation.static_means])
         big = np.finfo(np.float64).max  # the range each holds; NaN is in none
         for statistic, values, value_names, lowest, highest in (
@@ -168,6 +149,17 @@ class PipelineStats:
             if bad.size:
                 raise ValueError(f"feature {value_names[bad[0]]}: fitted {statistic} "
                                  f"is {values[bad[0]]}")
+
+
+def _from_json(kind, value):
+    """``value``, as ``asdict`` wrote it, read as the declared type ``kind``:
+    a dataclass field by field, an array as float64, and a list as a list."""
+    if is_dataclass(kind):
+        hints = get_type_hints(kind)
+        return kind(**{f.name: _from_json(hints[f.name], value[f.name]) for f in fields(kind)})
+    if kind is np.ndarray:
+        return np.asarray(value, dtype=np.float64)
+    return list(value) if get_origin(kind) is list else value
 
 
 @dataclass
@@ -405,9 +397,7 @@ def fit_pipeline(episodes: list[RawEpisode],
             stacked[start:start + len(matrix)] = matrix
             start += len(matrix)
         norm = fit_normalization(stacked)
-    stats = PipelineStats(interval_minutes, bounds, imputation, norm, feature_names())
-    stats.check()
-    return stats
+    return PipelineStats(interval_minutes, feature_names(), bounds, imputation, norm)
 
 
 def build_features(episode: RawEpisode, stats: PipelineStats) -> EpisodeFeatures:

@@ -57,8 +57,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.folds < 2:
             raise ValueError("fold count must be at least 2")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate is {self.learning_rate!r}, not finite and above 0")
+        if self.seed < 0:
+            raise ValueError(f"seed is {self.seed!r}, not at least 0")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch size, epochs, and patience must be positive")
         if self.interval_minutes <= 0:

@@ -15,6 +15,11 @@ matrix was written in one preallocated array: values ranked by
 array, ``hstack`` with the statics, two allocations in ``normalize`` and
 ``argwhere`` over every cell.  Its arithmetic is the production one, so
 tests compare them bit for bit.
+
+:func:`stats_to_dict` and :func:`stats_from_dict` are the statistics'
+JSON block spelled out field by field, as ``PipelineStats`` wrote and read
+it before both were derived from its field declarations; the derived ones
+must give the same JSON text and the same bits.
 """
 
 from __future__ import annotations
@@ -197,7 +202,8 @@ def fit_pipeline(episodes, interval_minutes=180):
     imputation = fit_imputation(episodes, bounds)
     norm = fit_normalization(np.concatenate([imputed_matrix(ep, interval_minutes, bounds,
                                                             imputation) for ep in episodes]))
-    return PipelineStats(interval_minutes, bounds, imputation, norm, feature_names())
+    return PipelineStats(interval_minutes=interval_minutes, feature_names=feature_names(),
+                         truncation=bounds, imputation=imputation, normalization=norm)
 
 
 def build_matrix(episode, stats):
@@ -260,3 +266,46 @@ def checked_features(episode, stats):
         raise ValueError(f"record {episode.record_id}: feature {stats.feature_names[j]} "
                          f"is {matrix[t, j]} in interval {t}")
     return matrix
+
+
+def stats_to_dict(stats):
+    return {
+        "interval_minutes": stats.interval_minutes,
+        "feature_names": list(stats.feature_names),
+        "truncation": {
+            "lower": stats.truncation.lower.tolist(),
+            "upper": stats.truncation.upper.tolist(),
+            "unobserved": list(stats.truncation.unobserved),
+        },
+        "imputation": {
+            "series_means": stats.imputation.series_means.tolist(),
+            "static_means": stats.imputation.static_means.tolist(),
+            "unobserved": list(stats.imputation.unobserved),
+        },
+        "normalization": {
+            "mean": stats.normalization.mean.tolist(),
+            "std": stats.normalization.std.tolist(),
+        },
+    }
+
+
+def stats_from_dict(d):
+    """The statistics in ``d``; ``PipelineStats`` checks the interval."""
+    return PipelineStats(
+        interval_minutes=d["interval_minutes"],
+        truncation=TruncationBounds(
+            lower=np.asarray(d["truncation"]["lower"], dtype=np.float64),
+            upper=np.asarray(d["truncation"]["upper"], dtype=np.float64),
+            unobserved=list(d["truncation"]["unobserved"]),
+        ),
+        imputation=ImputationStats(
+            series_means=np.asarray(d["imputation"]["series_means"], dtype=np.float64),
+            static_means=np.asarray(d["imputation"]["static_means"], dtype=np.float64),
+            unobserved=list(d["imputation"]["unobserved"]),
+        ),
+        normalization=NormalizationStats(
+            mean=np.asarray(d["normalization"]["mean"], dtype=np.float64),
+            std=np.asarray(d["normalization"]["std"], dtype=np.float64),
+        ),
+        feature_names=list(d["feature_names"]),
+    )

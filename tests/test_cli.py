@@ -12,7 +12,7 @@ import pytest
 
 from icurisk import ingest
 from icurisk.cli import _digest_files, _given, build_parser, main
-from icurisk.model import ModelConfig, forward_episode, load_model
+from icurisk.model import ModelConfig, ModelParams, forward_episode, load_model, save_model
 from icurisk.preprocess import (
     DEFAULT_INTERVAL_MINUTES, PipelineStats, build_features, feature_width, fit_pipeline)
 from icurisk.ingest import parse_record
@@ -306,24 +306,50 @@ class TestTrain:
         for path in models:
             assert json.loads(path.read_text())["preprocess"]["interval_minutes"] == stored
 
-    @pytest.mark.parametrize("stats", [
-        None, "{", "[]", "{}", '{"interval_minutes": 0}', '{"interval_minutes": -180}',
-        '{"interval_minutes": 180.0}', '{"interval_minutes": "180"}',
-        '{"interval_minutes": true}',
+    @pytest.mark.parametrize("stats, message", [
+        (None, "No such file or directory"),
+        ("{", "Expecting property name enclosed in double quotes"),
+        ("[]", "list indices must be integers or slices, not str"),
+        ("{}", "missing field 'interval_minutes'"),
+        ({"interval_minutes": 0}, "interval_minutes is 0, not a positive integer"),
+        ({"interval_minutes": -180}, "interval_minutes is -180, not a positive integer"),
+        ({"interval_minutes": 180.0}, "interval_minutes is 180.0, not a positive integer"),
+        ({"interval_minutes": "180"}, "interval_minutes is '180', not a positive integer"),
+        ({"interval_minutes": True}, "interval_minutes is True, not a positive integer"),
+        ({"feature_names": ["Bogus"]}, "feature_names[0] is 'Bogus', expected 'Albumin_min'"),
+        ({"imputation": {"series_means": [10**400]}}, "too large"),
     ], ids=["missing", "not-json", "list", "no-interval", "zero", "negative", "float",
-            "string", "bool"])
+            "string", "bool", "feature-names", "huge-int"])
     def test_bad_store_stats_refused_before_training(self, store, tmp_path, capsys,
-                                                     monkeypatch, stats):
+                                                     monkeypatch, stats, message):
+        """A text, or fields set inside the statistics preprocess wrote."""
         path = store / "stats.json"
         if stats is None:
             path.unlink()
-        else:
+        elif isinstance(stats, str):
             path.write_text(stats)
+        else:
+            path.write_text(json.dumps(json.loads(path.read_text()) | stats))
         monkeypatch.setattr("icurisk.train.fit_pipeline", lambda *a: pytest.fail("fitted"))
         out = tmp_path / "out"
         assert run("train", "--store", store, "--out", out, *TRAIN_FAST) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ") and "interval_minutes" in err
+        assert err.startswith(f"error: {path}: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lr", "nan"], "learning_rate is nan, not finite and above 0"),
+        (["--lr", "inf"], "learning_rate is inf, not finite and above 0"),
+        (["--seed", "-1"], "seed is -1, not at least 0"),
+        (["--batch", "0"], "batch size, epochs, and patience must be positive"),
+        (["--dropout-in", "1.5"], "dropout rates must be in [0, 1), got 1.5"),
+    ], ids=["nan-lr", "inf-lr", "negative-seed", "zero-batch", "dropout-above-1"])
+    def test_bad_config_refused_before_any_record_is_parsed(self, store, tmp_path, capsys,
+                                                            monkeypatch, flags, message):
+        monkeypatch.setattr("icurisk.ingest.parse_record", lambda *a: pytest.fail("parsed"))
+        out = tmp_path / "out"
+        assert run("train", "--store", store, "--out", out, *TRAIN_FAST, *flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_half_written_store_refused(self, tmp_path, capsys):
@@ -434,15 +460,15 @@ class TestPredict:
 
     def test_statistics_width_mismatch_names_the_file(self, model_path, tiny_corpus,
                                                       tmp_path, capsys):
-        doc = json.loads(model_path.read_text())
-        doc["preprocess"]["feature_names"].pop()
-        bad = tmp_path / "narrow-stats.json"
-        bad.write_text(json.dumps(doc))
+        _, stats = load_model(model_path)
+        bad = tmp_path / "narrow-model.json"
+        save_model(bad, ModelParams.init(ModelConfig(input_dim=184, hidden=3),
+                                         np.random.default_rng(0)), stats)
         data_dir, _ = tiny_corpus
         record = sorted(data_dir.glob("*.txt"))[0]
         assert run("predict", "--model", bad, "--out", tmp_path / "r.csv", record) == 1
-        assert (f"error: {bad}: feature width mismatch: model expects 185, "
-                "statistics provide 184" in capsys.readouterr().err)
+        assert (f"error: {bad}: feature width mismatch: model expects 184, "
+                "statistics provide 185" in capsys.readouterr().err)
 
     def _predict_with_nan(self, model_path, tiny_corpus, tmp_path, capsys, poison):
         doc = json.loads(model_path.read_text())

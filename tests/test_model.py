@@ -769,23 +769,31 @@ class TestMalformedModelFile:
             load_model(path)
         assert str(path) in str(info.value)
 
-    @pytest.mark.parametrize("block, array, index, value, message", [
-        ("truncation", "lower", 0, math.nan, "feature Albumin: fitted truncation lower is nan"),
-        ("truncation", "upper", 1, math.nan, "feature ALP: fitted truncation upper is nan"),
-        ("imputation", "series_means", 14, math.inf, "feature HR: fitted imputation mean is inf"),
-        ("imputation", "static_means", 4, math.nan,
+    @pytest.mark.parametrize("keys, value, message", [
+        (("truncation", "lower", 0), math.nan, "feature Albumin: fitted truncation lower is nan"),
+        (("truncation", "upper", 1), math.nan, "feature ALP: fitted truncation upper is nan"),
+        (("imputation", "series_means", 14), math.inf,
+         "feature HR: fitted imputation mean is inf"),
+        (("imputation", "static_means", 4), math.nan,
          "feature Weight: fitted imputation mean is nan"),
-        ("normalization", "mean", 2, -math.inf,
+        (("normalization", "mean", 2), -math.inf,
          "feature Albumin_mean: fitted normalization mean is -inf"),
-        ("normalization", "std", 0, math.inf,
+        (("normalization", "std", 0), math.inf,
          "feature Albumin_min: fitted normalization std is inf"),
-        ("normalization", "std", 184, -0.5, "feature Weight: fitted normalization std is -0.5"),
+        (("normalization", "std", 184), -0.5, "feature Weight: fitted normalization std is -0.5"),
+        (("feature_names", 0), "Bogus", "feature_names[0] is 'Bogus', expected 'Albumin_min'"),
+        (("feature_names", 1), 7, "feature_names[1] is 7, expected 'Albumin_max'"),
+        (("interval_minutes",), 0, "interval_minutes is 0, not a positive integer"),
+        (("normalization", "mean", 0), 10**400, "int too large to convert to float"),
     ], ids=["nan-lower", "nan-upper", "inf-series-mean", "nan-static-mean", "inf-norm-mean",
-            "inf-std", "negative-std"])
+            "inf-std", "negative-std", "bogus-feature-name", "number-feature-name",
+            "zero-interval", "huge-int"])
     def test_statistic_no_fit_gives_rejected_naming_file_array_and_feature(
-            self, tmp_path, block, array, index, value, message):
+            self, tmp_path, keys, value, message):
         def plant(stats):
-            stats[block][array][index] = value
+            for key in keys[:-1]:
+                stats = stats[key]
+            stats[keys[-1]] = value
         path = self._edit_saved_stats(tmp_path, plant)
         with pytest.raises(ModelFormatError) as info:
             load_model(path)
@@ -797,6 +805,13 @@ class TestMalformedModelFile:
             load_model(path)
         assert str(info.value) == (f"{path}: preprocess: fitted normalization std has shape "
                                    "(184,), expected (185,)")
+
+    def test_feature_names_of_the_wrong_length_rejected(self, tmp_path):
+        path = self._edit_saved_stats(tmp_path, lambda stats: stats["feature_names"].pop())
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value) == (f"{path}: preprocess: feature_names has 184 names, "
+                                   "expected 185")
 
     def test_unobserved_bounds_and_constant_columns_load(self, tmp_path):
         # A parameter no training stay measured has bounds -inf and +inf, and

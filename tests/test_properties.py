@@ -1,8 +1,9 @@
 """Property tests: file round trip, the column record reader and writer
 against the per-line oracle on mutated records, feature-matrix invariants,
 the array preprocess against the loop oracle on generated episodes, the
-one-array transform against the stacked one bit for bit, the in-place
-normalization fit against ``std`` on a copy bit for bit, the
+one-array transform against the stacked one bit for bit, the fitted
+statistics' JSON against the field-by-field reference byte for byte, the
+in-place normalization fit against ``std`` on a copy bit for bit, the
 store's feature-row formatter against ``repr`` per cell, the batched model
 against the per-episode oracle on generated batches, the gradients named in
 chain order against the name-keyed sweep bit for bit, the step-major LSTM
@@ -11,6 +12,7 @@ and the unpadded batch of one against their references bit for bit, and
 parsed episodes, whose rows skip the sort when already in time order,
 against the always-sorting reader bit for bit."""
 
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -269,6 +271,32 @@ def test_one_array_transform_matches_stacked_bit_for_bit(ep, interval, corrupt):
         assert_same_bits(got, expected)
     else:
         assert got == expected
+
+
+def stats_arrays(stats):
+    return [stats.truncation.lower, stats.truncation.upper, stats.imputation.series_means,
+            stats.imputation.static_means, stats.normalization.mean, stats.normalization.std]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(episodes(values=st.one_of(value_st, st.floats(-1e100, 1e100))),
+                min_size=1, max_size=4),
+       st.sampled_from([60, 180, 2880]))
+# Every static missing, 35 parameters unobserved, and constant columns.
+@example([RawEpisode(7, [None] * N_STATICS, by_minutes([(0, 14, 80.0), (2880, 14, 80.0)]))], 60)
+@example([stay((0, 14, 80.0), (179, 3, 1.5)), stay((2880, 3, 1.5))], 2880)
+def test_stats_json_matches_the_field_by_field_reference_bit_for_bit(eps, interval):
+    stats = fit_pipeline(eps, interval)
+    text = json.dumps(stats.to_dict())
+    assert text == json.dumps(oracle.stats_to_dict(stats))
+    assert ("Infinity" in text) == bool(stats.truncation.unobserved)
+    loaded = PipelineStats.from_dict(json.loads(text))
+    reference = oracle.stats_from_dict(json.loads(text))
+    for got, expected, fitted in zip(*map(stats_arrays, (loaded, reference, stats))):
+        assert got.dtype == expected.dtype == np.float64
+        np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        np.testing.assert_array_equal(got.view(np.int64), fitted.view(np.int64))
+    assert json.dumps(loaded.to_dict()) == json.dumps(oracle.stats_to_dict(reference)) == text
 
 
 @settings(max_examples=60, deadline=None)
