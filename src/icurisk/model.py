@@ -35,11 +35,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
+from pathlib import Path
 
 import numpy as np
 
 from icurisk.autodiff import Tape
-from icurisk.preprocess import PipelineStats, feature_width
+from icurisk.preprocess import PipelineStats, check_count, feature_width
 
 
 class ModelFormatError(ValueError):
@@ -61,7 +62,8 @@ class ModelConfig:
     """Architecture switches, and the one place their defaults live.
     ``icurisk train --variant`` fixes some fields (``train.VARIANTS``), and
     ``--hidden``, ``--heads``, ``--dropout-in`` and ``--dropout-out`` set
-    the fields they name.  ``input_dim`` is the preprocess feature width."""
+    the fields they name.  ``input_dim`` is the preprocess feature width.
+    A size ``check_count`` refuses, or a switch not a bool, raises ValueError."""
 
     input_dim: int = feature_width()
     hidden: int = 32
@@ -76,8 +78,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.pooling not in POOLING_MODES:
             raise ValueError(f"pooling must be one of {POOLING_MODES}, got {self.pooling!r}")
-        if self.hidden < 1 or self.heads < 1 or self.attn_hidden < 1 or self.input_dim < 1:
-            raise ValueError("model dimensions must be positive")
+        for name in ("input_dim", "hidden", "heads", "attn_hidden"):
+            check_count(name, getattr(self, name))
+        for name in ("bidirectional", "recurrent"):
+            if type(value := getattr(self, name)) is not bool:
+                raise ValueError(f"{name} is {value!r}, not true or false")
         for rate in (self.dropout_in, self.dropout_out):
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"dropout rates must be in [0, 1), got {rate}")
@@ -592,7 +597,8 @@ def save_model(path, params: ModelParams, preprocess_stats: PipelineStats | None
     """Write a self-describing model file (JSON container, format version 1).
 
     The fitted preprocessing statistics are embedded so a saved model can
-    score raw record files on its own.
+    score raw record files on its own.  The text is built before the file
+    opens, so a save that fails to serialize leaves no file, or the old one.
     """
     doc = {
         "magic": MODEL_MAGIC,
@@ -604,8 +610,7 @@ def save_model(path, params: ModelParams, preprocess_stats: PipelineStats | None
             for name, array in v1_arrays(params)
         },
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    Path(path).write_text(json.dumps(doc))
 
 
 def load_model(path) -> tuple[ModelParams, PipelineStats | None]:

@@ -23,6 +23,7 @@ writes and reads their JSON block (``stats.json``, a model's ``preprocess``).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields, is_dataclass
+from functools import cache
 from typing import get_origin, get_type_hints
 
 import numpy as np
@@ -42,6 +43,14 @@ N_STATICS = len(STATIC_PARAMETERS)
 
 # The interval length unless a caller chooses another: 16 intervals of 3 hours.
 DEFAULT_INTERVAL_MINUTES = 180
+
+
+def check_count(name: str, value, least: int = 1) -> None:
+    """The one rule for a size, count or interval: raise ValueError naming
+    ``name`` unless ``value`` is an int (not a bool) of at least ``least``."""
+    if type(value) is not int or value < least:
+        what = "a positive integer" if least == 1 else f"an integer of at least {least}"
+        raise ValueError(f"{name} is {value!r}, not {what}")
 
 
 def feature_names() -> list[str]:
@@ -118,15 +127,13 @@ class PipelineStats:
         return _from_json(cls, d)
 
     def check(self) -> None:
-        """Raise ValueError at what no fit writes: an ``interval_minutes`` not
-        an int (nor a bool) above 0, names other than :func:`feature_names`,
+        """Raise ValueError at what no fit writes: an ``interval_minutes`` that
+        :func:`check_count` refuses, names other than :func:`feature_names`,
         naming the first that differs, or a NaN, an infinite mean or std, or
         a negative std, naming the feature and the statistic.  An unobserved
         parameter's bounds are -inf and +inf; a std of 0 marks a constant
         column."""
-        minutes = self.interval_minutes
-        if type(minutes) is not int or minutes <= 0:
-            raise ValueError(f"interval_minutes is {minutes!r}, not a positive integer")
+        check_count("interval_minutes", self.interval_minutes)
         series, names = TIME_SERIES_PARAMETERS, feature_names()
         given = list(self.feature_names)
         if given != names:
@@ -151,11 +158,14 @@ class PipelineStats:
                                  f"is {values[bad[0]]}")
 
 
+_type_hints = cache(get_type_hints)  # a dataclass's string annotations, resolved once
+
+
 def _from_json(kind, value):
     """``value``, as ``asdict`` wrote it, read as the declared type ``kind``:
     a dataclass field by field, an array as float64, and a list as a list."""
     if is_dataclass(kind):
-        hints = get_type_hints(kind)
+        hints = _type_hints(kind)
         return kind(**{f.name: _from_json(hints[f.name], value[f.name]) for f in fields(kind)})
     if kind is np.ndarray:
         return np.asarray(value, dtype=np.float64)
@@ -230,15 +240,11 @@ def apply_truncation(episode: RawEpisode, bounds: TruncationBounds) -> RawEpisod
                       episode.label)
 
 
-def n_bins_max(interval_minutes: int) -> int:
-    return -(-MAX_MINUTES // interval_minutes)
-
-
 def _bins(minutes: np.ndarray, interval_minutes: int) -> np.ndarray:
     """Each minute's interval index; the 48-hour endpoint folds into the last."""
-    if interval_minutes <= 0:
-        raise ValueError("interval_minutes must be positive")
-    return np.minimum(minutes // interval_minutes, n_bins_max(interval_minutes) - 1)
+    check_count("interval_minutes", interval_minutes)
+    last = -(-MAX_MINUTES // interval_minutes) - 1  # ceil(48 h / L) intervals in all
+    return np.minimum(minutes // interval_minutes, last)
 
 
 def episode_series_means(episode: RawEpisode) -> np.ndarray:
@@ -378,11 +384,12 @@ def fit_pipeline(episodes: list[RawEpisode],
     The imputed training matrices are written one after another into one
     array, sized from each episode's interval count, which the
     normalization fit then overwrites; so the fit holds one copy of them,
-    and :func:`build_features` builds each again.  An empty split raises
-    ValueError, as does a statistic that :meth:`PipelineStats.check`
-    refuses, such as an infinite mean or std: values near 1e308 parse, and
-    their sums can overflow.
+    and :func:`build_features` builds each again.  A bad interval raises
+    ValueError before any fit runs, as does an empty split, and so does a
+    statistic that :meth:`PipelineStats.check` refuses, such as an infinite
+    mean or std: values near 1e308 parse, and their sums can overflow.
     """
+    check_count("interval_minutes", interval_minutes)
     if not episodes:
         raise ValueError("no training episodes were given")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name

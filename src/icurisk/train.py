@@ -23,8 +23,8 @@ from icurisk.ingest import MAX_MINUTES, RawEpisode
 # that the tracer patches by-name imports through this binding.
 from icurisk.model import (  # noqa: F401
     ModelConfig, ModelParams, forward_batch, forward_episode, loss_and_grads)
-from icurisk.preprocess import (
-    DEFAULT_INTERVAL_MINUTES, EpisodeFeatures, PipelineStats, build_features, fit_pipeline)
+from icurisk.preprocess import (DEFAULT_INTERVAL_MINUTES, EpisodeFeatures, PipelineStats,
+                                 build_features, check_count, fit_pipeline)
 
 
 class TrainingDiverged(RuntimeError):
@@ -55,16 +55,11 @@ class TrainConfig:
     interval_minutes: int = DEFAULT_INTERVAL_MINUTES
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise ValueError("fold count must be at least 2")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate is {self.learning_rate!r}, not finite and above 0")
-        if self.seed < 0:
-            raise ValueError(f"seed is {self.seed!r}, not at least 0")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("batch size, epochs, and patience must be positive")
-        if self.interval_minutes <= 0:
-            raise ValueError("interval_minutes must be positive")
+        for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 1),
+                            ("seed", 0), ("folds", 2), ("interval_minutes", 1)):
+            check_count(name, getattr(self, name), least)
 
 
 @dataclass
@@ -74,7 +69,6 @@ class FoldResult:
     val_auc: float
     best_epoch: int
     params: ModelParams
-    val_ids: list[int]
     val_scores: np.ndarray
     val_labels: np.ndarray
     pipeline: PipelineStats | None = None
@@ -97,8 +91,7 @@ def kfold_split(k: int, seed: int, labels) -> list[np.ndarray]:
     positive count is within one of an even share.
     """
     labels = np.asarray(labels)
-    if k < 2:
-        raise ValueError("need at least 2 folds")
+    check_count("k", k, 2)
     if k > len(labels):
         raise ValueError(f"cannot split {len(labels)} items into {k} folds")
     rng = np.random.default_rng(seed)
@@ -183,7 +176,9 @@ def train_fold(train_features: list[EpisodeFeatures],
                val_features: list[EpisodeFeatures],
                cfg: TrainConfig, model_cfg: ModelConfig,
                fold: int = 0, seed: int | None = None) -> FoldResult:
-    """Train one fold; keeps the checkpoint with the best validation AUC.
+    """Train one fold; keeps the checkpoint with the best validation AUC and
+    stops ``cfg.patience`` epochs after it.  Epoch 0 always improves, as its
+    AUC is a finite rank-sum, and so sets every ``best_*``.
 
     Expects features already transformed with statistics fitted on the
     training split only.  One seeded generator drives initialization,
@@ -198,9 +193,6 @@ def train_fold(train_features: list[EpisodeFeatures],
     val_labels = np.asarray([f.label for f in val_features])
 
     best_auc = -math.inf
-    best_epoch = -1
-    best_params, best_scores = params.copy(), None
-    epochs_since_best = 0
     train_losses: list[float] = []
 
     for epoch in range(cfg.max_epochs):
@@ -226,14 +218,10 @@ def train_fold(train_features: list[EpisodeFeatures],
         scores = _score_all(val_features, params, cfg.batch_size)
         epoch_auc = auc(scores, val_labels)
         if epoch_auc > best_auc:
-            best_auc = epoch_auc
-            best_epoch = epoch
+            best_auc, best_epoch = epoch_auc, epoch
             best_params, best_scores = params.copy(), scores
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= cfg.patience:
-                break
+        elif epoch - best_epoch >= cfg.patience:
+            break
 
     return FoldResult(
         fold=fold,
@@ -241,7 +229,6 @@ def train_fold(train_features: list[EpisodeFeatures],
         val_auc=best_auc,
         best_epoch=best_epoch,
         params=best_params,
-        val_ids=[f.record_id for f in val_features],
         val_scores=best_scores,
         val_labels=val_labels,
     )

@@ -168,6 +168,17 @@ class TestPreprocess:
                 in capsys.readouterr().err)
         assert not out.exists()  # refused before anything is written
 
+    def test_unobserved_parameter_warned_with_open_bounds(self, tiny_corpus, tmp_path, capsys):
+        data_dir, outcomes = tiny_corpus
+        for path in data_dir.glob("*.txt"):
+            path.write_text("".join(line for line in path.read_text().splitlines(True)
+                                    if ",DiasABP," not in line))
+        out = preprocess_into(tiny_corpus, tmp_path / "s")
+        assert ("warning: no observations for DiasABP; bounds left open\n"
+                in capsys.readouterr().err)
+        assert json.loads((out / "stats.json").read_text())["truncation"]["unobserved"] == [
+            "DiasABP"]
+
     def test_missing_data_dir_fails(self, tmp_path):
         assert run("preprocess", "--data-dir", tmp_path / "nope",
                    "--outcomes", tmp_path / "o.csv", "--out", tmp_path / "s") == 1
@@ -340,8 +351,8 @@ class TestTrain:
     @pytest.mark.parametrize("flags, message", [
         (["--lr", "nan"], "learning_rate is nan, not finite and above 0"),
         (["--lr", "inf"], "learning_rate is inf, not finite and above 0"),
-        (["--seed", "-1"], "seed is -1, not at least 0"),
-        (["--batch", "0"], "batch size, epochs, and patience must be positive"),
+        (["--seed", "-1"], "seed is -1, not an integer of at least 0"),
+        (["--batch", "0"], "batch_size is 0, not a positive integer"),
         (["--dropout-in", "1.5"], "dropout rates must be in [0, 1), got 1.5"),
     ], ids=["nan-lr", "inf-lr", "negative-seed", "zero-batch", "dropout-above-1"])
     def test_bad_config_refused_before_any_record_is_parsed(self, store, tmp_path, capsys,
@@ -383,6 +394,14 @@ class TestTrain:
         assert run("train", "--store", store, "--out", tmp_path / "out", *TRAIN_FAST) == 1
         assert (f"error: {extra}: extra: not listed in {store / 'labels.csv'}"
                 in capsys.readouterr().err)
+
+    def test_store_without_episodes_refused(self, store, tmp_path, capsys):
+        for path in (store / "episodes").glob("*.txt"):
+            path.unlink()
+        out = tmp_path / "out"
+        assert run("train", "--store", store, "--out", out, *TRAIN_FAST) == 1
+        assert capsys.readouterr().err == f"error: no episodes found under {store / 'episodes'}\n"
+        assert not out.exists()
 
     def test_missing_store_fails(self, tmp_path):
         assert run("train", "--store", tmp_path / "nope",

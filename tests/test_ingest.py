@@ -252,6 +252,10 @@ class TestOutcomes:
         with pytest.raises(RecordParseError, match="label"):
             parse_outcomes(self.HEADER + "1,6,1,5,-1,dead\n")
 
+    def test_non_numeric_record_id_rejected(self):
+        with pytest.raises(RecordParseError, match=r"^line 3: bad RecordID 'x1'$"):
+            parse_outcomes(self.HEADER + "1,6,1,5,-1,0\nx1,6,1,5,-1,0\n")
+
     def test_missing_columns_rejected(self):
         with pytest.raises(RecordStructureError, match="header"):
             parse_outcomes("RecordID,Survival\n1,0\n")

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from icurisk.model import (
     save_model,
     v1_arrays,
 )
-from icurisk.preprocess import PipelineStats, fit_pipeline
+from icurisk.preprocess import PipelineStats, assemble_matrix, fit_pipeline
 from icurisk.ingest import parse_record
 from icurisk.train import TrainConfig, VARIANTS, apply_variant
 
@@ -689,6 +690,17 @@ class TestPersistence:
         assert not any(a.any() for n, a in blank.named_parameters()
                        if n.endswith((".W", ".U", ".M", ".v", ".w")))
 
+    def test_failed_save_leaves_no_file_or_the_old_bytes(self, tmp_path):
+        params = ModelParams.init(ModelConfig(input_dim=4, hidden=2), np.random.default_rng(0))
+        params.config.hidden = np.int64(2)  # set after construction, so never checked
+        fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+        kept.write_bytes(b"earlier model")
+        for path in (fresh, kept):
+            with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+                save_model(path, params)
+        assert not fresh.exists()
+        assert kept.read_bytes() == b"earlier model"
+
     def test_copy_is_independent(self):
         cfg = ModelConfig(input_dim=4, hidden=2, bidirectional=True)
         params = ModelParams.init(cfg, np.random.default_rng(25))
@@ -730,8 +742,12 @@ class TestMalformedModelFile:
         (_set("config", "depth", 3), "config: .*'depth'"),
         (_set("params", "out.b", "data", 0, "0.5"), "parameter out.b: data"),
         (_set("params", "fw.bc", "data", 1, None), "parameter fw.bc: data"),
+        (lambda doc: doc["params"].pop("out.b"),
+         r"parameters \['out.b'\] do not match the configuration"),
+        (_set("params", "bw.Wi", {"shape": [2, 4], "data": [0.0] * 8}),
+         r"parameters \['bw.Wi'\] do not match the configuration"),
     ], ids=["short-data", "no-params", "no-config", "unknown-config-field",
-            "string-value", "null-value"])
+            "string-value", "null-value", "missing-parameter", "extra-parameter"])
     def test_rejected_naming_file_and_field(self, tmp_path, edit, names):
         path = _edit_saved_model(tmp_path, edit)
         with pytest.raises(ModelFormatError, match=names) as info:
@@ -828,6 +844,81 @@ class TestMalformedModelFile:
         path = _edit_saved_model(tmp_path, _set("params", "out.w", "data", 0, float("nan")))
         params, _ = load_model(path)
         assert np.isnan(params.classifier.w[0, 0])
+
+
+# Every field that preprocess.check_count guards: where it is set, its name
+# and the least value it takes.
+COUNT_FIELDS = [
+    ("TrainConfig", "batch_size", 1), ("TrainConfig", "max_epochs", 1),
+    ("TrainConfig", "patience", 1), ("TrainConfig", "seed", 0), ("TrainConfig", "folds", 2),
+    ("TrainConfig", "interval_minutes", 1),
+    ("ModelConfig", "input_dim", 1), ("ModelConfig", "hidden", 1), ("ModelConfig", "heads", 1),
+    ("ModelConfig", "attn_hidden", 1),
+    ("PipelineStats", "interval_minutes", 1), ("assemble_matrix", "interval_minutes", 1),
+    ("fit_pipeline", "interval_minutes", 1),
+]
+NOT_A_COUNT = {0: "an integer of at least 0", 1: "a positive integer",
+               2: "an integer of at least 2"}
+
+
+def _set_count(where, name, value):
+    """Run the code that sets the field ``name`` of ``where`` to ``value``."""
+    rng = np.random.default_rng(23)
+    episodes = [parse_record(synth_record_text(i + 1, rng)) for i in range(3)]
+    return {
+        "TrainConfig": lambda: TrainConfig(**{name: value}),
+        "ModelConfig": lambda: ModelConfig(**{name: value}),
+        "PipelineStats": lambda: replace(fit_pipeline(episodes, 180), interval_minutes=value),
+        "assemble_matrix": lambda: assemble_matrix(episodes[0], value),
+        "fit_pipeline": lambda: fit_pipeline(episodes, value),
+    }[where]()
+
+
+class TestCountRule:
+    @pytest.mark.parametrize("where, name, least", COUNT_FIELDS,
+                             ids=[f"{where}.{name}" for where, name, _ in COUNT_FIELDS])
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, np.int64(3), "3", None],
+                             ids=["2.5", "3.0", "True", "int64", "str", "least-1"])
+    def test_refused_naming_the_field(self, tmp_path, monkeypatch, where, name, least, bad):
+        value = least - 1 if bad is None else bad
+        message = f"{name} is {value!r}, not {NOT_A_COUNT[least]}"
+        if where == "fit_pipeline":  # refused before any statistic is fitted
+            monkeypatch.setattr("icurisk.preprocess.fit_truncation",
+                                lambda *a: pytest.fail("fitted"))
+        with pytest.raises(ValueError) as info:
+            _set_count(where, name, value)
+        assert str(info.value) == message
+        if where == "ModelConfig" and not isinstance(value, np.integer):  # JSON has none
+            path = _edit_saved_model(tmp_path, _set("config", name, value))
+            with pytest.raises(ModelFormatError) as info:
+                load_model(path)
+            assert str(info.value) == f"{path}: config: {message}"
+
+    @pytest.mark.parametrize("where, name, least", COUNT_FIELDS,
+                             ids=[f"{where}.{name}" for where, name, _ in COUNT_FIELDS])
+    def test_least_value_accepted(self, where, name, least):
+        _set_count(where, name, least)
+
+    @pytest.mark.parametrize("name", ["bidirectional", "recurrent"])
+    @pytest.mark.parametrize("bad", ["no", 0, 1, None])
+    def test_switch_must_be_a_bool(self, tmp_path, name, bad):
+        message = f"{name} is {bad!r}, not true or false"
+        with pytest.raises(ValueError) as info:
+            ModelConfig(**{name: bad})
+        assert str(info.value) == message
+        path = _edit_saved_model(tmp_path, _set("config", name, bad))
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: config: {message}"
+
+    def test_numpy_bool_switch_refused(self):
+        with pytest.raises(ValueError, match="^bidirectional is .*True.*, not true or false$"):
+            ModelConfig(bidirectional=np.bool_(True))
+
+    def test_unknown_pooling_refused(self):
+        with pytest.raises(ValueError) as info:
+            ModelConfig(pooling="max")
+        assert str(info.value) == "pooling must be one of ('attention', 'mean'), got 'max'"
 
 
 # Written with the per-gate implementation that introduced format v1; the

@@ -24,7 +24,6 @@ from icurisk.preprocess import (
     fit_pipeline,
     fit_truncation,
     impute,
-    n_bins_max,
     normalize,
     NormalizationStats,
     PipelineStats,
@@ -139,7 +138,7 @@ class TestBinning:
         values = np.round(rng.normal(0, 1, 200), 6)
         matrix = assemble_matrix(episode([(int(m), "HR", float(v))
                                           for m, v in zip(minutes, values)]), 180)
-        bins = np.minimum(minutes // 180, n_bins_max(180) - 1)
+        bins = np.minimum(minutes // 180, oracle.n_bins_max(180) - 1)
         assert len(matrix) == bins[-1] + 1
         for t in range(len(matrix)):
             inside = values[bins == t]

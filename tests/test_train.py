@@ -222,6 +222,10 @@ class TestAuc:
     def test_all_ties(self):
         assert auc([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]) == 0.5
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"^scores \(3,\) vs labels \(2,\)$"):
+            auc([0.1, 0.2, 0.3], [0, 1])
+
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             auc([0.1, 0.2], [1, 1])
