@@ -317,8 +317,10 @@ class TestTrainFold:
         feats = separable_features(n=10, intervals=2, dim=8, seed=4)
         cfg = _quick_cfg(max_epochs=40, patience=2)
         result = train_fold(feats, feats, cfg, _small_model(), seed=2)
-        # AUC saturates at 1.0 almost immediately; patience then cuts the run.
-        assert len(result.train_losses) <= result.best_epoch + 1 + cfg.patience
+        # AUC saturates at 1.0 almost immediately; patience then cuts the run
+        # exactly `patience` epochs after the best one.
+        assert len(result.train_losses) < cfg.max_epochs
+        assert len(result.train_losses) == result.best_epoch + 1 + cfg.patience
 
 
 class TestConfigs:
