@@ -34,13 +34,14 @@ nothing to pad and no dropout to apply, it needs no padded copy.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from icurisk.autodiff import Tape
-from icurisk.preprocess import PipelineStats, check_count, feature_width
+from icurisk.preprocess import PipelineStats, check_count, check_number, feature_width
 
 
 class ModelFormatError(ValueError):
@@ -63,7 +64,8 @@ class ModelConfig:
     ``icurisk train --variant`` fixes some fields (``train.VARIANTS``), and
     ``--hidden``, ``--heads``, ``--dropout-in`` and ``--dropout-out`` set
     the fields they name.  ``input_dim`` is the preprocess feature width.
-    A size ``check_count`` refuses, or a switch not a bool, raises ValueError."""
+    A size ``check_count`` refuses, a switch not a bool, or a dropout rate
+    ``check_number`` refuses or outside [0, 1) raises ValueError."""
 
     input_dim: int = feature_width()
     hidden: int = 32
@@ -83,9 +85,10 @@ class ModelConfig:
         for name in ("bidirectional", "recurrent"):
             if type(value := getattr(self, name)) is not bool:
                 raise ValueError(f"{name} is {value!r}, not true or false")
-        for rate in (self.dropout_in, self.dropout_out):
+        for name in ("dropout_in", "dropout_out"):
+            check_number(name, rate := getattr(self, name))
             if not 0.0 <= rate < 1.0:
-                raise ValueError(f"dropout rates must be in [0, 1), got {rate}")
+                raise ValueError(f"{name} is {rate!r}, not in [0, 1)")
 
     @property
     def state_dim(self) -> int:
@@ -597,8 +600,11 @@ def save_model(path, params: ModelParams, preprocess_stats: PipelineStats | None
     """Write a self-describing model file (JSON container, format version 1).
 
     The fitted preprocessing statistics are embedded so a saved model can
-    score raw record files on its own.  The text is built before the file
-    opens, so a save that fails to serialize leaves no file, or the old one.
+    score raw record files on its own.  The text is streamed into the
+    sibling ``<path>.part``, which then replaces ``path`` in one rename: a
+    save that fails, or a process killed mid-write, leaves the old file (or
+    none), and no text is held whole in memory.  A fixed sibling name rather
+    than ``tempfile.mkstemp`` keeps the mode ``open`` gives a new file.
     """
     doc = {
         "magic": MODEL_MAGIC,
@@ -610,7 +616,14 @@ def save_model(path, params: ModelParams, preprocess_stats: PipelineStats | None
             for name, array in v1_arrays(params)
         },
     }
-    Path(path).write_text(json.dumps(doc))
+    part = Path(f"{path}.part")
+    try:
+        with open(part, "w") as fh:
+            json.dump(doc, fh)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def load_model(path) -> tuple[ModelParams, PipelineStats | None]:

@@ -53,6 +53,14 @@ def check_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} is {value!r}, not {what}")
 
 
+def check_number(name: str, value) -> None:
+    """The type rule for a rate: raise ValueError naming ``name`` unless
+    ``value`` is an int or a float (a float subclass such as np.float64
+    passes), and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} is {value!r}, not a number")
+
+
 def feature_names() -> list[str]:
     """Column names of the feature matrix, parameter-major then statics."""
     names = [f"{param}_{stat}" for param in TIME_SERIES_PARAMETERS for stat in STAT_NAMES]

@@ -24,7 +24,7 @@ from icurisk.ingest import MAX_MINUTES, RawEpisode
 from icurisk.model import (  # noqa: F401
     ModelConfig, ModelParams, forward_batch, forward_episode, loss_and_grads)
 from icurisk.preprocess import (DEFAULT_INTERVAL_MINUTES, EpisodeFeatures, PipelineStats,
-                                 build_features, check_count, fit_pipeline)
+                                 build_features, check_count, check_number, fit_pipeline)
 
 
 class TrainingDiverged(RuntimeError):
@@ -55,7 +55,8 @@ class TrainConfig:
     interval_minutes: int = DEFAULT_INTERVAL_MINUTES
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        check_number("learning_rate", self.learning_rate)
+        if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate is {self.learning_rate!r}, not finite and above 0")
         for name, least in (("batch_size", 1), ("max_epochs", 1), ("patience", 1),
                             ("seed", 0), ("folds", 2), ("interval_minutes", 1)):

@@ -353,7 +353,7 @@ class TestTrain:
         (["--lr", "inf"], "learning_rate is inf, not finite and above 0"),
         (["--seed", "-1"], "seed is -1, not an integer of at least 0"),
         (["--batch", "0"], "batch_size is 0, not a positive integer"),
-        (["--dropout-in", "1.5"], "dropout rates must be in [0, 1), got 1.5"),
+        (["--dropout-in", "1.5"], "dropout_in is 1.5, not in [0, 1)"),
     ], ids=["nan-lr", "inf-lr", "negative-seed", "zero-batch", "dropout-above-1"])
     def test_bad_config_refused_before_any_record_is_parsed(self, store, tmp_path, capsys,
                                                             monkeypatch, flags, message):

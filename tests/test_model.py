@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -698,8 +699,62 @@ class TestPersistence:
         for path in (fresh, kept):
             with pytest.raises(TypeError, match="int64 is not JSON serializable"):
                 save_model(path, params)
-        assert not fresh.exists()
         assert kept.read_bytes() == b"earlier model"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]  # no .part
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), KeyboardInterrupt()],
+                             ids=["OSError", "KeyboardInterrupt"])
+    def test_save_failing_midway_leaves_the_old_bytes(self, tmp_path, monkeypatch, error):
+        params = ModelParams.init(ModelConfig(input_dim=4, hidden=2), np.random.default_rng(0))
+        fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+        kept.write_bytes(b"earlier model")
+
+        def dump_half(doc, fh):
+            text = json.dumps(doc)
+            fh.write(text[:len(text) // 2])
+            fh.flush()
+            raise error
+        monkeypatch.setattr(json, "dump", dump_half)
+        for path in (fresh, kept):
+            with pytest.raises(type(error)):
+                save_model(path, params)
+        assert kept.read_bytes() == b"earlier model"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
+
+    def test_failed_rename_leaves_no_part_file(self, tmp_path):
+        params = ModelParams.init(ModelConfig(input_dim=4, hidden=2), np.random.default_rng(0))
+        target = tmp_path / "model.json"
+        target.mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(OSError):
+            save_model(target, params)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"] and target.is_dir()
+
+    def test_save_over_an_old_file_matches_a_fresh_save(self, tmp_path):
+        params = ModelParams.init(ModelConfig(input_dim=4, hidden=2), np.random.default_rng(0))
+        path, fresh = tmp_path / "model.json", tmp_path / "fresh.json"
+        path.write_text("an earlier model, longer than the new one " * 100)
+        save_model(path, params)
+        save_model(fresh, params)
+        assert path.read_bytes() == fresh.read_bytes()
+        reference = tmp_path / "reference"
+        reference.write_text("")  # the mode a plain open gives, not mkstemp's 0600
+        assert path.stat().st_mode == fresh.stat().st_mode == reference.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fresh.json", "model.json", "reference"]
+
+    def test_save_memory_is_bounded_by_the_arrays_not_their_text(self, tmp_path):
+        """Streamed, a default bilstm-attn save peaks at about 1.9 MB under
+        tracemalloc; building the whole text first peaked at about 7 MB."""
+        cfg = ModelConfig(**VARIANTS["bilstm-attn"][1])
+        params = ModelParams.init(cfg, np.random.default_rng(0))
+        assert sum(a.size for _, a in params.named_parameters()) > 55_000
+        tracemalloc.start()
+        try:
+            save_model(tmp_path / "model.json", params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     def test_copy_is_independent(self):
         cfg = ModelConfig(input_dim=4, hidden=2, bidirectional=True)
@@ -919,6 +974,52 @@ class TestCountRule:
         with pytest.raises(ValueError) as info:
             ModelConfig(pooling="max")
         assert str(info.value) == "pooling must be one of ('attention', 'mean'), got 'max'"
+
+
+# Every rate that preprocess.check_number guards, and where it is set.
+RATE_FIELDS = [("TrainConfig", "learning_rate"), ("ModelConfig", "dropout_in"),
+               ("ModelConfig", "dropout_out")]
+RATE_RANGE = {"learning_rate": "not finite and above 0", "dropout_in": "not in [0, 1)",
+              "dropout_out": "not in [0, 1)"}
+
+
+def _config(where, name, value):
+    return {"TrainConfig": TrainConfig, "ModelConfig": ModelConfig}[where](**{name: value})
+
+
+class TestRateRule:
+    @pytest.mark.parametrize("where, name", RATE_FIELDS, ids=[n for _, n in RATE_FIELDS])
+    @pytest.mark.parametrize("bad", [True, False, "0.5", None, np.int64(0)],
+                             ids=["True", "False", "str", "None", "int64"])
+    def test_not_a_number_refused_naming_the_field(self, tmp_path, where, name, bad):
+        message = f"{name} is {bad!r}, not a number"
+        with pytest.raises(ValueError) as info:
+            _config(where, name, bad)
+        assert str(info.value) == message
+        if where == "ModelConfig" and not isinstance(bad, np.integer):  # JSON has none
+            path = _edit_saved_model(tmp_path, _set("config", name, bad))
+            with pytest.raises(ModelFormatError) as info:
+                load_model(path)
+            assert str(info.value) == f"{path}: config: {message}"
+
+    @pytest.mark.parametrize("where, name", RATE_FIELDS, ids=[n for _, n in RATE_FIELDS])
+    @pytest.mark.parametrize("bad", [-0.5, 1.0, math.nan, math.inf],
+                             ids=["negative", "one", "nan", "inf"])
+    def test_out_of_range_refused_naming_the_field(self, where, name, bad):
+        if name == "learning_rate" and bad == 1.0:
+            bad = 0  # a rate of 1 trains; 0 does not
+        with pytest.raises(ValueError) as info:
+            _config(where, name, bad)
+        assert str(info.value) == f"{name} is {bad!r}, {RATE_RANGE[name]}"
+
+    @pytest.mark.parametrize("where, name", RATE_FIELDS, ids=[n for _, n in RATE_FIELDS])
+    @pytest.mark.parametrize("good", [np.float64(0.25), 0.5], ids=["float64", "float"])
+    def test_a_float_or_float_subclass_accepted(self, where, name, good):
+        assert getattr(_config(where, name, good), name) is good
+
+    def test_int_rates_accepted(self):
+        assert TrainConfig(learning_rate=1).learning_rate == 1
+        assert ModelConfig(dropout_in=0, dropout_out=0).dropout_in == 0
 
 
 # Written with the per-gate implementation that introduced format v1; the
