@@ -6,7 +6,7 @@ feature matrix and prints where each head places its attention.
 
 import numpy as np
 
-from icurisk.model import ModelConfig, ModelParams, forward_episode
+from icurisk.model import ModelConfig, ModelParams, forward_batch, forward_episode
 
 config = ModelConfig(input_dim=12, hidden=8, heads=2, bidirectional=True,
                      pooling="attention", dropout_in=0.5, dropout_out=0.5)
@@ -32,9 +32,9 @@ print("\neach head's probabilities sum to",
       [round(float(s), 12) for s in trace.weights.sum(axis=1)])
 print("joint state width (2 x hidden):", trace.states.shape[1])
 
-# Without a generator a pass is in evaluation mode and deterministic; given
-# one, it is in training mode and draws its dropout masks from it.
+# Scoring is always in evaluation mode and deterministic.  A training pass
+# is forward_batch given a generator: it draws its dropout masks from it.
 again = forward_episode(X, params, record_id=777)
 print("\neval mode reproduces the risk exactly:", again.risk == result.risk)
-noisy = forward_episode(X, params, np.random.default_rng(1))
-print(f"train mode with dropout gives a different draw: {noisy.risk:.4f}")
+noisy = forward_batch([X], params, np.random.default_rng(1)).risks[0]
+print(f"train mode with dropout gives a different draw: {noisy:.4f}")

@@ -55,6 +55,10 @@ MEASUREMENT_DTYPE = np.dtype(
 # Static descriptors where the corpus uses -1 as "not recorded".
 SENTINEL_STATICS = frozenset({"Gender", "Height", "Weight"})
 
+# The coded statics' values, by static index: every row of one holds a code.
+_STATIC_CODES = {STATIC_PARAMETERS.index("Gender"): (0, 1, -1),
+                 STATIC_PARAMETERS.index("ICUType"): (1, 2, 3, 4)}
+
 _TIME_RE = re.compile(r"^(\d{1,2}):([0-5]\d)$")
 
 # The canonical "HH:MM" of every minute of the window, 00:00 to 48:00.
@@ -84,7 +88,6 @@ class UnknownParameterError(IngestError):
 
     def __init__(self, name: str, line_no: int):
         super().__init__(f"line {line_no}: unknown parameter {name!r}")
-        self.parameter = name
         self.line_no = line_no
 
 
@@ -238,12 +241,16 @@ def _parse_lines(body: list[str]) -> RawEpisode:
 
 def _episode(record_id: int, measurements, static_rows: list[tuple]) -> RawEpisode:
     """The episode of its rows; the first 00:00 row of each static (coded as
-    in ``_CODES``, in file order) fills its slot, the rest are extras."""
+    in ``_CODES``, in file order) fills its slot, the rest are extras.  A
+    ``Gender`` or ``ICUType`` row outside its codes raises IngestError."""
     statics: list[float | None] = [None] * len(STATIC_PARAMETERS)
     seen = set()
     extras = []
     for minutes, code, value in static_rows:
         idx = code - _N_SERIES
+        codes = _STATIC_CODES.get(idx)
+        if codes is not None and value not in codes:
+            raise IngestError(f"{STATIC_PARAMETERS[idx]} is {value!r}, not one of {codes}")
         if minutes == 0 and idx not in seen:
             seen.add(idx)
             if STATIC_PARAMETERS[idx] not in SENTINEL_STATICS or value != -1:

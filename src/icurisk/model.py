@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -479,16 +480,15 @@ def forward_batch(matrices, params: ModelParams,
     return BatchResult(risks=p, weights=weights, states=states, tape=tape)
 
 
-def forward_episode(X: np.ndarray, params: ModelParams,
-                    rng: np.random.Generator | None = None,
+def forward_episode(X: np.ndarray, params: ModelParams, *,
                     record_id: int | None = None) -> ForwardResult:
     """Score one episode's feature matrix: :func:`forward_batch` on a batch
-    of one, in training mode exactly when given a generator.
+    of one, in evaluation mode; training passes go through :func:`forward_batch`.
 
     The attention trace is populated only for attention pooling; its
     weights and states are the batch's own rows, not copies.
     """
-    batch = forward_batch([np.asarray(X, dtype=np.float64)], params, rng)
+    batch = forward_batch([np.asarray(X, dtype=np.float64)], params)
     risk = float(batch.risks[0])
     trace = None
     if batch.weights is not None:
@@ -603,8 +603,10 @@ def save_model(path, params: ModelParams, preprocess_stats: PipelineStats | None
     score raw record files on its own.  The text is streamed into the
     sibling ``<path>.part``, which then replaces ``path`` in one rename: a
     save that fails, or a process killed mid-write, leaves the old file (or
-    none), and no text is held whole in memory.  A fixed sibling name rather
-    than ``tempfile.mkstemp`` keeps the mode ``open`` gives a new file.
+    none), and no text is held whole in memory.  A symlinked ``path`` stays a
+    link, whose target gets the new bytes; an existing file keeps its
+    permission bits.  A fixed sibling name rather than ``tempfile.mkstemp``
+    keeps the mode ``open`` gives a new file.
     """
     doc = {
         "magic": MODEL_MAGIC,
@@ -616,10 +618,13 @@ def save_model(path, params: ModelParams, preprocess_stats: PipelineStats | None
             for name, array in v1_arrays(params)
         },
     }
+    path = os.path.realpath(path)
     part = Path(f"{path}.part")
     try:
         with open(part, "w") as fh:
             json.dump(doc, fh)
+        if os.path.isfile(path):
+            shutil.copymode(path, part)
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)

@@ -22,9 +22,7 @@ writes and reads their JSON block (``stats.json``, a model's ``preprocess``).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, is_dataclass
-from functools import cache
-from typing import get_origin, get_type_hints
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -130,9 +128,20 @@ class PipelineStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineStats":
-        """The inverse of :meth:`to_dict`; a missing field raises KeyError, a
-        value of the wrong kind TypeError, ValueError or OverflowError."""
-        return _from_json(cls, d)
+        """The inverse of :meth:`to_dict`, field by field in the block's order; a
+        missing field raises KeyError, a bad value TypeError, ValueError or OverflowError."""
+        def array(value):
+            return np.asarray(value, dtype=np.float64)
+        return cls(
+            d["interval_minutes"],
+            list(d["feature_names"]),
+            TruncationBounds(array(d["truncation"]["lower"]), array(d["truncation"]["upper"]),
+                             list(d["truncation"]["unobserved"])),
+            ImputationStats(array(d["imputation"]["series_means"]),
+                            array(d["imputation"]["static_means"]),
+                            list(d["imputation"]["unobserved"])),
+            NormalizationStats(array(d["normalization"]["mean"]),
+                               array(d["normalization"]["std"])))
 
     def check(self) -> None:
         """Raise ValueError at what no fit writes: an ``interval_minutes`` that
@@ -164,20 +173,6 @@ class PipelineStats:
             if bad.size:
                 raise ValueError(f"feature {value_names[bad[0]]}: fitted {statistic} "
                                  f"is {values[bad[0]]}")
-
-
-_type_hints = cache(get_type_hints)  # a dataclass's string annotations, resolved once
-
-
-def _from_json(kind, value):
-    """``value``, as ``asdict`` wrote it, read as the declared type ``kind``:
-    a dataclass field by field, an array as float64, and a list as a list."""
-    if is_dataclass(kind):
-        hints = _type_hints(kind)
-        return kind(**{f.name: _from_json(hints[f.name], value[f.name]) for f in fields(kind)})
-    if kind is np.ndarray:
-        return np.asarray(value, dtype=np.float64)
-    return list(value) if get_origin(kind) is list else value
 
 
 @dataclass

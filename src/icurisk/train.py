@@ -176,18 +176,17 @@ def _score_all(features: list[EpisodeFeatures], params: ModelParams,
 def train_fold(train_features: list[EpisodeFeatures],
                val_features: list[EpisodeFeatures],
                cfg: TrainConfig, model_cfg: ModelConfig,
-               fold: int = 0, seed: int | None = None) -> FoldResult:
+               fold: int = 0, *, seed: int) -> FoldResult:
     """Train one fold; keeps the checkpoint with the best validation AUC and
     stops ``cfg.patience`` epochs after it.  Epoch 0 always improves, as its
     AUC is a finite rank-sum, and so sets every ``best_*``.
 
     Expects features already transformed with statistics fitted on the
-    training split only.  One seeded generator drives initialization,
-    shuffling, and dropout, so a fixed seed gives a bit-identical run.
+    training split only.  One generator seeded with the required ``seed``
+    drives initialization, shuffling and dropout: a fixed seed, a bit-identical run.
     """
     if not train_features:
         raise ValueError(f"fold {fold}: the training split has no episodes")
-    seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
     params = ModelParams.init(model_cfg, rng)
     optimizer = Adam(params.named_parameters(), cfg.learning_rate)

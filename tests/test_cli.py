@@ -3,7 +3,10 @@
 import argparse
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -165,6 +168,20 @@ class TestPreprocess:
         assert run("preprocess", "--data-dir", data_dir, "--outcomes", outcomes,
                    "--out", out) == 1
         assert ("error: feature HR: fitted imputation mean is inf"
+                in capsys.readouterr().err)
+        assert not out.exists()  # refused before anything is written
+
+    @pytest.mark.parametrize("name, value", [("Gender", 2), ("ICUType", 7)])
+    def test_static_outside_its_codes_names_the_file(self, tiny_corpus, tmp_path, capsys,
+                                                     name, value):
+        data_dir, outcomes = tiny_corpus
+        bad = data_dir / "149999.txt"
+        bad.write_text(record_text(149999, {"Age": 70, name: value}, [(60, "HR", 80.0)]))
+        outcomes.write_text(outcomes.read_text() + "149999,10,5,12,-1,0\n")
+        out = tmp_path / "s"
+        assert run("preprocess", "--data-dir", data_dir, "--outcomes", outcomes,
+                   "--out", out) == 1
+        assert (f"error: {bad}: {name} is {float(value)!r}, not one of"
                 in capsys.readouterr().err)
         assert not out.exists()  # refused before anything is written
 
@@ -619,6 +636,16 @@ def test_digest_depends_on_names_and_bytes_not_directories_or_order(tmp_path):
     assert _digest_files([paths[0], renamed]) != digests[0]
     paths[1].write_bytes(b"00:00,HR,71\n")
     assert _digest_files(paths) != digests[0]
+
+
+def test_module_entry_point_runs():
+    """``python -m icurisk`` is the console script's ``main``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-m", "icurisk", "--help"],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "{preprocess,train,predict,attention}" in done.stdout
 
 
 def _subparser(name: str) -> argparse.ArgumentParser:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icurisk.model import ModelConfig, ModelParams, forward_episode, loss_and_grads, v1_arrays
+from icurisk.model import ModelConfig, ModelParams, forward_batch, loss_and_grads, v1_arrays
 
 GOLDEN = Path(__file__).with_name("forward_golden.json")
 TOLERANCE = 1e-12
@@ -55,18 +55,18 @@ def run_case(name: str) -> dict:
     X = rng.normal(0.0, 1.5, size=(t, cfg.input_dim))
 
     train = mode == "train"
-    result = forward_episode(X, params, np.random.default_rng(seed + 1) if train else None)
+    result = forward_batch([X], params, np.random.default_rng(seed + 1) if train else None)
     _, grads = loss_and_grads(params, [X], [seed % 2],
                               np.random.default_rng(seed + 1) if train else None)
     for name, array in params.named_parameters():  # read the gradients under v1 names
         array[...] = grads[name]
     out = {
-        "risk": result.risk,
+        "risk": float(result.risks[0]),
         "grads": {n: grad.ravel().tolist() for n, grad in v1_arrays(params)},
     }
-    if result.trace is not None:
-        out["weights"] = result.trace.weights.tolist()
-        out["states"] = result.trace.states.tolist()
+    if result.weights is not None:  # attention pooling: the episode's trace
+        out["weights"] = result.weights[0].tolist()
+        out["states"] = result.states[0].tolist()
     return out
 
 

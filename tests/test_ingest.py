@@ -9,6 +9,7 @@ from icurisk.ingest import (
     MEASUREMENT_DTYPE,
     STATIC_PARAMETERS,
     TIME_SERIES_PARAMETERS,
+    IngestError,
     RawEpisode,
     RecordParseError,
     RecordStructureError,
@@ -98,6 +99,29 @@ class TestParseRecord:
     def test_unknown_parameter_named(self):
         with pytest.raises(UnknownParameterError, match="Misc"):
             parse_record(record_text(1, rows=[(5, "Misc", 1.0)]))
+
+    @pytest.mark.parametrize("name, value", [
+        ("Gender", 2), ("Gender", 0.5), ("Gender", -2), ("ICUType", 0), ("ICUType", 5),
+        ("ICUType", 2.5), ("ICUType", -1)])
+    @pytest.mark.parametrize("where", ["slot", "extra", "walked"])
+    def test_static_outside_its_codes_refused(self, name, value, where):
+        """Gender holds 0, 1 or -1 (missing) and ICUType 1 to 4, in every row
+        and on both parse paths: a blank line sends the body down the walk."""
+        text = record_text(1, {name: value} if where != "extra" else {},
+                           [(300, name, value)] if where == "extra" else [])
+        if where == "walked":
+            text += "\n"
+        with pytest.raises(IngestError) as info:
+            parse_record(text)
+        allowed = "(0, 1, -1)" if name == "Gender" else "(1, 2, 3, 4)"
+        assert str(info.value) == f"{name} is {float(value)!r}, not one of {allowed}"
+
+    def test_every_static_code_accepted(self):
+        for gender in (0, 1, -0.0):
+            for icu_type in (1, 2, 3, 4):
+                ep = parse_record(record_text(1, {"Gender": gender, "ICUType": icu_type},
+                                              [(60, "Gender", -1), (60, "ICUType", icu_type)]))
+                assert static(ep, "Gender") == gender and static(ep, "ICUType") == icu_type
 
     def test_missing_header(self):
         with pytest.raises(RecordStructureError, match="header"):

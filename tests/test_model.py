@@ -2,6 +2,7 @@
 
 import json
 import math
+import stat
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -502,22 +503,30 @@ class TestForwardEpisode:
     def test_eval_mode_skips_dropout(self):
         cfg, params = self._model(dropout_in=0.5, dropout_out=0.5)
         X = np.random.default_rng(28).normal(size=(4, 6))
-        result = forward_episode(X, params)  # no generator: evaluation mode
+        result = forward_episode(X, params)  # always evaluation mode
         assert "forward_batch" not in [layer(rule) for rule in result.tape.entries]
+
+    def test_a_generator_is_refused(self):
+        """``record_id`` is keyword-only, so a generator cannot pass as it."""
+        cfg, params = self._model(dropout_in=0.5, dropout_out=0.5)
+        X = np.random.default_rng(28).normal(size=(4, 6))
+        with pytest.raises(TypeError):
+            forward_episode(X, params, np.random.default_rng(0))
 
     def test_one_tape_entry_per_layer(self):
         cfg, params = self._model(dropout_in=0.5, dropout_out=0.5)
         X = np.random.default_rng(29).normal(size=(16, 6))
-        result = forward_episode(X, params, np.random.default_rng(0))
+        result = forward_batch([X], params, np.random.default_rng(0))
         assert [layer(rule) for rule in result.tape.entries] == [  # dropout: forward_batch
             "run_lstm", "attend", "forward_batch", "classify"]
 
     def test_train_mode_same_rng_same_output(self):
         cfg, params = self._model(dropout_in=0.4, dropout_out=0.4)
         X = np.random.default_rng(21).normal(size=(4, 6))
-        first = forward_episode(X, params, np.random.default_rng(5)).risk
-        second = forward_episode(X, params, np.random.default_rng(5)).risk
+        first = forward_batch([X], params, np.random.default_rng(5)).risks[0]
+        second = forward_batch([X], params, np.random.default_rng(5)).risks[0]
         assert first == second
+        assert first != forward_episode(X, params).risk  # dropout drew masks
 
     def test_zero_model_gradients_finite(self):
         cfg, params = self._model()
@@ -742,6 +751,30 @@ class TestPersistence:
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "fresh.json", "model.json", "reference"]
 
+    def test_save_through_a_link_writes_its_target(self, tmp_path):
+        params = ModelParams.init(ModelConfig(input_dim=4, hidden=2), np.random.default_rng(0))
+        (tmp_path / "models").mkdir()
+        target, link, fresh = (tmp_path / "models" / "model.json", tmp_path / "link.json",
+                               tmp_path / "fresh.json")
+        target.write_text("an earlier model")
+        link.symlink_to(target)
+        save_model(link, params)
+        save_model(fresh, params)
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_bytes() == fresh.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.json", "link.json", "models"]
+        assert [p.name for p in target.parent.iterdir()] == ["model.json"]  # no .part
+
+    def test_save_over_a_file_keeps_its_mode(self, tmp_path):
+        params = ModelParams.init(ModelConfig(input_dim=4, hidden=2), np.random.default_rng(0))
+        path, fresh = tmp_path / "model.json", tmp_path / "fresh.json"
+        path.write_text("an earlier model")
+        path.chmod(0o600)
+        save_model(path, params)
+        save_model(fresh, params)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert path.read_bytes() == fresh.read_bytes()
+
     def test_save_memory_is_bounded_by_the_arrays_not_their_text(self, tmp_path):
         """Streamed, a default bilstm-attn save peaks at about 1.9 MB under
         tracemalloc; building the whole text first peaked at about 7 MB."""
@@ -839,6 +872,15 @@ class TestMalformedModelFile:
         with pytest.raises(ModelFormatError, match="preprocess: missing field 'truncation'") as info:
             load_model(path)
         assert str(path) in str(info.value)
+
+    def test_fields_are_read_in_the_block_order(self, tmp_path):
+        """With both gone, the field written first is the one named."""
+        def drop(stats):
+            del stats["interval_minutes"], stats["truncation"]
+        path = self._edit_saved_stats(tmp_path, drop)
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value) == f"{path}: preprocess: missing field 'interval_minutes'"
 
     @pytest.mark.parametrize("keys, value, message", [
         (("truncation", "lower", 0), math.nan, "feature Albumin: fitted truncation lower is nan"),

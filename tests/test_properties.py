@@ -23,6 +23,7 @@ from icurisk.cli import _csv_rows
 from icurisk.ingest import (
     MAX_MINUTES,
     MEASUREMENT_DTYPE,
+    STATIC_PARAMETERS,
     RawEpisode,
     parse_record,
     serialize_record,
@@ -70,17 +71,22 @@ def by_minutes(rows):
     return np.array(sorted(rows, key=lambda row: row[0]), dtype=MEASUREMENT_DTYPE)
 
 
+# Gender and ICUType are codes (0 or 1, and 1 to 4), which parsing holds them to.
+static_code_st = {STATIC_PARAMETERS.index("Gender"): st.sampled_from([0.0, 1.0]),
+                  STATIC_PARAMETERS.index("ICUType"): st.sampled_from([1.0, 2.0, 3.0, 4.0])}
+
+
 @st.composite
 def episodes(draw, values=value_st, minutes=minutes_st, extra_minutes=st.integers(1, MAX_MINUTES)):
     measurements = by_minutes(draw(st.lists(st.tuples(minutes, parameter_st, values),
                                             max_size=60)))
     # -1 marks a missing Gender, Height or Weight in the file format.
-    statics = draw(st.lists(st.none() | values.filter(lambda v: v != -1),
-                            min_size=N_STATICS, max_size=N_STATICS))
+    statics = [draw(st.none() | static_code_st.get(k, values.filter(lambda v: v != -1)))
+               for k in range(N_STATICS)]
     # A repeated static at 00:00 would fill an empty slot on parse; start at 00:01.
-    extras = by_minutes(draw(st.lists(st.tuples(extra_minutes,
-                                                st.integers(0, N_STATICS - 1), values),
-                                      max_size=3)))
+    extras = by_minutes(draw(st.lists(st.integers(0, N_STATICS - 1).flatmap(
+        lambda k: st.tuples(extra_minutes, st.just(k), static_code_st.get(k, values))),
+        max_size=3)))
     return RawEpisode(draw(st.integers(1, 999_999)), statics, measurements, extras)
 
 
@@ -523,9 +529,11 @@ def record_text(rows):
         for minutes, name, value in rows)
 
 
-row_st = st.tuples(minutes_st,
-                   st.sampled_from(["HR", "Na", "Temp", "Weight", "Age", "Gender"]),
-                   st.sampled_from([0.0, -0.0, 1.5, 80.0, 36.6, -1.0]))
+# Gender rows hold its codes, which parsing holds them to; -0.0 equals code 0.
+row_st = st.one_of(st.tuples(minutes_st, st.sampled_from(["HR", "Na", "Temp", "Weight", "Age"]),
+                             st.sampled_from([0.0, -0.0, 1.5, 80.0, 36.6, -1.0])),
+                   st.tuples(minutes_st, st.just("Gender"),
+                             st.sampled_from([0.0, -0.0, 1.0, -1.0])))
 
 
 @settings(max_examples=300, deadline=None)

@@ -276,6 +276,14 @@ class TestTrainFold:
         assert first.train_losses == second.train_losses
         np.testing.assert_array_equal(first.val_scores, second.val_scores)
 
+    def test_seed_is_required_and_keyword_only(self):
+        feats = separable_features(n=8, intervals=3, dim=8, seed=4)
+        cfg = _quick_cfg(max_epochs=1)
+        with pytest.raises(TypeError, match="seed"):
+            train_fold(feats, feats, cfg, _small_model())
+        with pytest.raises(TypeError):
+            train_fold(feats, feats, cfg, _small_model(), 0, cfg.seed)
+
     def test_recorded_auc_matches_reevaluation(self):
         from icurisk.model import forward_episode
         feats = separable_features(n=12, intervals=3, dim=8, seed=3)
@@ -291,12 +299,12 @@ class TestTrainFold:
     def test_empty_training_split_names_the_fold(self):
         feats = separable_features(n=8, intervals=3, dim=8, seed=4)
         with pytest.raises(ValueError, match="fold 4: the training split has no episodes"):
-            train_fold([], feats, _quick_cfg(max_epochs=1), _small_model(), fold=4)
+            train_fold([], feats, _quick_cfg(max_epochs=1), _small_model(), fold=4, seed=0)
 
     def test_empty_validation_split_names_the_auc_problem(self):
         feats = separable_features(n=8, intervals=3, dim=8, seed=4)
         with pytest.raises(ValueError, match="AUC needs at least one positive"):
-            train_fold(feats, [], _quick_cfg(max_epochs=1), _small_model())
+            train_fold(feats, [], _quick_cfg(max_epochs=1), _small_model(), seed=0)
 
     def test_divergence_aborts_with_diagnostic(self):
         bad = [EpisodeFeatures(1, np.full((2, 8), np.inf), 1),
