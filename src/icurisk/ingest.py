@@ -179,11 +179,8 @@ def parse_record(text: str) -> RawEpisode:
 def _parse_columns(body: list[str]) -> RawEpisode | None:
     """The episode of a body of canonical rows, read a column at a time, or
     None if any row is not canonical or the body has not one valid RecordID."""
-    fields = [line.split(",") for line in body]
-    if set(map(len, fields)) != {3}:
-        return None
-    times, names, tokens = zip(*fields)
-    try:
+    try:  # a ragged, empty or not three-column body fails the strict transpose
+        times, names, tokens = zip(*[line.split(",") for line in body], strict=True)
         minutes = np.fromiter(map(_MINUTE_OF.__getitem__, times), np.int64, len(times))
         codes = np.fromiter(map(_CODES.__getitem__, names), np.intp, len(names))
         values = list(map(float, tokens))

@@ -419,9 +419,10 @@ def build_features(episode: RawEpisode, stats: PipelineStats) -> EpisodeFeatures
     a matrix that fails it is searched for its first bad cell, in row-major
     order.
     """
-    filled = _imputed_matrix(episode, stats.interval_minutes, stats.truncation,
-                             stats.imputation)
-    matrix = normalize(filled, stats.normalization)
+    with np.errstate(over="ignore"):  # values near 1e308 parse; refused below, by cell
+        filled = _imputed_matrix(episode, stats.interval_minutes, stats.truncation,
+                                 stats.imputation)
+        matrix = normalize(filled, stats.normalization)
     if not np.isfinite(matrix).all():
         t, j = np.argwhere(~np.isfinite(matrix))[0]
         raise ValueError(f"record {episode.record_id}: feature {stats.feature_names[j]} "

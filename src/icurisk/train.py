@@ -248,7 +248,8 @@ def apply_variant(variant: str, cfg: TrainConfig,
 def cross_validate(episodes: list[RawEpisode], cfg: TrainConfig,
                    model_cfg: ModelConfig,
                    only_fold: int | None = None) -> CVResult:
-    """Stratified k-fold training with per-fold preprocessing fits.
+    """Stratified k-fold training with per-fold preprocessing fits.  A fold's
+    matrices are built in its train_fold call and freed when it returns.
 
     Reports the mean and std of per-fold validation AUCs plus the pooled
     AUC over every episode's out-of-fold score.
@@ -286,10 +287,8 @@ def cross_validate(episodes: list[RawEpisode], cfg: TrainConfig,
 
     results: list[FoldResult] = []
     for fold_idx, (train_eps, val_eps, stats) in splits.items():
-        train_features = [build_features(ep, stats) for ep in train_eps]
-        val_features = [build_features(ep, stats) for ep in val_eps]
-
-        fold_result = train_fold(train_features, val_features, cfg, model_cfg,
+        fold_result = train_fold([build_features(ep, stats) for ep in train_eps],
+                                 [build_features(ep, stats) for ep in val_eps], cfg, model_cfg,
                                  fold=fold_idx, seed=cfg.seed + fold_idx)
         fold_result.pipeline = stats
         results.append(fold_result)

@@ -409,12 +409,20 @@ class TestMatchesLoopOracle:
                                        oracle.build_matrix(ep, stats), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_statistics_name_record_and_feature():
     ep = episode([(0, "HR", 70.0)], record_id=140000)
     stats = fit_pipeline([ep, episode([(0, "HR", 60.0)], record_id=2)])
     stats.normalization.mean[HR * N_STATS] = np.nan
     with pytest.raises(ValueError, match="record 140000: feature HR_min"):
         build_features(ep, stats)
+    # A static near 1e308 over a std under 1 overflows in normalize; the
+    # record is refused by name, with no RuntimeWarning raised first.
+    stats = fit_pipeline([episode([(0, "HR", 70.0)], {"Weight": 70.0}, record_id=1),
+                          episode([(0, "HR", 60.0)], {"Weight": 70.5}, record_id=2)])
+    huge = episode([(0, "HR", 70.0)], {"Weight": 1e308}, record_id=140001)
+    with pytest.raises(ValueError, match="^record 140001: feature Weight is inf in interval 0$"):
+        build_features(huge, stats)
 
 
 @pytest.mark.parametrize("t,j,value", [(2, 97, np.inf), (1, 184, np.nan), (2, 0, -np.inf)])

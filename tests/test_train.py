@@ -1,11 +1,13 @@
 """Folding, Adam, AUC, the training loop, and cross-validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from icurisk.ingest import parse_record
 from icurisk.model import ModelConfig, ModelParams, load_model, save_model, v1_arrays
-from icurisk.preprocess import EpisodeFeatures
+from icurisk.preprocess import EpisodeFeatures, build_features
 from icurisk.train import (
     Adam,
     TrainConfig,
@@ -448,3 +450,22 @@ class TestCrossValidate:
         assert result.mean_auc == 1.0
         # Single 48-hour interval means exactly one row per episode.
         assert result.folds[0].pipeline.interval_minutes == 2880
+
+    def test_holds_one_fold_of_matrices_at_a_time(self):
+        # 10-minute intervals make long matrices, and a one-unit model with
+        # batches of 2 keeps training buffers small beside them.  Keeping fold
+        # k's matrices alive while fold k+1's were built read about 1.90x one
+        # fold's matrices here; freeing them when train_fold returns, about 1.15x.
+        episodes = _toy_episodes(n=20)
+        cfg = TrainConfig(folds=5, max_epochs=1, patience=1, batch_size=2, seed=0,
+                          interval_minutes=10)
+        model_cfg = _small_model(input_dim=185, hidden=1, attn_hidden=1)
+        tracemalloc.start()
+        try:
+            result = cross_validate(episodes, cfg, model_cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fold_bytes = sum(build_features(ep, result.folds[0].pipeline).matrix.nbytes
+                         for ep in episodes)
+        assert peak < 1.5 * fold_bytes
