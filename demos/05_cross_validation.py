@@ -9,7 +9,7 @@ import numpy as np
 
 from icurisk.ingest import parse_record
 from icurisk.model import ModelConfig
-from icurisk.train import TrainConfig, apply_variant, cross_validate
+from icurisk.train import TrainConfig, apply_variant, auc, cross_validate
 
 rng = np.random.default_rng(1)
 episodes = []
@@ -33,10 +33,12 @@ base_model = ModelConfig(hidden=4, heads=2, dropout_in=0.1, dropout_out=0.1)
 print(f"{'variant':<12} {'fold AUCs':<16} {'mean':>6} {'pooled':>7}")
 for variant in ("lstm-mean", "lstm-attn"):
     cfg, model_cfg = apply_variant(variant, base_cfg, base_model)
-    result = cross_validate(episodes, cfg, model_cfg)
-    per_fold = " ".join(f"{f.val_auc:.3f}" for f in result.folds)
-    print(f"{variant:<12} {per_fold:<16} {result.mean_auc:.3f} "
-          f"{result.pooled_auc:7.3f}")
+    folds = list(cross_validate(episodes, cfg, model_cfg))
+    per_fold = " ".join(f"{f.val_auc:.3f}" for f in folds)
+    pooled = auc(np.concatenate([f.val_scores for f in folds]),
+                 np.concatenate([f.val_labels for f in folds]))
+    print(f"{variant:<12} {per_fold:<16} {np.mean([f.val_auc for f in folds]):.3f} "
+          f"{pooled:7.3f}")
 
 print("\neach fold's preprocessing looked only at that fold's training half;")
 print("the kept checkpoints embed those statistics for later scoring.")

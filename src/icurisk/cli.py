@@ -22,7 +22,10 @@ value of the matrix; the bytes are those of formatting every cell.
 Train reads the store's ``stats.json`` through ``PipelineStats`` alone, builds
 its configs, then parses the episodes, and refits preprocessing per fold.
 Each train flag sets a config field, whose default is the flag's, and is
-refused where the variant ignores it.
+refused where the variant ignores it.  Train makes ``models/`` before the
+first fold trains, writes each fold's model and ``results.csv`` row as the
+fold finishes, and its ``manifest.json`` last, so only a finished run has
+one; a run that fails keeps the folds it finished.
 Predict and attention share one scoring body, ``_score``, and differ only in
 their header and rows; neither writes anything unless every risk is finite.
 """
@@ -43,7 +46,7 @@ import icurisk
 from icurisk import ingest, preprocess
 from icurisk.model import (
     ModelConfig, ModelFormatError, forward_episode, load_model, save_model)
-from icurisk.train import TrainConfig, VARIANTS, apply_variant, cross_validate
+from icurisk.train import TrainConfig, VARIANTS, apply_variant, auc, cross_validate
 
 
 def _digest_files(paths: list[Path]) -> str:
@@ -105,8 +108,6 @@ def _store_stats(store: Path) -> preprocess.PipelineStats:
     stats_path = store / "stats.json"
     try:
         return preprocess.PipelineStats.from_dict(json.loads(stats_path.read_text()))
-    except KeyError as exc:
-        raise ValueError(f"{stats_path}: missing field {exc}") from exc
     except (OSError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{stats_path}: {exc}") from exc
 
@@ -229,22 +230,27 @@ def cmd_train(args) -> int:
         variant, TrainConfig(interval_minutes=interval_minutes, **_given(args, TrainConfig)),
         ModelConfig(**sizes))
 
-    result = cross_validate(_store_episodes(store), cfg, model_cfg, only_fold=args.fold)
+    folds = cross_validate(_store_episodes(store), cfg, model_cfg, only_fold=args.fold)
 
     out = Path(args.out)
     (out / "models").mkdir(parents=True, exist_ok=True)
-    lines = ["variant,fold,auc,best_epoch,final_train_loss"]
-    for fold_result in result.folds:
-        lines.append(
-            f"{variant},{fold_result.fold},{fold_result.val_auc!r},"
-            f"{fold_result.best_epoch},{fold_result.train_losses[-1]!r}"
-        )
-        save_model(out / "models" / f"{variant}-fold{fold_result.fold}.json",
-                   fold_result.params, fold_result.pipeline)
-    lines.append(f"{variant},mean,{result.mean_auc!r},,")
-    lines.append(f"{variant},std,{result.std_auc!r},,")
-    lines.append(f"{variant},pooled,{result.pooled_auc!r},,")
-    (out / "results.csv").write_text("\n".join(lines) + "\n")
+    (out / "manifest.json").unlink(missing_ok=True)
+    aucs, scores, labels = [], [], []
+    with open(out / "results.csv", "w") as fh:
+        fh.write("variant,fold,auc,best_epoch,final_train_loss\n")
+        for fold in folds:
+            save_model(out / "models" / f"{variant}-fold{fold.fold}.json",
+                       fold.params, fold.pipeline)
+            fh.write(f"{variant},{fold.fold},{fold.val_auc!r},"
+                     f"{fold.best_epoch},{fold.train_losses[-1]!r}\n")
+            fh.flush()
+            aucs.append(fold.val_auc)
+            scores.append(fold.val_scores)
+            labels.append(fold.val_labels)
+        mean_auc, std_auc = float(np.mean(aucs)), float(np.std(aucs))
+        pooled_auc = auc(np.concatenate(scores), np.concatenate(labels))
+        fh.write(f"{variant},mean,{mean_auc!r},,\n{variant},std,{std_auc!r},,\n"
+                 f"{variant},pooled,{pooled_auc!r},,\n")
 
     store_files = sorted((store / "episodes").glob("*.txt")) + [
         store / "labels.csv", store / "stats.json"]
@@ -255,8 +261,7 @@ def cmd_train(args) -> int:
         dataset_digest=_digest_files(store_files),
         seed=args.seed,
     )
-    print(f"{variant}: mean AUC {result.mean_auc:.4f} "
-          f"(+/- {result.std_auc:.4f}) over {len(result.folds)} fold(s)")
+    print(f"{variant}: mean AUC {mean_auc:.4f} (+/- {std_auc:.4f}) over {len(aucs)} fold(s)")
     return 0
 
 

@@ -684,8 +684,6 @@ def load_model(path) -> tuple[ModelParams, PipelineStats | None]:
         return params, None
     try:
         stats = PipelineStats.from_dict(doc["preprocess"])
-    except KeyError as exc:
-        raise ModelFormatError(f"{path}: preprocess: missing field {exc}") from exc
     except (OverflowError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: preprocess: {exc}") from exc
     if len(stats.feature_names) != config.input_dim:

@@ -129,19 +129,23 @@ class PipelineStats:
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineStats":
         """The inverse of :meth:`to_dict`, field by field in the block's order; a
-        missing field raises KeyError, a bad value TypeError, ValueError or OverflowError."""
+        missing field raises ValueError naming it, a bad value TypeError, ValueError
+        or OverflowError."""
         def array(value):
             return np.asarray(value, dtype=np.float64)
-        return cls(
-            d["interval_minutes"],
-            list(d["feature_names"]),
-            TruncationBounds(array(d["truncation"]["lower"]), array(d["truncation"]["upper"]),
-                             list(d["truncation"]["unobserved"])),
-            ImputationStats(array(d["imputation"]["series_means"]),
-                            array(d["imputation"]["static_means"]),
-                            list(d["imputation"]["unobserved"])),
-            NormalizationStats(array(d["normalization"]["mean"]),
-                               array(d["normalization"]["std"])))
+        try:
+            return cls(
+                d["interval_minutes"],
+                list(d["feature_names"]),
+                TruncationBounds(array(d["truncation"]["lower"]), array(d["truncation"]["upper"]),
+                                 list(d["truncation"]["unobserved"])),
+                ImputationStats(array(d["imputation"]["series_means"]),
+                                array(d["imputation"]["static_means"]),
+                                list(d["imputation"]["unobserved"])),
+                NormalizationStats(array(d["normalization"]["mean"]),
+                                   array(d["normalization"]["std"])))
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from exc
 
     def check(self) -> None:
         """Raise ValueError at what no fit writes: an ``interval_minutes`` that

@@ -14,6 +14,7 @@ validation is scored in batches of the same size.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -73,14 +74,6 @@ class FoldResult:
     val_scores: np.ndarray
     val_labels: np.ndarray
     pipeline: PipelineStats | None = None
-
-
-@dataclass
-class CVResult:
-    folds: list[FoldResult]
-    mean_auc: float
-    std_auc: float
-    pooled_auc: float
 
 
 def kfold_split(k: int, seed: int, labels) -> list[np.ndarray]:
@@ -247,12 +240,13 @@ def apply_variant(variant: str, cfg: TrainConfig,
 
 def cross_validate(episodes: list[RawEpisode], cfg: TrainConfig,
                    model_cfg: ModelConfig,
-                   only_fold: int | None = None) -> CVResult:
-    """Stratified k-fold training with per-fold preprocessing fits.  A fold's
-    matrices are built in its train_fold call and freed when it returns.
+                   only_fold: int | None = None) -> Iterator[FoldResult]:
+    """Stratified k-fold training with per-fold preprocessing fits.
 
-    Reports the mean and std of per-fold validation AUCs plus the pooled
-    AUC over every episode's out-of-fold score.
+    Every check and every fold's fit run on the call; the returned iterator
+    then trains one fold per step and yields its result, ``pipeline`` set, so
+    a caller can keep each fold as it finishes.  A fold's matrices are built
+    in its train_fold call and freed when it returns.
     """
     labels = [ep.label for ep in episodes]
     if any(label is None for label in labels):
@@ -285,21 +279,8 @@ def cross_validate(episodes: list[RawEpisode], cfg: TrainConfig,
             raise ValueError(f"fold {fold_idx}: {exc}") from exc
         splits[fold_idx] = train_eps, [episodes[int(j)] for j in val_idx], stats
 
-    results: list[FoldResult] = []
-    for fold_idx, (train_eps, val_eps, stats) in splits.items():
-        fold_result = train_fold([build_features(ep, stats) for ep in train_eps],
-                                 [build_features(ep, stats) for ep in val_eps], cfg, model_cfg,
-                                 fold=fold_idx, seed=cfg.seed + fold_idx)
-        fold_result.pipeline = stats
-        results.append(fold_result)
-
-    aucs = np.array([r.val_auc for r in results])
-    pooled_scores = np.concatenate([r.val_scores for r in results])
-    pooled_labels = np.concatenate([r.val_labels for r in results])
-    return CVResult(
-        folds=results,
-        mean_auc=float(aucs.mean()),
-        std_auc=float(aucs.std()),
-        pooled_auc=auc(pooled_scores, pooled_labels),
-    )
-
+    # A generator expression, not a yield in this body, keeps the above eager.
+    return (replace(train_fold([build_features(ep, stats) for ep in train_eps],
+                               [build_features(ep, stats) for ep in val_eps], cfg, model_cfg,
+                               fold=fold_idx, seed=cfg.seed + fold_idx), pipeline=stats)
+            for fold_idx, (train_eps, val_eps, stats) in splits.items())

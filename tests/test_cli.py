@@ -17,9 +17,10 @@ from icurisk import ingest
 from icurisk.cli import _digest_files, _given, build_parser, main
 from icurisk.model import ModelConfig, ModelParams, forward_episode, load_model, save_model
 from icurisk.preprocess import (
-    DEFAULT_INTERVAL_MINUTES, PipelineStats, build_features, feature_width, fit_pipeline)
+    DEFAULT_INTERVAL_MINUTES, EpisodeFeatures, PipelineStats, build_features, feature_width,
+    fit_pipeline)
 from icurisk.ingest import parse_record
-from icurisk.train import TrainConfig
+from icurisk.train import TrainConfig, train_fold
 
 from conftest import record_text, write_corpus
 
@@ -275,6 +276,45 @@ class TestTrain:
         assert run("train", "--store", store, "--out", tmp_path / "out", *TRAIN_FAST,
                    "--fold", fold) == 1
         assert f"fold {fold} does not exist: k=2" in capsys.readouterr().err
+
+    def test_out_a_file_refused_before_any_fold_trains(self, store, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr("icurisk.train.train_fold", lambda *a, **k: pytest.fail("trained"))
+        out = tmp_path / "file"
+        out.write_text("kept\n")
+        assert run("train", "--store", store, "--out", out, *TRAIN_FAST) == 1
+        assert f"Not a directory: '{out / 'models'}'" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("finished_before", [False, True], ids=["new", "over-finished"])
+    def test_divergence_keeps_finished_folds(self, store, tmp_path, capsys, monkeypatch,
+                                             finished_before):
+        """Fold 1 trains on NaN matrices: fold 0's model and row stay, and no
+        manifest marks the run finished, not even an earlier run's."""
+        out = tmp_path / "run"
+        if finished_before:
+            assert run("train", "--store", store, "--out", out, *TRAIN_FAST) == 0
+            finished = (out / "results.csv").read_text().splitlines()
+            capsys.readouterr()
+
+        def nan_fold_1(train_features, *args, **kwargs):
+            if kwargs["fold"] == 1:
+                train_features = [EpisodeFeatures(f.record_id, np.full_like(f.matrix, np.nan),
+                                                  f.label) for f in train_features]
+            return train_fold(train_features, *args, **kwargs)
+
+        monkeypatch.setattr("icurisk.train.train_fold", nan_fold_1)
+        with np.errstate(all="ignore"):
+            assert run("train", "--store", store, "--out", out, *TRAIN_FAST) == 1
+        assert capsys.readouterr().err.startswith("error: fold 1: non-finite training loss")
+        lines = (out / "results.csv").read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("lstm-attn,0,")
+        assert load_model(out / "models" / "lstm-attn-fold0.json")[1] is not None
+        assert not (out / "manifest.json").exists()
+        if finished_before:
+            assert lines == finished[:2]
+        else:
+            assert not (out / "models" / "lstm-attn-fold1.json").exists()
 
     def test_rerun_results_byte_identical(self, store, tmp_path):
         outs = [tmp_path / "r1", tmp_path / "r2"]

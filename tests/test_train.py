@@ -385,20 +385,32 @@ class TestCrossValidate:
         episodes = _toy_episodes()
         cfg = TrainConfig(folds=2, max_epochs=3, patience=3, batch_size=4,
                           seed=0, interval_minutes=720)
-        result = cross_validate(episodes, cfg, _small_model(input_dim=185, hidden=3))
-        assert len(result.folds) == 2
-        assert 0.0 <= result.mean_auc <= 1.0
-        assert result.folds[0].pipeline is not None
+        folds = list(cross_validate(episodes, cfg, _small_model(input_dim=185, hidden=3)))
+        assert len(folds) == 2
+        assert 0.0 <= np.mean([f.val_auc for f in folds]) <= 1.0
+        assert folds[0].pipeline is not None
         # Folds fit their own preprocessing on disjoint training splits.
-        assert result.folds[0].pipeline is not result.folds[1].pipeline
+        assert folds[0].pipeline is not folds[1].pipeline
+
+    def test_each_step_trains_one_fold(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr("icurisk.train.train_fold",
+                            lambda *a, **k: trained.append(k["fold"]) or train_fold(*a, **k))
+        cfg = TrainConfig(folds=2, max_epochs=1, patience=1, batch_size=4,
+                          seed=0, interval_minutes=720)
+        folds = cross_validate(_toy_episodes(), cfg, _small_model(input_dim=185, hidden=3))
+        assert trained == []
+        first = next(folds)
+        assert trained == [0]
+        assert first.fold == 0 and first.pipeline is not None
 
     def test_only_fold_restricts_work(self):
         episodes = _toy_episodes()
         cfg = TrainConfig(folds=2, max_epochs=2, patience=2, batch_size=4,
                           seed=0, interval_minutes=720)
-        result = cross_validate(episodes, cfg, _small_model(input_dim=185, hidden=3),
-                                only_fold=1)
-        assert [f.fold for f in result.folds] == [1]
+        folds = cross_validate(episodes, cfg, _small_model(input_dim=185, hidden=3),
+                               only_fold=1)
+        assert [f.fold for f in folds] == [1]
 
     @pytest.mark.parametrize("fold", [2, 7, -1])
     def test_fold_outside_the_split_rejected_before_training(self, fold, monkeypatch):
@@ -446,10 +458,10 @@ class TestCrossValidate:
         episodes = _toy_episodes(n=12, seed=6)
         cfg = TrainConfig(folds=2, max_epochs=20, patience=20, batch_size=4, seed=0)
         cfg, model_cfg = apply_variant("lr-baseline", cfg, ModelConfig())
-        result = cross_validate(episodes, cfg, model_cfg)
-        assert result.mean_auc == 1.0
+        folds = list(cross_validate(episodes, cfg, model_cfg))
+        assert np.mean([f.val_auc for f in folds]) == 1.0
         # Single 48-hour interval means exactly one row per episode.
-        assert result.folds[0].pipeline.interval_minutes == 2880
+        assert folds[0].pipeline.interval_minutes == 2880
 
     def test_holds_one_fold_of_matrices_at_a_time(self):
         # 10-minute intervals make long matrices, and a one-unit model with
@@ -462,10 +474,10 @@ class TestCrossValidate:
         model_cfg = _small_model(input_dim=185, hidden=1, attn_hidden=1)
         tracemalloc.start()
         try:
-            result = cross_validate(episodes, cfg, model_cfg)
+            folds = list(cross_validate(episodes, cfg, model_cfg))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        fold_bytes = sum(build_features(ep, result.folds[0].pipeline).matrix.nbytes
+        fold_bytes = sum(build_features(ep, folds[0].pipeline).matrix.nbytes
                          for ep in episodes)
         assert peak < 1.5 * fold_bytes
