@@ -19,13 +19,15 @@ records of one run::
 Each feature cell is the ``repr`` of its float, formatted once per distinct
 value of the matrix; the bytes are those of formatting every cell.
 
-Train reads the store's ``stats.json`` through ``PipelineStats`` alone, builds
-its configs, then parses the episodes, and refits preprocessing per fold.
-Each train flag sets a config field, whose default is the flag's, and is
-refused where the variant ignores it.  Train makes ``models/`` before the
-first fold trains, writes each fold's model and ``results.csv`` row as the
-fold finishes, and its ``manifest.json`` last, so only a finished run has
-one; a run that fails keeps the folds it finished.
+Preprocess and train claim ``--out`` through ``_claim`` after every check and
+fit, before the first write: it refuses a file in their folders that the run
+does not write and removes a stale ``manifest.json``, which each writes last,
+so only a finished run has one.  Train reads the store's ``stats.json``
+through ``PipelineStats`` alone, builds its configs, then parses the
+episodes, and refits preprocessing per fold.  Each train flag sets a config
+field, whose default is the flag's, and is refused where the variant ignores
+it.  Train writes each fold's model and ``results.csv`` row as the fold
+finishes; a run that fails keeps the folds it finished.
 Predict and attention share one scoring body, ``_score``, and differ only in
 their header and rows; neither writes anything unless every risk is finite.
 """
@@ -129,6 +131,22 @@ def _store_episodes(store: Path) -> list[ingest.RawEpisode]:
     return episodes
 
 
+def _claim(out: Path, command: str, ours: list[str]) -> None:
+    """Make ``out`` this run's before its first write: refuse a file in a folder
+    of ``ours`` (paths under ``out``) that ``ours`` does not name, which a
+    reader would take for this run's, then make the folders and remove a stale
+    ``manifest.json``."""
+    folders, names = dict.fromkeys(name.rpartition("/")[0] for name in ours), set(ours)
+    for folder in folders:
+        for path in sorted((out / folder).glob("*")):
+            if f"{folder}/{path.name}" not in names:
+                raise ValueError(f"{path}: --out {out} holds a file this run does "
+                                 f"not write; {command} into a new directory")
+    for folder in folders:
+        (out / folder).mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
+
+
 # -- preprocess ---------------------------------------------------------------
 
 
@@ -141,14 +159,8 @@ def _csv_rows(matrix: np.ndarray) -> list[str]:
     return [",".join(row) for row in text[inverse.reshape(matrix.shape)].tolist()]
 
 
-def _positive_hours(text: str) -> int:
-    """``--interval-hours``: a whole number above 0."""
-    if not (text.strip().isdecimal() and int(text) > 0):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number of hours above 0")
-    return int(text)
-
-
 def cmd_preprocess(args) -> int:
+    preprocess.check_count("interval_hours", args.interval_hours)
     data_dir = Path(args.data_dir)
     record_files = sorted(data_dir.glob("*.txt"))
     if not record_files:
@@ -163,23 +175,11 @@ def cmd_preprocess(args) -> int:
             raise ValueError(f"{path}: record id {ep.record_id} is also the id of {other}")
     episodes, _ = _labeled(episodes, outcomes_path)
 
-    # A store holds one run's records: refuse one that holds others, which
-    # train would read as if this run had written them.
+    stats = preprocess.fit_pipeline(episodes, args.interval_hours * 60)
+
     out = Path(args.out)
-    ours = {f"{folder}/{record_id}{suffix}" for record_id in first_file
-            for folder, suffix in (("features", ".csv"), ("episodes", ".txt"))}
-    for folder in ("features", "episodes"):
-        for path in sorted((out / folder).glob("*")):
-            if f"{folder}/{path.name}" not in ours:
-                raise ValueError(f"{path}: --out {out} holds a file this run does "
-                                 "not write; preprocess into a new directory")
-
-    interval_minutes = args.interval_hours * 60
-    stats = preprocess.fit_pipeline(episodes, interval_minutes)
-
-    (out / "features").mkdir(parents=True, exist_ok=True)
-    (out / "episodes").mkdir(parents=True, exist_ok=True)
-
+    _claim(out, "preprocess", [f"{folder}/{ep.record_id}{suffix}" for folder, suffix in
+                               (("features", ".csv"), ("episodes", ".txt")) for ep in episodes])
     (out / "stats.json").write_text(json.dumps(stats.to_dict()) + "\n")
     with open(out / "labels.csv", "w") as fh:
         fh.write("RecordID,In-hospital_death\n")
@@ -224,7 +224,9 @@ def cmd_train(args) -> int:
             raise ValueError(f"--{name.replace('_', '-')} has no effect on --variant "
                              f"{variant}; leave it out")
 
-    store = Path(args.store)
+    store, out = Path(args.store), Path(args.out)
+    if out.resolve() == store.resolve():
+        raise ValueError(f"--out {out} is --store {store}; train into a new directory")
     interval_minutes = _store_stats(store).interval_minutes
     cfg, model_cfg = apply_variant(
         variant, TrainConfig(interval_minutes=interval_minutes, **_given(args, TrainConfig)),
@@ -232,9 +234,8 @@ def cmd_train(args) -> int:
 
     folds = cross_validate(_store_episodes(store), cfg, model_cfg, only_fold=args.fold)
 
-    out = Path(args.out)
-    (out / "models").mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").unlink(missing_ok=True)
+    _claim(out, "train", [f"models/{variant}-fold{k}.json" for k in
+                          (range(cfg.folds) if args.fold is None else [args.fold])])
     aucs, scores, labels = [], [], []
     with open(out / "results.csv", "w") as fh:
         fh.write("variant,fold,auc,best_epoch,final_train_loss\n")
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--data-dir", required=True, help="directory of record .txt files")
     pre.add_argument("--outcomes", required=True, help="outcomes file with labels")
     pre.add_argument("--out", required=True, help="feature store directory to create")
-    pre.add_argument("--interval-hours", type=_positive_hours,
+    pre.add_argument("--interval-hours", type=int,
                      default=preprocess.DEFAULT_INTERVAL_MINUTES // 60,
                      help="interval length; train reads it from the store (default %(default)s)")
     pre.set_defaults(func=cmd_preprocess)

@@ -123,15 +123,23 @@ class TestPreprocess:
     @pytest.mark.parametrize("hours", ["0", "-3", "1.5", "x"])
     def test_bad_interval_refused_before_any_record_is_read(self, tiny_corpus, tmp_path,
                                                           capsys, hours):
+        """A whole number below 1 fails ``check_count``; anything else fails
+        argparse's ``int``."""
         data_dir, outcomes = tiny_corpus
         (data_dir / "140099.txt").write_text("not a record\n")  # read first, it would fail
         out = tmp_path / "s"
-        with pytest.raises(SystemExit) as exc:
-            run("preprocess", "--data-dir", data_dir, "--outcomes", outcomes,
+        argv = ("preprocess", "--data-dir", data_dir, "--outcomes", outcomes,
                 "--out", out, "--interval-hours", hours)
-        assert exc.value.code == 2
-        assert (f"argument --interval-hours: '{hours}' is not a whole number of hours above 0"
-                in capsys.readouterr().err)
+        if hours in ("0", "-3"):
+            assert run(*argv) == 1
+            assert (capsys.readouterr().err
+                    == f"error: interval_hours is {hours}, not a positive integer\n")
+        else:
+            with pytest.raises(SystemExit) as exc:
+                run(*argv)
+            assert exc.value.code == 2
+            assert (f"argument --interval-hours: invalid int value: '{hours}'"
+                    in capsys.readouterr().err)
         assert not out.exists()
 
     def test_duplicate_record_id_names_both_files(self, tiny_corpus, tmp_path, capsys):
@@ -158,6 +166,30 @@ class TestPreprocess:
         assert (f"error: {stale}: --out {out} holds a file this run does not write"
                 in capsys.readouterr().err)
         assert read_store_bytes(out) == before  # refused before anything is written
+
+    def test_failed_rerun_leaves_no_manifest(self, tiny_corpus, tmp_path, capsys,
+                                             monkeypatch):
+        """A rerun at another interval that fails after its first write must
+        not leave the finished store's manifest beside its new statistics."""
+        data_dir, outcomes = tiny_corpus
+        out = preprocess_into(tiny_corpus, tmp_path / "s", "--interval-hours", "12")
+        serialize, calls = ingest.serialize_record, []
+
+        def fail_third(ep):
+            calls.append(ep.record_id)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return serialize(ep)
+
+        monkeypatch.setattr("icurisk.ingest.serialize_record", fail_third)
+        assert run("preprocess", "--data-dir", data_dir, "--outcomes", outcomes,
+                   "--out", out) == 1
+        assert json.loads((out / "stats.json").read_text())["interval_minutes"] == 180
+        assert not (out / "manifest.json").exists()
+        capsys.readouterr()
+        assert run("train", "--store", out, "--out", tmp_path / "run", *TRAIN_BASE) == 1
+        assert (f"error: {out / 'manifest.json'}: not found, so {out} is not a finished "
+                "store" in capsys.readouterr().err)
 
     def test_overflowing_statistic_names_the_feature(self, tiny_corpus, tmp_path, capsys):
         # Values near 1e308 parse, but their sum overflows HR's imputation mean.
@@ -285,6 +317,28 @@ class TestTrain:
         assert run("train", "--store", store, "--out", out, *TRAIN_FAST) == 1
         assert f"Not a directory: '{out / 'models'}'" in capsys.readouterr().err
         assert out.read_text() == "kept\n"
+
+    def test_other_runs_model_refused_before_any_fold_trains(self, store, trained, capsys,
+                                                            monkeypatch):
+        """``--fold 0`` over a finished 2-fold run would leave fold 1's model
+        beside results that list fold 0 alone."""
+        before = read_store_bytes(trained)
+        monkeypatch.setattr("icurisk.train.train_fold", lambda *a, **k: pytest.fail("trained"))
+        assert run("train", "--store", store, "--out", trained, *TRAIN_FAST, "--fold", "0") == 1
+        stale = trained / "models" / "lstm-attn-fold1.json"
+        assert (f"error: {stale}: --out {trained} holds a file this run does not write; "
+                "train into a new directory" in capsys.readouterr().err)
+        assert read_store_bytes(trained) == before
+
+    def test_out_the_store_refused(self, store, capsys, monkeypatch):
+        """Training into the store would replace its manifest with train's."""
+        before = read_store_bytes(store)
+        monkeypatch.setattr("icurisk.cli._store_stats", lambda *a: pytest.fail("read"))
+        same = store / ".." / store.name
+        assert run("train", "--store", store, "--out", same, *TRAIN_FAST) == 1
+        assert (f"error: --out {same} is --store {store}; train into a new directory"
+                in capsys.readouterr().err)
+        assert read_store_bytes(store) == before
 
     @pytest.mark.parametrize("finished_before", [False, True], ids=["new", "over-finished"])
     def test_divergence_keeps_finished_folds(self, store, tmp_path, capsys, monkeypatch,
