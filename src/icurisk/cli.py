@@ -20,7 +20,7 @@ Each feature cell is the ``repr`` of its float, formatted once per distinct
 value of the matrix; the bytes are those of formatting every cell.
 
 Preprocess and train claim ``--out`` through ``_claim`` after every check and
-fit, before the first write: it refuses a file in their folders that the run
+fit, before the first write: it refuses any file under ``--out`` that the run
 does not write and removes a stale ``manifest.json``, which each writes last,
 so only a finished run has one.  Train reads the store's ``stats.json``
 through ``PipelineStats`` alone, builds its configs, then parses the
@@ -132,17 +132,16 @@ def _store_episodes(store: Path) -> list[ingest.RawEpisode]:
 
 
 def _claim(out: Path, command: str, ours: list[str]) -> None:
-    """Make ``out`` this run's before its first write: refuse a file in a folder
-    of ``ours`` (paths under ``out``) that ``ours`` does not name, which a
-    reader would take for this run's, then make the folders and remove a stale
-    ``manifest.json``."""
-    folders, names = dict.fromkeys(name.rpartition("/")[0] for name in ours), set(ours)
-    for folder in folders:
-        for path in sorted((out / folder).glob("*")):
-            if f"{folder}/{path.name}" not in names:
-                raise ValueError(f"{path}: --out {out} holds a file this run does "
-                                 f"not write; {command} into a new directory")
-    for folder in folders:
+    """Make ``out`` this run's before its first write: refuse any file under
+    ``out`` that ``ours`` (every path the run writes, relative to ``out``) does
+    not name, which a reader would take for this run's, then make the folders
+    and remove a stale ``manifest.json``."""
+    names = set(ours)
+    for path in sorted(out.rglob("*")):
+        if not path.is_dir() and path.relative_to(out).as_posix() not in names:
+            raise ValueError(f"{path}: --out {out} holds a file this run does "
+                             f"not write; {command} into a new directory")
+    for folder in dict.fromkeys(name.rpartition("/")[0] for name in ours):
         (out / folder).mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
 
@@ -179,7 +178,8 @@ def cmd_preprocess(args) -> int:
 
     out = Path(args.out)
     _claim(out, "preprocess", [f"{folder}/{ep.record_id}{suffix}" for folder, suffix in
-                               (("features", ".csv"), ("episodes", ".txt")) for ep in episodes])
+                               (("features", ".csv"), ("episodes", ".txt")) for ep in episodes]
+           + ["stats.json", "labels.csv", "manifest.json"])
     (out / "stats.json").write_text(json.dumps(stats.to_dict()) + "\n")
     with open(out / "labels.csv", "w") as fh:
         fh.write("RecordID,In-hospital_death\n")
@@ -235,7 +235,8 @@ def cmd_train(args) -> int:
     folds = cross_validate(_store_episodes(store), cfg, model_cfg, only_fold=args.fold)
 
     _claim(out, "train", [f"models/{variant}-fold{k}.json" for k in
-                          (range(cfg.folds) if args.fold is None else [args.fold])])
+                          (range(cfg.folds) if args.fold is None else [args.fold])]
+           + ["results.csv", "manifest.json"])
     aucs, scores, labels = [], [], []
     with open(out / "results.csv", "w") as fh:
         fh.write("variant,fold,auc,best_epoch,final_train_loss\n")

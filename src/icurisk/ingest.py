@@ -7,7 +7,8 @@ and are read from the time-00:00 block; the other 36 known parameters form
 the time-series.  An episode holds its rows as one structured array of
 (minutes, parameter index, value), the form :mod:`icurisk.preprocess` reads
 directly.  All functions here are pure: parsing many files concurrently is
-safe.
+safe.  Every refusal is an :class:`IngestError`, and one that a line
+causes names it: ``line N: ...``.
 
 Record text is read and written a column at a time: :func:`parse_record`
 splits every row at once and looks the times up in one table of the 2881
@@ -68,27 +69,8 @@ _MINUTE_OF = {clock: minutes for minutes, clock in enumerate(_CLOCK)}
 
 
 class IngestError(Exception):
-    """Base class for record/outcome ingestion failures."""
-
-
-class RecordParseError(IngestError):
-    """A line could not be parsed; carries the 1-based line number."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
-class RecordStructureError(IngestError):
-    """The file is well-formed line by line but structurally invalid."""
-
-
-class UnknownParameterError(IngestError):
-    """A row names none of the 41 known parameters."""
-
-    def __init__(self, name: str, line_no: int):
-        super().__init__(f"line {line_no}: unknown parameter {name!r}")
-        self.line_no = line_no
+    """A record, outcome file or label join refused; a fault at one line
+    starts the message ``line N: ``."""
 
 
 def _by_minutes(rows) -> np.ndarray:
@@ -136,12 +118,10 @@ class RawEpisode:
 def _parse_minutes(token: str, line_no: int) -> int:
     m = _TIME_RE.match(token)
     if m is None:
-        raise RecordParseError(line_no, f"bad time field {token!r}")
+        raise IngestError(f"line {line_no}: bad time field {token!r}")
     minutes = int(m.group(1)) * 60 + int(m.group(2))
     if minutes > MAX_MINUTES:
-        raise RecordParseError(
-            line_no, f"time {token} exceeds the 48-hour window"
-        )
+        raise IngestError(f"line {line_no}: time {token} exceeds the 48-hour window")
     return minutes
 
 
@@ -149,9 +129,9 @@ def _parse_value(token: str, line_no: int) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise RecordParseError(line_no, f"bad value field {token!r}") from None
+        raise IngestError(f"line {line_no}: bad value field {token!r}") from None
     if not math.isfinite(value):
-        raise RecordParseError(line_no, f"non-finite value {token!r}")
+        raise IngestError(f"line {line_no}: non-finite value {token!r}")
     return value
 
 
@@ -169,9 +149,7 @@ def parse_record(text: str) -> RawEpisode:
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != "Time,Parameter,Value":
-        raise RecordStructureError(
-            "record file must start with a 'Time,Parameter,Value' header"
-        )
+        raise IngestError("record file must start with a 'Time,Parameter,Value' header")
     episode = _parse_columns(lines[1:])
     return _parse_lines(lines[1:]) if episode is None else episode
 
@@ -210,29 +188,27 @@ def _parse_lines(body: list[str]) -> RawEpisode:
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise RecordParseError(line_no, f"expected 3 fields, got {len(parts)}")
+            raise IngestError(f"line {line_no}: expected 3 fields, got {len(parts)}")
         time_tok, name, value_tok = (p.strip() for p in parts)
         minutes = _parse_minutes(time_tok, line_no)
 
         if name == "RecordID":
             if record_id is not None:
-                raise RecordStructureError("duplicate RecordID row")
+                raise IngestError("duplicate RecordID row")
             value = _parse_value(value_tok, line_no)
             if not _is_record_id(value):
-                raise RecordStructureError(
-                    f"RecordID must be a positive integer, got {value_tok!r}"
-                )
+                raise IngestError(f"RecordID must be a positive integer, got {value_tok!r}")
             record_id = int(value)
             continue
 
         value = _parse_value(value_tok, line_no)
         code = _CODES.get(name)
         if code is None:
-            raise UnknownParameterError(name, line_no)
+            raise IngestError(f"line {line_no}: unknown parameter {name!r}")
         (measurements if code < _N_SERIES else static_rows).append((minutes, code, value))
 
     if record_id is None:
-        raise RecordStructureError("missing RecordID row")
+        raise IngestError("missing RecordID row")
     return _episode(record_id, measurements, static_rows)
 
 
@@ -292,24 +268,22 @@ def parse_outcomes(text: str) -> dict[int, int]:
     reader = csv.DictReader(io.StringIO(text))
     fields = reader.fieldnames or []
     if "RecordID" not in fields or "In-hospital_death" not in fields:
-        raise RecordStructureError(
-            "outcomes header must contain RecordID and In-hospital_death columns"
-        )
+        raise IngestError("outcomes header must contain RecordID and In-hospital_death columns")
     labels: dict[int, int] = {}
     for row_no, row in enumerate(reader, start=2):
         try:
             record_id = int(row["RecordID"])
         except (TypeError, ValueError):
-            raise RecordParseError(row_no, f"bad RecordID {row['RecordID']!r}") from None
+            raise IngestError(f"line {row_no}: bad RecordID {row['RecordID']!r}") from None
         if record_id in labels:
-            raise RecordStructureError(f"duplicate record id {record_id}")
+            raise IngestError(f"duplicate record id {record_id}")
         raw_label = row["In-hospital_death"]
         try:
             label = int(raw_label)
         except (TypeError, ValueError):
-            raise RecordParseError(row_no, f"bad label {raw_label!r}") from None
+            raise IngestError(f"line {row_no}: bad label {raw_label!r}") from None
         if label not in (0, 1):
-            raise RecordParseError(row_no, f"label must be 0 or 1, got {label}")
+            raise IngestError(f"line {row_no}: label must be 0 or 1, got {label}")
         labels[record_id] = label
     return labels
 
@@ -320,7 +294,5 @@ def join_labels(
     """Attach outcome labels to episodes; every episode must have one."""
     missing = [ep.record_id for ep in episodes if ep.record_id not in labels]
     if missing:
-        raise RecordStructureError(
-            f"no outcome label for record ids: {sorted(missing)}"
-        )
+        raise IngestError(f"no outcome label for record ids: {sorted(missing)}")
     return [replace(ep, label=labels[ep.record_id]) for ep in episodes]

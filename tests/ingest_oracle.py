@@ -4,7 +4,7 @@
 ``float`` and ``isfinite`` per row, and ``serialize_record`` formats each
 row and sorts them with a Python key.  Slow, but each rule is spelled out
 once, so tests compare :mod:`icurisk.ingest` against it: the same episode,
-the same text, or the same exception class, message and ``line_no``.
+the same text, or the same exception class and message.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from icurisk.ingest import (
     SENTINEL_STATICS,
     STATIC_PARAMETERS,
     TIME_SERIES_PARAMETERS,
+    IngestError,
     RawEpisode,
-    RecordParseError,
-    RecordStructureError,
-    UnknownParameterError,
 )
 
 _SERIES_INDEX = {name: i for i, name in enumerate(TIME_SERIES_PARAMETERS)}
@@ -43,12 +41,10 @@ def _by_minutes(rows: list[tuple[int, int, float]]) -> np.ndarray:
 def _parse_minutes(token: str, line_no: int) -> int:
     m = _TIME_RE.match(token)
     if m is None:
-        raise RecordParseError(line_no, f"bad time field {token!r}")
+        raise IngestError(f"line {line_no}: bad time field {token!r}")
     minutes = int(m.group(1)) * 60 + int(m.group(2))
     if minutes > MAX_MINUTES:
-        raise RecordParseError(
-            line_no, f"time {token} exceeds the 48-hour window"
-        )
+        raise IngestError(f"line {line_no}: time {token} exceeds the 48-hour window")
     return minutes
 
 
@@ -56,9 +52,9 @@ def _parse_value(token: str, line_no: int) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise RecordParseError(line_no, f"bad value field {token!r}") from None
+        raise IngestError(f"line {line_no}: bad value field {token!r}") from None
     if not math.isfinite(value):
-        raise RecordParseError(line_no, f"non-finite value {token!r}")
+        raise IngestError(f"line {line_no}: non-finite value {token!r}")
     return value
 
 
@@ -72,9 +68,7 @@ def parse_record(text: str) -> RawEpisode:
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != "Time,Parameter,Value":
-        raise RecordStructureError(
-            "record file must start with a 'Time,Parameter,Value' header"
-        )
+        raise IngestError("record file must start with a 'Time,Parameter,Value' header")
 
     record_id: int | None = None
     statics: list[float | None] = [None] * len(STATIC_PARAMETERS)
@@ -88,18 +82,16 @@ def parse_record(text: str) -> RawEpisode:
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise RecordParseError(line_no, f"expected 3 fields, got {len(parts)}")
+            raise IngestError(f"line {line_no}: expected 3 fields, got {len(parts)}")
         time_tok, name, value_tok = (p.strip() for p in parts)
         minutes = _parse_minutes(time_tok, line_no)
 
         if name == "RecordID":
             if record_id is not None:
-                raise RecordStructureError("duplicate RecordID row")
+                raise IngestError("duplicate RecordID row")
             value = _parse_value(value_tok, line_no)
             if value <= 0 or value != int(value):
-                raise RecordStructureError(
-                    f"RecordID must be a positive integer, got {value_tok!r}"
-                )
+                raise IngestError(f"RecordID must be a positive integer, got {value_tok!r}")
             record_id = int(value)
             continue
 
@@ -119,11 +111,11 @@ def parse_record(text: str) -> RawEpisode:
 
         series_idx = _SERIES_INDEX.get(name)
         if series_idx is None:
-            raise UnknownParameterError(name, line_no)
+            raise IngestError(f"line {line_no}: unknown parameter {name!r}")
         measurements.append((minutes, series_idx, value))
 
     if record_id is None:
-        raise RecordStructureError("missing RecordID row")
+        raise IngestError("missing RecordID row")
 
     return RawEpisode(record_id, statics, _by_minutes(measurements), _by_minutes(extras))
 

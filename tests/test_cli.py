@@ -162,10 +162,22 @@ class TestPreprocess:
         before = read_store_bytes(out)
         (data_dir / "140005.txt").unlink()
         assert run(*args) == 1
-        stale = out / "features" / "140005.csv"
+        stale = out / "episodes" / "140005.txt"
         assert (f"error: {stale}: --out {out} holds a file this run does not write"
                 in capsys.readouterr().err)
         assert read_store_bytes(out) == before  # refused before anything is written
+
+    def test_out_a_train_run_refused(self, tiny_corpus, trained, capsys):
+        """A store written over a train run would sit beside its models and
+        results under preprocess's manifest."""
+        before = read_store_bytes(trained)
+        data_dir, outcomes = tiny_corpus
+        assert run("preprocess", "--data-dir", data_dir, "--outcomes", outcomes,
+                   "--out", trained) == 1
+        stale = trained / "models" / "lstm-attn-fold0.json"
+        assert (f"error: {stale}: --out {trained} holds a file this run does not write; "
+                "preprocess into a new directory" in capsys.readouterr().err)
+        assert read_store_bytes(trained) == before
 
     def test_failed_rerun_leaves_no_manifest(self, tiny_corpus, tmp_path, capsys,
                                              monkeypatch):
@@ -339,6 +351,17 @@ class TestTrain:
         assert (f"error: --out {same} is --store {store}; train into a new directory"
                 in capsys.readouterr().err)
         assert read_store_bytes(store) == before
+
+    def test_out_another_store_refused(self, store, tiny_corpus, tmp_path, capsys):
+        """Training into another store would replace its manifest with train's,
+        and ``train --store`` would then take it for a finished store."""
+        other = preprocess_into(tiny_corpus, tmp_path / "other-store")
+        before = read_store_bytes(other)
+        assert run("train", "--store", store, "--out", other, *TRAIN_FAST) == 1
+        stale = other / "episodes" / "140000.txt"
+        assert (f"error: {stale}: --out {other} holds a file this run does not write; "
+                "train into a new directory" in capsys.readouterr().err)
+        assert read_store_bytes(other) == before
 
     @pytest.mark.parametrize("finished_before", [False, True], ids=["new", "over-finished"])
     def test_divergence_keeps_finished_folds(self, store, tmp_path, capsys, monkeypatch,

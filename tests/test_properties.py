@@ -150,11 +150,11 @@ def record_texts(draw):
 
 
 def outcome(parse, text):
-    """The episode, or the exception's class, message and line number."""
+    """The episode, or the exception's class and message."""
     try:
         return parse(text)
     except Exception as exc:  # the comparison is of the exception itself
-        return type(exc), str(exc), getattr(exc, "line_no", None)
+        return type(exc), str(exc)
 
 
 @settings(max_examples=400, deadline=None)
