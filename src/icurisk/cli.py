@@ -29,7 +29,7 @@ field, whose default is the flag's, and is refused where the variant ignores
 it.  Train writes each fold's model and ``results.csv`` row as the fold
 finishes; a run that fails keeps the folds it finished.
 Predict and attention share one scoring body, ``_score``, and differ only in
-their header and rows; neither writes anything unless every risk is finite.
+their header and rows; neither touches a file unless every risk is finite.
 """
 
 from __future__ import annotations
@@ -74,21 +74,19 @@ def _write_manifest(path: Path, command: str, options: dict, dataset_digest: str
 
 @contextmanager
 def _naming(path: Path):
-    """An ingest error raised inside names ``path``."""
+    """An ingest, value, type or overflow error raised inside names ``path``."""
     try:
         yield
     except ingest.IngestError as exc:
         raise ingest.IngestError(f"{path}: {exc}") from exc
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _parse_file(path: Path, parse):
-    """``parse`` of a file's text; an ingest error names the file."""
+    """``parse`` of a file's text; a refusal in decoding or parsing names the file."""
     with _naming(path):
         return parse(path.read_text())
-
-
-def _read_records(paths: list[Path]) -> list[ingest.RawEpisode]:
-    return [_parse_file(path, ingest.parse_record) for path in paths]
 
 
 def _labeled(episodes: list[ingest.RawEpisode],
@@ -107,11 +105,8 @@ def _store_stats(store: Path) -> preprocess.PipelineStats:
     if not (store / "manifest.json").is_file():
         raise FileNotFoundError(f"{store / 'manifest.json'}: not found, so {store} is not "
                                 "a finished store; preprocess into it again")
-    stats_path = store / "stats.json"
-    try:
-        return preprocess.PipelineStats.from_dict(json.loads(stats_path.read_text()))
-    except (OSError, OverflowError, TypeError, ValueError) as exc:
-        raise ValueError(f"{stats_path}: {exc}") from exc
+    return _parse_file(store / "stats.json",
+                       lambda text: preprocess.PipelineStats.from_dict(json.loads(text)))
 
 
 def _store_episodes(store: Path) -> list[ingest.RawEpisode]:
@@ -121,7 +116,8 @@ def _store_episodes(store: Path) -> list[ingest.RawEpisode]:
     if not episode_files:
         raise FileNotFoundError(f"no episodes found under {store / 'episodes'}")
     labels_path = store / "labels.csv"
-    episodes, labels = _labeled(_read_records(episode_files), labels_path)
+    episodes, labels = _labeled(
+        [_parse_file(path, ingest.parse_record) for path in episode_files], labels_path)
     listed = {f"{record_id}.txt" for record_id in labels}
     found = {path.name for path in episode_files}
     if differ := sorted(listed ^ found):
@@ -166,7 +162,7 @@ def cmd_preprocess(args) -> int:
         raise FileNotFoundError(f"no record files (*.txt) under {data_dir}")
     outcomes_path = Path(args.outcomes)
 
-    episodes = _read_records(record_files)
+    episodes = [_parse_file(path, ingest.parse_record) for path in record_files]
     first_file: dict[int, Path] = {}
     for path, ep in zip(record_files, episodes):
         other = first_file.setdefault(ep.record_id, path)
@@ -272,10 +268,12 @@ def cmd_train(args) -> int:
 
 def _score(args, command: str, done: str, header, rows, **options) -> int:
     """Write ``header(config)``, which may refuse the model, then ``rows(record_id,
-    result)`` for each record, scored alone.  A model without statistics or a
-    non-finite risk fails before anything is written; a NaN in any weight or
-    state reaches the risk through ``sigmoid(w . max(readings))``."""
-    model_path = Path(args.model)
+    result)`` for each record, scored alone.  A bad ``--out`` fails before the
+    model loads, a model without statistics or a non-finite risk (a NaN weight
+    or state reaches ``sigmoid(w . max(readings))``) before the manifest goes."""
+    model_path, out = Path(args.model), Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ValueError(f"--out {out} is not a file in an existing directory")
     params, stats = load_model(model_path)
     if stats is None:
         raise ModelFormatError(
@@ -283,18 +281,19 @@ def _score(args, command: str, done: str, header, rows, **options) -> int:
         )
     lines = [header(params.config)]
     record_paths = [Path(p) for p in args.records]
-    for ep in _read_records(record_paths):
+    for ep in [_parse_file(path, ingest.parse_record) for path in record_paths]:
         result = forward_episode(preprocess.build_features(ep, stats).matrix, params,
                                  record_id=ep.record_id)
         if not np.isfinite(result.risk):
             raise ValueError(f"record {ep.record_id}: model {model_path} "
                              f"gives a non-finite risk ({result.risk})")
         lines += rows(ep.record_id, result)
-    out = Path(args.out)
+    manifest = Path(str(out) + ".manifest.json")
+    manifest.unlink(missing_ok=True)
     out.write_text("\n".join(lines) + "\n")
 
     _write_manifest(
-        Path(str(out) + ".manifest.json"), command,
+        manifest, command,
         {"model": str(model_path), "records": [str(p) for p in record_paths],
          "out": str(out), **options},
         dataset_digest=_digest_files(record_paths + [model_path]),

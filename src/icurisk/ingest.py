@@ -263,14 +263,18 @@ def parse_outcomes(text: str) -> dict[int, int]:
     """Parse an outcomes file into ``{record_id: label}``.
 
     The header must include ``RecordID`` and ``In-hospital_death`` columns.
-    Labels must be exactly 0 or 1; duplicate record ids are an error.
+    Labels must be exactly 0 or 1; duplicate ids and rows csv cannot read are errors.
     """
     reader = csv.DictReader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # the row csv cannot read starts after the last it read
+        raise IngestError(f"line {reader.line_num + 1}: {exc}") from None
     fields = reader.fieldnames or []
     if "RecordID" not in fields or "In-hospital_death" not in fields:
         raise IngestError("outcomes header must contain RecordID and In-hospital_death columns")
     labels: dict[int, int] = {}
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in enumerate(rows, start=2):
         try:
             record_id = int(row["RecordID"])
         except (TypeError, ValueError):

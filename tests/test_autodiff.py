@@ -9,7 +9,7 @@ import pytest
 
 from icurisk import autodiff, model
 from icurisk.model import (ModelConfig, ModelParams, ShapeMismatchError, check_gradients,
-                           forward_batch, max_relative_error)
+                           forward_batch)
 
 from tape_oracle import Tape, Tensor, softmax
 from test_golden import ARCHITECTURES
@@ -233,12 +233,24 @@ class TestBackward:
 
 
 class TestMaxRelativeError:
+    """``check_gradients``' measure, on one parameter entry at 0."""
+
     def test_exact_match_is_zero(self):
-        assert max_relative_error(np.array([1.0]), np.array([1.0])) == 0.0
+        # The loss is the entry itself, so both gradients are exactly 1.
+        w = np.zeros(1)
+        assert check_gradients(lambda: (float(w[0]), {"w": np.ones(1)}), [("w", w)]) == 0.0
 
     def test_small_denominator_floor(self):
         # Both near zero: the 1e-8 floor keeps noise from exploding the ratio.
-        assert max_relative_error(np.array([1e-12]), np.array([0.0])) == pytest.approx(1e-4)
+        w = np.zeros(1)
+        err = check_gradients(lambda: (0.0, {"w": np.array([1e-12])}), [("w", w)])
+        assert err == pytest.approx(1e-4)
+
+    def test_nan_gradient_is_not_hidden(self):
+        # A NaN entry must fail an `err < tol` check, not read as a match.
+        w = np.zeros(2)
+        grads = {"w": np.array([np.nan, 1.0])}
+        assert np.isnan(check_gradients(lambda: (float(w.sum()), grads), [("w", w)]))
 
 
 class TestModelTape:

@@ -29,6 +29,11 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def undecodable(path: Path, err: str) -> bool:
+    """Whether ``err`` refuses ``path`` for a leading byte 0xff, not UTF-8."""
+    return err.startswith(f"error: {path}: ") and "can't decode byte 0xff" in err
+
+
 def read_store_bytes(store: Path) -> dict[str, bytes]:
     return {str(p.relative_to(store)): p.read_bytes()
             for p in sorted(store.rglob("*")) if p.is_file()}
@@ -254,6 +259,30 @@ class TestPreprocess:
                    "--out", tmp_path / "s") == 1
         assert f"error: {outcomes}: line 6: bad label 'x'" in capsys.readouterr().err
 
+    def test_outcomes_field_over_csv_limit_names_the_file(self, tiny_corpus, tmp_path,
+                                                          capsys):
+        data_dir, outcomes = tiny_corpus
+        lines = outcomes.read_text().splitlines()
+        lines[5] += "x" * 131_073
+        outcomes.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "s"
+        assert run("preprocess", "--data-dir", data_dir, "--outcomes", outcomes,
+                   "--out", out) == 1
+        assert (capsys.readouterr().err
+                == f"error: {outcomes}: line 6: field larger than field limit (131072)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["record", "outcomes"])
+    def test_undecodable_input_names_the_file(self, tiny_corpus, tmp_path, capsys, which):
+        data_dir, outcomes = tiny_corpus
+        bad = sorted(data_dir.glob("*.txt"))[3] if which == "record" else outcomes
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        out = tmp_path / "s"
+        assert run("preprocess", "--data-dir", data_dir, "--outcomes", outcomes,
+                   "--out", out) == 1
+        assert undecodable(bad, capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestTrain:
     def test_outputs(self, trained):
@@ -409,6 +438,16 @@ class TestTrain:
         assert (f"error: {labels}: line 3: label must be 0 or 1, got 2"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("name", ["episodes/140003.txt", "labels.csv", "stats.json"])
+    def test_undecodable_store_file_named(self, store, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.setattr("icurisk.train.fit_pipeline", lambda *a: pytest.fail("fitted"))
+        bad = store / name
+        bad.write_bytes(b"\xff" + bad.read_bytes())
+        out = tmp_path / "out"
+        assert run("train", "--store", store, "--out", out, *TRAIN_FAST) == 1
+        assert undecodable(bad, capsys.readouterr().err)
+        assert not out.exists()
+
     def test_store_labels_parsed_once(self, store, tmp_path, monkeypatch):
         parsed = []
         parse_outcomes = ingest.parse_outcomes
@@ -479,7 +518,9 @@ class TestTrain:
         out = tmp_path / "out"
         assert run("train", "--store", store, "--out", out, *TRAIN_FAST) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ") and message in err
+        assert message in err
+        # A missing file's OSError names the path in its own text.
+        assert f"'{path}'" in err if stats is None else err.startswith(f"error: {path}: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
@@ -559,6 +600,67 @@ def test_model_without_statistics_refused(command, model_path, tiny_corpus, tmp_
     assert run(command, "--model", bare, "--out", out, record) == 1
     assert (f"error: {bare}: model carries no preprocessing statistics"
             in capsys.readouterr().err)
+    assert not out.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "attention"])
+@pytest.mark.parametrize("where", ["a-directory", "in-no-directory"])
+def test_bad_out_refused_before_the_model_loads(command, where, model_path, tiny_corpus,
+                                                tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("icurisk.cli.load_model", lambda *a: pytest.fail("loaded"))
+    monkeypatch.setattr("icurisk.cli.forward_episode", lambda *a, **k: pytest.fail("scored"))
+    out = tmp_path / "dir" if where == "a-directory" else tmp_path / "nodir" / "p.csv"
+    if where == "a-directory":
+        out.mkdir()
+    record = sorted(tiny_corpus[0].glob("*.txt"))[0]
+    assert run(command, "--model", model_path, "--out", out, record) == 1
+    assert (capsys.readouterr().err
+            == f"error: --out {out} is not a file in an existing directory\n")
+    assert not any(out.iterdir()) if out.is_dir() else not out.parent.exists()
+    assert not Path(str(out) + ".manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "attention"])
+def test_rerun_removes_the_old_manifest_once_every_risk_is_finite(
+        command, model_path, tiny_corpus, tmp_path, capsys, monkeypatch):
+    """A refused rerun keeps the earlier run's files; one whose write fails
+    leaves no manifest beside its partial output."""
+    records = sorted(tiny_corpus[0].glob("*.txt"))[:2]
+    out = tmp_path / "out.csv"
+    manifest = Path(str(out) + ".manifest.json")
+    assert run(command, "--model", model_path, "--out", out, *records) == 0
+    before = out.read_bytes(), manifest.read_bytes()
+
+    doc = json.loads(model_path.read_text())
+    doc["params"]["out.w"]["data"][0] = float("nan")
+    bad = tmp_path / "nan-model.json"
+    bad.write_text(json.dumps(doc))
+    assert run(command, "--model", bad, "--out", out, *records) == 1
+    assert "gives a non-finite risk (nan)" in capsys.readouterr().err
+    assert (out.read_bytes(), manifest.read_bytes()) == before
+
+    write_text = Path.write_text
+
+    def disk_full(path, text, *args, **kwargs):
+        if path == out:
+            write_text(path, text[:20])
+            raise OSError(28, "No space left on device")
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    assert run(command, "--model", model_path, "--out", out, *records) == 1
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert not manifest.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "attention"])
+def test_undecodable_record_named(command, model_path, tiny_corpus, tmp_path, capsys):
+    records = sorted(tiny_corpus[0].glob("*.txt"))[:2]
+    records[1].write_bytes(b"\xff" + records[1].read_bytes())
+    out = tmp_path / "out.csv"
+    assert run(command, "--model", model_path, "--out", out, *records) == 1
+    assert undecodable(records[1], capsys.readouterr().err)
     assert not out.exists()
     assert not Path(str(out) + ".manifest.json").exists()
 

@@ -287,6 +287,14 @@ class TestOutcomes:
         with refused("outcomes header must contain RecordID and In-hospital_death columns"):
             parse_outcomes("RecordID,Survival\n1,0\n")
 
+    @pytest.mark.parametrize("row, line", [(0, 1), (2, 3)], ids=["header", "row"])
+    def test_field_over_csv_limit_rejected(self, row, line):
+        """csv refuses a field over its 131 072 characters, at the row's line."""
+        lines = (self.HEADER + "1,6,1,5,-1,0\n2,6,1,5,-1,1\n").splitlines()
+        lines[row] += "x" * 131_073
+        with refused(f"line {line}: field larger than field limit (131072)"):
+            parse_outcomes("\n".join(lines) + "\n")
+
 
 class TestJoinLabels:
     def _episode(self, record_id):
