@@ -23,11 +23,12 @@ Preprocess and train claim ``--out`` through ``_claim`` after every check and
 fit, before the first write: it refuses any file under ``--out`` that the run
 does not write and removes a stale ``manifest.json``, which each writes last,
 so only a finished run has one.  Train reads the store's ``stats.json``
-through ``PipelineStats`` alone, builds its configs, then parses the
-episodes, and refits preprocessing per fold.  Each train flag sets a config
-field, whose default is the flag's, and is refused where the variant ignores
-it.  Train writes each fold's model and ``results.csv`` row as the fold
-finishes; a run that fails keeps the folds it finished.
+through ``PipelineStats`` alone, builds its configs, then reads the
+episodes through ``_labeled``, as preprocess reads its data directory, and
+refits preprocessing per fold.  Each train flag sets a config field, whose
+default is the flag's, and is refused where the variant ignores it.  Train
+writes each fold's model and ``results.csv`` row as the fold finishes; a run
+that fails keeps the folds it finished.
 Predict and attention share one scoring body, ``_score``, and differ only in
 their header and rows; neither touches a file unless every risk is finite.
 """
@@ -89,14 +90,22 @@ def _parse_file(path: Path, parse):
         return parse(path.read_text())
 
 
-def _labeled(episodes: list[ingest.RawEpisode],
-             labels_path: Path) -> tuple[list[ingest.RawEpisode], dict[int, int]]:
-    """``episodes`` with their outcome labels from ``labels_path``, read
-    once, and those labels by record id; a bad or missing label names that
-    file."""
+def _labeled(folder: Path, labels_path: Path
+             ) -> tuple[list[Path], list[ingest.RawEpisode], dict[int, int]]:
+    """The record files under ``folder``, sorted, their episodes labeled from
+    ``labels_path``, and those labels by record id.  An empty folder, a record
+    id that two files hold, and a bad or missing label are refused by file."""
+    files = sorted(folder.glob("*.txt"))
+    if not files:
+        raise FileNotFoundError(f"no record files (*.txt) under {folder}")
+    episodes = [_parse_file(path, ingest.parse_record) for path in files]
+    first_file: dict[int, Path] = {}
+    for path, ep in zip(files, episodes):
+        if (other := first_file.setdefault(ep.record_id, path)) != path:
+            raise ValueError(f"{path}: record id {ep.record_id} is also the id of {other}")
     labels = _parse_file(labels_path, ingest.parse_outcomes)
     with _naming(labels_path):
-        return ingest.join_labels(episodes, labels), labels
+        return files, ingest.join_labels(episodes, labels), labels
 
 
 def _store_stats(store: Path) -> preprocess.PipelineStats:
@@ -109,22 +118,17 @@ def _store_stats(store: Path) -> preprocess.PipelineStats:
                        lambda text: preprocess.PipelineStats.from_dict(json.loads(text)))
 
 
-def _store_episodes(store: Path) -> list[ingest.RawEpisode]:
-    """A store's labeled episodes; ``labels.csv`` must name exactly the
-    ``episodes/*.txt`` files."""
-    episode_files = sorted((store / "episodes").glob("*.txt"))
-    if not episode_files:
-        raise FileNotFoundError(f"no episodes found under {store / 'episodes'}")
+def _store_episodes(store: Path) -> tuple[list[Path], list[ingest.RawEpisode]]:
+    """A store's episode files and labeled episodes; ``labels.csv`` must name
+    exactly the ``episodes/*.txt`` files."""
     labels_path = store / "labels.csv"
-    episodes, labels = _labeled(
-        [_parse_file(path, ingest.parse_record) for path in episode_files], labels_path)
+    files, episodes, labels = _labeled(store / "episodes", labels_path)
     listed = {f"{record_id}.txt" for record_id in labels}
-    found = {path.name for path in episode_files}
-    if differ := sorted(listed ^ found):
+    if differ := sorted(listed ^ {path.name for path in files}):
         why = "missing, though" if differ[0] in listed else "extra: not"
         raise ValueError(f"{store / 'episodes' / differ[0]}: {why} listed in "
                          f"{labels_path}; preprocess into a new directory")
-    return episodes
+    return files, episodes
 
 
 def _claim(out: Path, command: str, ours: list[str]) -> None:
@@ -156,19 +160,8 @@ def _csv_rows(matrix: np.ndarray) -> list[str]:
 
 def cmd_preprocess(args) -> int:
     preprocess.check_count("interval_hours", args.interval_hours)
-    data_dir = Path(args.data_dir)
-    record_files = sorted(data_dir.glob("*.txt"))
-    if not record_files:
-        raise FileNotFoundError(f"no record files (*.txt) under {data_dir}")
-    outcomes_path = Path(args.outcomes)
-
-    episodes = [_parse_file(path, ingest.parse_record) for path in record_files]
-    first_file: dict[int, Path] = {}
-    for path, ep in zip(record_files, episodes):
-        other = first_file.setdefault(ep.record_id, path)
-        if other != path:
-            raise ValueError(f"{path}: record id {ep.record_id} is also the id of {other}")
-    episodes, _ = _labeled(episodes, outcomes_path)
+    data_dir, outcomes_path = Path(args.data_dir), Path(args.outcomes)
+    record_files, episodes, _ = _labeled(data_dir, outcomes_path)
 
     stats = preprocess.fit_pipeline(episodes, args.interval_hours * 60)
 
@@ -228,7 +221,8 @@ def cmd_train(args) -> int:
         variant, TrainConfig(interval_minutes=interval_minutes, **_given(args, TrainConfig)),
         ModelConfig(**sizes))
 
-    folds = cross_validate(_store_episodes(store), cfg, model_cfg, only_fold=args.fold)
+    episode_files, episodes = _store_episodes(store)
+    folds = cross_validate(episodes, cfg, model_cfg, only_fold=args.fold)
 
     _claim(out, "train", [f"models/{variant}-fold{k}.json" for k in
                           (range(cfg.folds) if args.fold is None else [args.fold])]
@@ -250,13 +244,12 @@ def cmd_train(args) -> int:
         fh.write(f"{variant},mean,{mean_auc!r},,\n{variant},std,{std_auc!r},,\n"
                  f"{variant},pooled,{pooled_auc!r},,\n")
 
-    store_files = sorted((store / "episodes").glob("*.txt")) + [
-        store / "labels.csv", store / "stats.json"]
     _write_manifest(
         out / "manifest.json", "train",
         {"store": str(store), "out": str(out), "variant": variant, "fold": args.fold,
          "train": asdict(cfg), "model": asdict(model_cfg)},
-        dataset_digest=_digest_files(store_files),
+        dataset_digest=_digest_files(
+            episode_files + [store / "labels.csv", store / "stats.json"]),
         seed=args.seed,
     )
     print(f"{variant}: mean AUC {mean_auc:.4f} (+/- {std_auc:.4f}) over {len(aucs)} fold(s)")

@@ -263,31 +263,38 @@ def parse_outcomes(text: str) -> dict[int, int]:
     """Parse an outcomes file into ``{record_id: label}``.
 
     The header must include ``RecordID`` and ``In-hospital_death`` columns.
-    Labels must be exactly 0 or 1; duplicate ids and rows csv cannot read are errors.
+    Labels must be exactly 0 or 1; duplicate ids and rows csv cannot read are
+    errors, each named by the line its row starts on.  Blank lines are skipped.
     """
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text))
+    # The header is the first row, even a blank one; later blank rows are skipped.
+    rows, start = [], 1
     try:
-        rows = list(reader)
+        for row in reader:
+            if row or start == 1:
+                rows.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as exc:  # the row csv cannot read starts after the last it read
-        raise IngestError(f"line {reader.line_num + 1}: {exc}") from None
-    fields = reader.fieldnames or []
+        raise IngestError(f"line {start}: {exc}") from None
+    (_, fields), *rows = rows or [(1, [])]
     if "RecordID" not in fields or "In-hospital_death" not in fields:
         raise IngestError("outcomes header must contain RecordID and In-hospital_death columns")
     labels: dict[int, int] = {}
-    for row_no, row in enumerate(rows, start=2):
+    for line, values in rows:
+        row = dict(zip(fields, values))  # a short row lacks its last fields
+        raw_id, raw_label = row.get("RecordID"), row.get("In-hospital_death")
         try:
-            record_id = int(row["RecordID"])
+            record_id = int(raw_id)
         except (TypeError, ValueError):
-            raise IngestError(f"line {row_no}: bad RecordID {row['RecordID']!r}") from None
+            raise IngestError(f"line {line}: bad RecordID {raw_id!r}") from None
         if record_id in labels:
-            raise IngestError(f"duplicate record id {record_id}")
-        raw_label = row["In-hospital_death"]
+            raise IngestError(f"line {line}: duplicate record id {record_id}")
         try:
             label = int(raw_label)
         except (TypeError, ValueError):
-            raise IngestError(f"line {row_no}: bad label {raw_label!r}") from None
+            raise IngestError(f"line {line}: bad label {raw_label!r}") from None
         if label not in (0, 1):
-            raise IngestError(f"line {row_no}: label must be 0 or 1, got {label}")
+            raise IngestError(f"line {line}: label must be 0 or 1, got {label}")
         labels[record_id] = label
     return labels
 

@@ -14,6 +14,7 @@ validation is scored in batches of the same size.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -251,6 +252,11 @@ def cross_validate(episodes: list[RawEpisode], cfg: TrainConfig,
     labels = [ep.label for ep in episodes]
     if any(label is None for label in labels):
         raise ValueError("cross-validation needs labeled episodes")
+    # Two copies of one stay could land in a fold's training and validation splits.
+    for record_id, count in Counter(ep.record_id for ep in episodes).items():
+        if count > 1:
+            raise ValueError(f"record id {record_id} appears {count} times; "
+                             "cross-validation takes each stay once")
     if only_fold is not None and not 0 <= only_fold < cfg.folds:
         raise ValueError(f"fold {only_fold} does not exist: k={cfg.folds} folds are "
                          f"numbered 0 to {cfg.folds - 1}")

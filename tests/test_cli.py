@@ -250,6 +250,16 @@ class TestPreprocess:
         assert run("preprocess", "--data-dir", tmp_path / "nope",
                    "--outcomes", tmp_path / "o.csv", "--out", tmp_path / "s") == 1
 
+    def test_empty_data_dir_named(self, tiny_corpus, tmp_path, capsys):
+        data_dir, outcomes = tiny_corpus
+        for path in data_dir.glob("*.txt"):
+            path.unlink()
+        out = tmp_path / "s"
+        assert run("preprocess", "--data-dir", data_dir, "--outcomes", outcomes,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == f"error: no record files (*.txt) under {data_dir}\n"
+        assert not out.exists()
+
     def test_bad_outcomes_row_names_the_file(self, tiny_corpus, tmp_path, capsys):
         data_dir, outcomes = tiny_corpus
         lines = outcomes.read_text().splitlines()
@@ -562,20 +572,32 @@ class TestTrain:
         assert not out.exists()
 
     def test_extra_episode_file_named(self, store, tmp_path, capsys):
-        """A file whose name is not its labeled record's id, here a copy."""
-        episodes = sorted((store / "episodes").glob("*.txt"))
-        extra = store / "episodes" / "copy.txt"
-        extra.write_bytes(episodes[0].read_bytes())
+        """A file whose name is not its labeled record's id, here a renamed one."""
+        extra = store / "episodes" / "0.txt"
+        (store / "episodes" / "140000.txt").rename(extra)
         assert run("train", "--store", store, "--out", tmp_path / "out", *TRAIN_FAST) == 1
         assert (f"error: {extra}: extra: not listed in {store / 'labels.csv'}"
                 in capsys.readouterr().err)
+
+    def test_record_in_two_store_files_refused(self, store, tmp_path, capsys, monkeypatch):
+        """Both files' names are listed, so only their ids show the defect:
+        one stay would enter cross-validation twice."""
+        monkeypatch.setattr("icurisk.train.train_fold", lambda *a, **k: pytest.fail("trained"))
+        first, copy = store / "episodes" / "140001.txt", store / "episodes" / "140002.txt"
+        copy.write_bytes(first.read_bytes())
+        out = tmp_path / "out"
+        assert run("train", "--store", store, "--out", out, *TRAIN_FAST) == 1
+        assert (capsys.readouterr().err
+                == f"error: {copy}: record id 140001 is also the id of {first}\n")
+        assert not out.exists()
 
     def test_store_without_episodes_refused(self, store, tmp_path, capsys):
         for path in (store / "episodes").glob("*.txt"):
             path.unlink()
         out = tmp_path / "out"
         assert run("train", "--store", store, "--out", out, *TRAIN_FAST) == 1
-        assert capsys.readouterr().err == f"error: no episodes found under {store / 'episodes'}\n"
+        assert (capsys.readouterr().err
+                == f"error: no record files (*.txt) under {store / 'episodes'}\n")
         assert not out.exists()
 
     def test_missing_store_fails(self, tmp_path):

@@ -268,8 +268,19 @@ class TestOutcomes:
 
     def test_duplicate_id_rejected(self):
         text = self.HEADER + "1,6,1,5,-1,0\n1,6,1,5,-1,1\n"
-        with refused("duplicate record id 1"):
+        with refused("line 3: duplicate record id 1"):
             parse_outcomes(text)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("1,6,1,5,-1,0\n\n2,6,1,5,-1,x\n", "line 4: bad label 'x'"),
+        ('1,"a\nb",1,5,-1,0\nx2,6,1,5,-1,0\n', "line 4: bad RecordID 'x2'"),
+        ("1,6,1,5,-1,0\n\n\n1,6,1,5,-1,1\n", "line 5: duplicate record id 1"),
+        ("1,6,1,5,-1,0\n\n\n2," + "x" * 131_073 + "\n",
+         "line 5: field larger than field limit (131072)"),
+    ], ids=["blank-line", "multi-line-field", "duplicate", "csv-error-after-blank-lines"])
+    def test_row_named_by_the_line_it_starts_on(self, rows, message):
+        with refused(message):
+            parse_outcomes(self.HEADER + rows)
 
     def test_label_outside_01_rejected(self):
         with refused("line 2: label must be 0 or 1, got 2"):

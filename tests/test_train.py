@@ -1,6 +1,7 @@
 """Folding, Adam, AUC, the training loop, and cross-validation."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -447,6 +448,14 @@ class TestCrossValidate:
         cfg = TrainConfig(folds=2, max_epochs=1, patience=1, batch_size=4, seed=seed)
         with pytest.raises(ValueError, match=r"^fold 1: feature HR: fitted imputation mean is inf$"):
             cross_validate(episodes, cfg, _small_model(input_dim=185, hidden=3))
+
+    def test_repeated_record_id_rejected_before_any_fit(self, monkeypatch):
+        monkeypatch.setattr("icurisk.train.fit_pipeline", lambda *a: pytest.fail("fitted"))
+        episodes = _toy_episodes()
+        episodes += [episodes[3], replace(episodes[3], label=1 - episodes[3].label)]
+        with pytest.raises(ValueError, match=rf"^record id {episodes[3].record_id} appears "
+                                             "3 times; cross-validation takes each stay once$"):
+            cross_validate(episodes, TrainConfig(folds=2), _small_model(input_dim=185))
 
     def test_unlabeled_episodes_rejected(self):
         episodes = _toy_episodes()
