@@ -261,19 +261,26 @@ def cmd_train(args) -> int:
 
 def _score(args, command: str, done: str, header, rows, **options) -> int:
     """Write ``header(config)``, which may refuse the model, then ``rows(record_id,
-    result)`` for each record, scored alone.  A bad ``--out`` fails before the
-    model loads, a model without statistics or a non-finite risk (a NaN weight
-    or state reaches ``sigmoid(w . max(readings))``) before the manifest goes."""
+    result)`` for each record, scored alone.  A bad ``--out``, or one whose file
+    or manifest is an input file by any path or link, fails before the model
+    loads, a model without statistics or a non-finite risk (a NaN weight or
+    state reaches ``sigmoid(w . max(readings))``) before the manifest goes."""
     model_path, out = Path(args.model), Path(args.out)
+    record_paths = [Path(p) for p in args.records]
+    manifest = Path(str(out) + ".manifest.json")
     if out.is_dir() or not out.parent.is_dir():
         raise ValueError(f"--out {out} is not a file in an existing directory")
+    written = [file for file in (out, manifest) if file.exists()]
+    for role, path in [("--model", model_path)] + [("record", p) for p in record_paths]:
+        if any(path.exists() and path.samefile(w) for w in written):
+            raise ValueError(f"--out {out} would overwrite {role} {path}; "
+                             f"{command} into a new file")
     params, stats = load_model(model_path)
     if stats is None:
         raise ModelFormatError(
             f"{model_path}: model carries no preprocessing statistics; cannot score raw records"
         )
     lines = [header(params.config)]
-    record_paths = [Path(p) for p in args.records]
     for ep in [_parse_file(path, ingest.parse_record) for path in record_paths]:
         result = forward_episode(preprocess.build_features(ep, stats).matrix, params,
                                  record_id=ep.record_id)
@@ -281,7 +288,6 @@ def _score(args, command: str, done: str, header, rows, **options) -> int:
             raise ValueError(f"record {ep.record_id}: model {model_path} "
                              f"gives a non-finite risk ({result.risk})")
         lines += rows(ep.record_id, result)
-    manifest = Path(str(out) + ".manifest.json")
     manifest.unlink(missing_ok=True)
     out.write_text("\n".join(lines) + "\n")
 

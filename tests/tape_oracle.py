@@ -27,12 +27,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from icurisk.model import ShapeMismatchError, sigmoid
+from icurisk.model import sigmoid
 
 
 def _require_same_shape(op: str, a: "Tensor", b: "Tensor") -> None:
     if a.data.shape != b.data.shape:
-        raise ShapeMismatchError(
+        raise ValueError(
             f"{op}: shapes {a.data.shape} and {b.data.shape} differ"
         )
 
@@ -40,7 +40,7 @@ def _require_same_shape(op: str, a: "Tensor", b: "Tensor") -> None:
 def softmax(v: np.ndarray) -> np.ndarray:
     """Softmax of a 1-D array, computed with max subtraction."""
     if v.ndim != 1:
-        raise ShapeMismatchError(f"softmax: expected 1-D, got {v.shape}")
+        raise ValueError(f"softmax: expected 1-D, got {v.shape}")
     shifted = np.exp(v - v.max())
     return shifted / shifted.sum()
 
@@ -101,11 +101,11 @@ class Tape:
     def matmul(self, a: Tensor, b: Tensor) -> Tensor:
         """Matrix product of a 2-D ``a`` with a 1-D or 2-D ``b``."""
         if a.data.ndim != 2 or b.data.ndim not in (1, 2):
-            raise ShapeMismatchError(
+            raise ValueError(
                 f"matmul: need 2-D @ 1-D/2-D, got {a.data.shape} and {b.data.shape}"
             )
         if a.data.shape[1] != b.data.shape[0]:
-            raise ShapeMismatchError(
+            raise ValueError(
                 f"matmul: inner dimensions of {a.data.shape} and {b.data.shape} differ"
             )
 
@@ -124,7 +124,7 @@ class Tape:
         """Join two tensors of at least 2-D along their last axis; every
         other dimension must agree."""
         if a.data.ndim < 2 or a.data.shape[:-1] != b.data.shape[:-1]:
-            raise ShapeMismatchError(
+            raise ValueError(
                 f"concat: need tensors of 2 or more dimensions that differ only in "
                 f"the last, got {a.data.shape} and {b.data.shape}"
             )
@@ -153,7 +153,7 @@ class Tape:
     def mean(self, x: Tensor) -> Tensor:
         """Mean over the rows of a 2-D tensor (over time, for an episode)."""
         if x.data.ndim != 2:
-            raise ShapeMismatchError(f"mean: expected a 2-D tensor, got {x.data.shape}")
+            raise ValueError(f"mean: expected a 2-D tensor, got {x.data.shape}")
         n = x.data.shape[0]
         return self.record("mean", (x,), x.data.sum(axis=0) / n,
                            lambda g: (np.broadcast_to(g / n, x.data.shape),))
@@ -185,12 +185,12 @@ class Tape:
         one label for all); the result is a one-element tensor.
         """
         if p.data.ndim != 1:
-            raise ShapeMismatchError(
+            raise ValueError(
                 f"binary_cross_entropy: probabilities must be 1-D, got {p.data.shape}"
             )
         labels = np.asarray(y, dtype=np.float64)
         if labels.ndim > 1 or labels.size not in (1, p.data.size):
-            raise ShapeMismatchError(
+            raise ValueError(
                 f"binary_cross_entropy: {labels.size} labels for {p.data.size} probabilities"
             )
         if not np.isin(labels, (0.0, 1.0)).all():

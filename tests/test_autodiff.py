@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from icurisk import autodiff, model
-from icurisk.model import (ModelConfig, ModelParams, ShapeMismatchError, check_gradients,
-                           forward_batch)
+from icurisk.model import ModelConfig, ModelParams, check_gradients, forward_batch
 
 from tape_oracle import Tape, Tensor, softmax
 from test_golden import ARCHITECTURES
@@ -91,30 +90,33 @@ class TestForwardValues:
 
 class TestShapeErrors:
     def test_matmul_names_both_shapes(self):
-        with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2,\)"):
+        with pytest.raises(ValueError,
+                           match=r"^matmul: inner dimensions of \(2, 3\) and \(2,\) differ$"):
             Tape().matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
 
     def test_add_mismatch(self):
-        with pytest.raises(ShapeMismatchError, match=r"\(2,\).*\(3,\)"):
+        with pytest.raises(ValueError, match=r"^add: shapes \(2,\) and \(3,\) differ$"):
             Tape().add(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
 
     def test_concat_requires_equal_rows(self):
-        with pytest.raises(ShapeMismatchError, match=r"\(2, 2\).*\(3, 2\)"):
+        need = "^concat: need tensors of 2 or more dimensions that differ only in the last, "
+        with pytest.raises(ValueError, match=need + r"got \(2, 2\) and \(3, 2\)$"):
             Tape().concat(Tensor(np.zeros((2, 2))), Tensor(np.zeros((3, 2))))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=need + r"got \(2,\) and \(2,\)$"):
             Tape().concat(Tensor(np.zeros(2)), Tensor(np.zeros(2)))
 
     def test_weighted_sum_length_mismatch(self):
         # A weighted sum of rows is a (1, T) @ (T, d) product on the tape.
-        with pytest.raises(ShapeMismatchError, match=r"\(1, 3\).*\(2, 4\)"):
+        with pytest.raises(ValueError,
+                           match=r"^matmul: inner dimensions of \(1, 3\) and \(2, 4\) differ$"):
             Tape().matmul(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 4))))
 
     def test_mean_requires_2d(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=r"^mean: expected a 2-D tensor, got \(3,\)$"):
             Tape().mean(Tensor(np.zeros(3)))
 
     def test_softmax_requires_1d(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(ValueError, match=r"^softmax: expected 1-D, got \(2, 2\)$"):
             softmax(np.zeros((2, 2)))
 
     def test_backward_requires_scalar(self):

@@ -644,6 +644,31 @@ def test_bad_out_refused_before_the_model_loads(command, where, model_path, tiny
 
 
 @pytest.mark.parametrize("command", ["predict", "attention"])
+@pytest.mark.parametrize("overwritten", ["record", "model", "manifest", "hard-link"])
+def test_out_over_an_input_refused_before_the_model_loads(command, overwritten, model_path,
+                                                          tiny_corpus, tmp_path, capsys,
+                                                          monkeypatch):
+    """The risks, or their manifest, would replace a record or the model,
+    which ``--out`` names by another path or is a hard link to."""
+    monkeypatch.setattr("icurisk.cli.load_model", lambda *a: pytest.fail("loaded"))
+    records = sorted(tiny_corpus[0].glob("*.txt"))[:2]
+    role, path = ("--model", model_path) if overwritten == "model" else ("record", records[1])
+    out = path.parent / ".." / path.parent.name / path.name
+    if overwritten == "manifest":
+        out = tmp_path / "risks.csv"
+        records[1] = path = path.rename(f"{out}.manifest.json")
+    elif overwritten == "hard-link":
+        out = tmp_path / "risks.csv"
+        os.link(path, out)
+    inputs = {p: p.read_bytes() for p in [model_path, *records]}
+    assert run(command, "--model", model_path, "--out", out, *records) == 1
+    assert (capsys.readouterr().err
+            == f"error: --out {out} would overwrite {role} {path}; {command} into a new file\n")
+    assert {p: p.read_bytes() for p in inputs} == inputs
+    assert not (out if overwritten == "manifest" else Path(f"{out}.manifest.json")).exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "attention"])
 def test_rerun_removes_the_old_manifest_once_every_risk_is_finite(
         command, model_path, tiny_corpus, tmp_path, capsys, monkeypatch):
     """A refused rerun keeps the earlier run's files; one whose write fails

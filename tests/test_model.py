@@ -17,7 +17,6 @@ from icurisk.model import (
     ModelConfig,
     ModelFormatError,
     ModelParams,
-    ShapeMismatchError,
     attend,
     classify,
     forward_batch,
@@ -430,7 +429,7 @@ class TestClassifier:
     def test_log_loss_rejects_bad_labels(self):
         params = ModelParams.zeros(ModelConfig(input_dim=2, recurrent=False,
                                                dropout_in=0.0, dropout_out=0.0))
-        with pytest.raises(ShapeMismatchError, match="1 labels for 2 episodes"):
+        with pytest.raises(ValueError, match="^1 labels for 2 episodes$"):
             loss_and_grads(params, [np.ones((1, 2))] * 2, [1])
         with pytest.raises(ValueError, match="0 or 1"):
             loss_and_grads(params, [np.ones((1, 2))], [2])
@@ -497,7 +496,8 @@ class TestForwardEpisode:
 
     def test_width_mismatch_rejected(self):
         cfg, params = self._model()
-        with pytest.raises(ShapeMismatchError, match="width"):
+        with pytest.raises(ValueError,
+                           match=r"^episode matrix \(3, 5\) does not match input width 6$"):
             forward_episode(np.zeros((3, 5)), params)
 
     def test_eval_mode_skips_dropout(self):
@@ -638,10 +638,13 @@ class TestGradCheck:
             input_dim=5, hidden=3, heads=2, attn_hidden=4, dropout_in=0.0, dropout_out=0.0))
         assert grad_check(cfg, seed=1) < 1e-4
 
-    def test_requires_dropout_off(self):
-        cfg = ModelConfig(input_dim=5, hidden=3, dropout_in=0.5, dropout_out=0.0)
-        with pytest.raises(ValueError, match="dropout"):
-            grad_check(cfg, seed=0)
+    def test_dropout_rates_leave_the_check_unchanged(self):
+        """The check runs in evaluation mode, which draws no dropout."""
+        for variant in ("bilstm-attn", "lstm-mean", "lr-baseline"):
+            _, cfg = apply_variant(variant, TrainConfig(), ModelConfig(
+                input_dim=5, hidden=3, heads=2, attn_hidden=4, dropout_in=0.0, dropout_out=0.0))
+            noisy = replace(cfg, dropout_in=0.5, dropout_out=0.5)
+            assert grad_check(noisy, seed=0) == grad_check(cfg, seed=0)
 
 
 class TestPersistence:
@@ -834,8 +837,15 @@ class TestMalformedModelFile:
          r"parameters \['out.b'\] do not match the configuration"),
         (_set("params", "bw.Wi", {"shape": [2, 4], "data": [0.0] * 8}),
          r"parameters \['bw.Wi'\] do not match the configuration"),
+        (_set("params", "out.b", "data", 0, 10**400),
+         "parameter out.b: int too large to convert to float"),
+        # Sizes numpy refuses before allocating: beyond any dimension, and
+        # 4 EiB for the first gate's W, beyond any address space.
+        (_set("config", "hidden", 10**400), "config: "),
+        (_set("config", "hidden", 2**57), "config: Unable to allocate"),
     ], ids=["short-data", "no-params", "no-config", "unknown-config-field",
-            "string-value", "null-value", "missing-parameter", "extra-parameter"])
+            "string-value", "null-value", "missing-parameter", "extra-parameter",
+            "int-beyond-float", "hidden-beyond-any-dimension", "hidden-beyond-memory"])
     def test_rejected_naming_file_and_field(self, tmp_path, edit, names):
         path = _edit_saved_model(tmp_path, edit)
         with pytest.raises(ModelFormatError, match=names) as info:
